@@ -66,9 +66,9 @@ from .noise_budget import (
 )
 from .pipeline import (
     PipelineConfig,
-    TransmissionRecord,
     TrialResult,
     encode_transmit,
+    random_noise_config,
     receive_decode,
     run_baseline_random_noise,
     run_trial,

@@ -13,7 +13,10 @@ import os
 import re
 from dataclasses import dataclass, field, fields
 
+from .channel import CHANNEL_MODELS
 from .errors import ConfigError
+from .noise_budget import GAMMA_MODES
+from .pipeline import RECEIVER_FORWARD_MODES, TRANSMITTER_MODES
 
 _SECTION_KEYS = {
     "run": {"seed", "jobs"},
@@ -188,6 +191,12 @@ class _SectionReader:
         except (ValueError, ConfigError) as exc:
             self._fail(key, f"invalid {kind} {self.raw(key)!r} ({exc})")
 
+    def choice(self, key, allowed, default):
+        value = self.typed(key, str, default, "string")
+        if value not in allowed:
+            self._fail(key, f"expected one of {', '.join(allowed)}, got {value!r}")
+        return value
+
 
 def _to_bool(raw: str) -> bool:
     lowered = raw.lower()
@@ -298,21 +307,19 @@ def parse_config(path) -> ExperimentConfig:
 
     den = reader("denoiser")
     denoiser = DenoiserSpec(
-        kind=den.typed("kind", str, DenoiserSpec.kind, "string"),
+        kind=den.choice("kind", ("analytic", "mlp"), DenoiserSpec.kind),
         checkpoint=den.typed("checkpoint", str, DenoiserSpec.checkpoint, "string"),
     )
-    if denoiser.kind not in ("analytic", "mlp"):
-        den._fail("kind", f"expected 'analytic' or 'mlp', got {denoiser.kind!r}")
 
     pipe = reader("pipeline")
     pipeline = PipelineSpec(
         t_f1=pipe.typed("t_f1", int, PipelineSpec.t_f1, "integer"),
         t_f2=pipe.typed("t_f2", int, PipelineSpec.t_f2, "integer"),
         t_b=pipe.typed("t_b", _to_t_b, PipelineSpec.t_b, "step count"),
-        transmitter_mode=pipe.typed(
-            "transmitter_mode", str, PipelineSpec.transmitter_mode, "string"),
-        receiver_forward_mode=pipe.typed(
-            "receiver_forward_mode", str, PipelineSpec.receiver_forward_mode, "string"),
+        transmitter_mode=pipe.choice(
+            "transmitter_mode", TRANSMITTER_MODES, PipelineSpec.transmitter_mode),
+        receiver_forward_mode=pipe.choice(
+            "receiver_forward_mode", RECEIVER_FORWARD_MODES, PipelineSpec.receiver_forward_mode),
         guidance_scale=pipe.typed(
             "guidance_scale", float, PipelineSpec.guidance_scale, "number"),
         guidance_label=pipe.typed(
@@ -325,7 +332,7 @@ def parse_config(path) -> ExperimentConfig:
     cha = reader("channel")
     channel = ChannelSpec(
         snr_db=cha.typed("snr_db", float, ChannelSpec.snr_db, "number"),
-        model=cha.typed("model", str, ChannelSpec.model, "string"),
+        model=cha.choice("model", CHANNEL_MODELS, ChannelSpec.model),
     )
 
     swp = reader("sweep")
@@ -349,9 +356,9 @@ def parse_config(path) -> ExperimentConfig:
     pr1 = reader("prop1")
     prop1 = Prop1Spec(
         n_samples=pr1.typed("n_samples", int, Prop1Spec.n_samples, "integer"),
-        gamma_mode=pr1.typed("gamma_mode", str, Prop1Spec.gamma_mode, "string"),
-        transmitter_mode=pr1.typed(
-            "transmitter_mode", str, Prop1Spec.transmitter_mode, "string"),
+        gamma_mode=pr1.choice("gamma_mode", GAMMA_MODES, Prop1Spec.gamma_mode),
+        transmitter_mode=pr1.choice(
+            "transmitter_mode", TRANSMITTER_MODES, Prop1Spec.transmitter_mode),
     )
 
     trn = reader("train")

@@ -186,7 +186,7 @@ class GuidanceConfig:
 
 def guided_eps(denoiser, values, t, guidance):
     """Denoiser prediction under a GuidanceConfig (or None = unconditional)."""
-    if guidance is None or guidance.cond is None:
+    if guidance is None or guidance.cond is None or guidance.w == 0.0:
         return denoiser.predict(values, t, None)
     if guidance.w == 1.0:
         return denoiser.predict(values, t, guidance.cond)

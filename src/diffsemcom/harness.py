@@ -24,7 +24,7 @@ from .denoisers import GaussianMixtureModel, GmmDenoiser, GuidanceConfig
 from .errors import ConfigError, ParameterError
 from .mlp import MlpDenoiser, TrainConfig, init_mlp, load_checkpoint, save_checkpoint, train_denoiser
 from .noise_budget import SplitConfig, validate_prop1
-from .pipeline import PipelineConfig, run_baseline_random_noise, run_trial
+from .pipeline import PipelineConfig, random_noise_config, run_trial
 from .rng import stream
 from .schedule import build_schedule, make_stride_plan
 
@@ -114,21 +114,6 @@ def build_objects(cfg: ExperimentConfig):
     return schedule, plan, source, denoiser
 
 
-def _pipeline_config(cfg: ExperimentConfig, snr_db, split: SplitConfig, t_b) -> PipelineConfig:
-    p = cfg.pipeline
-    guidance = GuidanceConfig(w=p.guidance_scale, cond=p.guidance_label)
-    return PipelineConfig(
-        split=split,
-        channel=ChannelConfig(snr_db=float(snr_db), model=cfg.channel.model),
-        t_b=t_b,
-        transmitter_mode=p.transmitter_mode,
-        receiver_forward_mode=p.receiver_forward_mode,
-        guidance=guidance,
-        condition_receiver_forward=p.condition_receiver_forward,
-        seed=cfg.run.seed,
-    )
-
-
 @dataclass(frozen=True)
 class Cell:
     snr_db: float
@@ -139,15 +124,31 @@ class Cell:
     t_b: int | str
     t_b_mode: str
     n: int
+    records_csv: str | None = None  # per-sample dump path, written by run_cell
 
 
 def run_cell(cfg: ExperimentConfig, cell: Cell) -> ResultRow:
     schedule, plan, source, denoiser = build_objects(cfg)
-    split = SplitConfig(cell.t_f1, cell.t_f2)
-    pipe_cfg = _pipeline_config(cfg, cell.snr_db, split, cell.t_b)
+    p = cfg.pipeline
+    pipe_cfg = PipelineConfig(
+        split=SplitConfig(cell.t_f1, cell.t_f2),
+        channel=ChannelConfig(snr_db=float(cell.snr_db), model=cfg.channel.model),
+        t_b=cell.t_b,
+        transmitter_mode=p.transmitter_mode,
+        receiver_forward_mode=p.receiver_forward_mode,
+        guidance=GuidanceConfig(w=p.guidance_scale, cond=p.guidance_label),
+        condition_receiver_forward=p.condition_receiver_forward,
+        seed=cfg.run.seed,
+    )
+    if cell.system == "random_noise":
+        pipe_cfg = random_noise_config(pipe_cfg)
     rng = stream(cfg.run.seed, _SALT_CELL, cell.seed)
-    runner = run_trial if cell.system == "proposed" else run_baseline_random_noise
-    result = runner(pipe_cfg, source, schedule, plan, denoiser, cell.n, rng)
+    result = run_trial(pipe_cfg, source, schedule, plan, denoiser, cell.n, rng)
+    if cell.records_csv is not None:
+        with open(cell.records_csv, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("sample,gamma,sq_err\n")
+            for i, gamma, err in result.per_sample_rows():
+                fh.write(f"{i},{gamma:.12g},{err:.12g}\n")
     return ResultRow(
         snr_db=float(cell.snr_db),
         t_f1=cell.t_f1,
@@ -155,9 +156,7 @@ def run_cell(cfg: ExperimentConfig, cell: Cell) -> ResultRow:
         t_b_resolved=result.t_b_resolved,
         system=cell.system,
         transmitter_mode=pipe_cfg.transmitter_mode,
-        receiver_forward_mode=(
-            "stochastic" if cell.system == "random_noise" else pipe_cfg.receiver_forward_mode
-        ),
+        receiver_forward_mode=pipe_cfg.receiver_forward_mode,
         t_b_mode=cell.t_b_mode,
         seed=cell.seed,
         mse=result.metrics.mse,
@@ -170,11 +169,6 @@ def run_cell(cfg: ExperimentConfig, cell: Cell) -> ResultRow:
         gamma_mean=result.gamma_mean,
         saturated=result.saturated,
     )
-
-
-def _cell_worker(packed):
-    cfg, cell = packed
-    return run_cell(cfg, cell)
 
 
 def _execute_cells(cfg, cells, jobs, csv_path):
@@ -202,7 +196,7 @@ def _execute_cells(cfg, cells, jobs, csv_path):
             else:
                 with ProcessPoolExecutor(max_workers=jobs) as pool:
                     futures = {
-                        pool.submit(_cell_worker, (cfg, cell)): idx
+                        pool.submit(run_cell, cfg, cell): idx
                         for idx, cell in enumerate(cells)
                     }
                     for fut in as_completed(futures):
@@ -211,23 +205,6 @@ def _execute_cells(cfg, cells, jobs, csv_path):
         finally:
             flush()
     return ordered
-
-
-def _dump_records_if_requested(cfg, out_dir, cells):
-    if not cfg.output.dump_records:
-        return
-    schedule, plan, source, denoiser = build_objects(cfg)
-    for cell in cells:
-        split = SplitConfig(cell.t_f1, cell.t_f2)
-        pipe_cfg = _pipeline_config(cfg, cell.snr_db, split, cell.t_b)
-        rng = stream(cfg.run.seed, _SALT_CELL, cell.seed)
-        runner = run_trial if cell.system == "proposed" else run_baseline_random_noise
-        result = runner(pipe_cfg, source, schedule, plan, denoiser, cell.n, rng)
-        name = f"records_snr{cell.snr_db:g}_seed{cell.seed}_{cell.system}.csv"
-        with open(os.path.join(out_dir, name), "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("sample,gamma,sq_err\n")
-            for i, gamma, err in result.record.per_sample_rows():
-                fh.write(f"{i},{gamma:.12g},{err:.12g}\n")
 
 
 def cmd_sweep(cfg: ExperimentConfig, out_dir, jobs=None, baseline=None, plot=None):
@@ -241,14 +218,15 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir, jobs=None, baseline=None, plot=Non
     p = cfg.pipeline
     t_b_mode = "auto" if p.t_b == "auto" else "fixed"
     cells = [
-        Cell(snr, seed, system, p.t_f1, p.t_f2, p.t_b, t_b_mode, cfg.sweep.n_per_cell)
+        Cell(snr, seed, system, p.t_f1, p.t_f2, p.t_b, t_b_mode, cfg.sweep.n_per_cell,
+             os.path.join(out_dir, f"records_snr{snr:g}_seed{seed}_{system}.csv")
+             if cfg.output.dump_records else None)
         for snr in cfg.sweep.snr_db
         for seed in cfg.sweep.seeds
         for system in systems
     ]
     csv_path = os.path.join(out_dir, "sweep.csv")
     rows = _execute_cells(cfg, cells, jobs, csv_path)
-    _dump_records_if_requested(cfg, out_dir, cells)
     if plot:
         for metric in ("mse", "sw2"):
             svg = svgplot.emit_svg_plot(rows, svgplot.PlotSpec(metric=metric))

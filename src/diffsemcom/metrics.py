@@ -62,9 +62,11 @@ def sliced_w2(x, y, n_projections, rng) -> float:
 
 def median_bandwidth(x, y) -> float:
     """Median pairwise distance over the pooled batch (bandwidth heuristic)."""
-    pooled = np.vstack([np.atleast_2d(x), np.atleast_2d(y)])
-    sq = _pairwise_sq_dists(pooled, pooled)
-    iu = np.triu_indices(pooled.shape[0], k=1)
+    return _median_distance(_pooled_sq_dists(np.atleast_2d(x), np.atleast_2d(y)))
+
+
+def _median_distance(sq):
+    iu = np.triu_indices(sq.shape[0], k=1)
     med = float(np.median(np.sqrt(sq[iu])))
     return med if med > 0.0 else 1.0
 
@@ -82,14 +84,16 @@ def mmd2_unbiased(x, y, bandwidth=None) -> float:
         raise ParameterError(f"need at least 2 samples per batch, got {n} and {m}")
     if x.shape[1] != y.shape[1]:
         raise ParameterError(f"dimension mismatch: {x.shape[1]} vs {y.shape[1]}")
+    sq = _pooled_sq_dists(x, y)
     if bandwidth is None:
-        bandwidth = median_bandwidth(x, y)
+        bandwidth = _median_distance(sq)
     if bandwidth <= 0:
         raise ParameterError(f"bandwidth must be positive, got {bandwidth}")
     h2 = 2.0 * bandwidth * bandwidth
-    kxx = np.exp(-_pairwise_sq_dists(x, x) / h2)
-    kyy = np.exp(-_pairwise_sq_dists(y, y) / h2)
-    kxy = np.exp(-_pairwise_sq_dists(x, y) / h2)
+    # exp only the blocks read below: the pooled matrix's yx block is unused.
+    kxx = np.exp(-sq[:n, :n] / h2)
+    kyy = np.exp(-sq[n:, n:] / h2)
+    kxy = np.exp(-sq[:n, n:] / h2)
     np.fill_diagonal(kxx, 0.0)
     np.fill_diagonal(kyy, 0.0)
     return float(
@@ -97,10 +101,11 @@ def mmd2_unbiased(x, y, bandwidth=None) -> float:
     )
 
 
-def _pairwise_sq_dists(a, b):
-    aa = np.sum(a * a, axis=1)[:, None]
-    bb = np.sum(b * b, axis=1)[None, :]
-    sq = aa + bb - 2.0 * (a @ b.T)
+def _pooled_sq_dists(x, y):
+    """Squared distances between all rows of the stacked batch [x; y]."""
+    z = np.vstack([x, y])
+    zz = np.sum(z * z, axis=1)
+    sq = zz[:, None] + zz[None, :] - 2.0 * (z @ z.T)
     np.maximum(sq, 0.0, out=sq)
     return sq
 

@@ -8,13 +8,14 @@ the resolved denoising depth T_B, and sampled back to 0.  T_B > T_F means
 the decoder deliberately starts from a higher nominal noise level than the
 latent's tag; that is the noise-level matching under channel noise.
 
-The baseline transmits the normalized source latent directly and lets the
-receiver add the whole forward noise stochastically.
+The random-noise baseline is the same pipeline on the split (0, T_F) with a
+stochastic receiver leg: the normalized source latent is transmitted as-is
+and the receiver adds the whole forward noise (``random_noise_config``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -65,7 +66,7 @@ class PipelineConfig:
 
 
 @dataclass
-class TransmissionRecord:
+class TrialResult:
     """One trial's artifacts, row-stacked over the n samples of the batch."""
 
     z0: np.ndarray
@@ -76,22 +77,22 @@ class TransmissionRecord:
     z_tilde0: np.ndarray
     budget: NoiseBudget
     metrics: MetricReport
-
-    def per_sample_rows(self):
-        """(sample, gamma, squared error) rows for optional CSV dumps."""
-        gamma = np.atleast_1d(self.gamma)
-        err = np.mean((self.z_tilde0 - self.z0) ** 2, axis=-1)
-        return [(i, float(gamma[i]), float(err[i])) for i in range(len(gamma))]
-
-
-@dataclass
-class TrialResult:
-    record: TransmissionRecord
-    metrics: MetricReport
-    budget: NoiseBudget
     t_b_resolved: int
     saturated: bool
     gamma_mean: float
+
+    def per_sample_rows(self):
+        """(sample, gamma, squared error) rows for optional CSV dumps."""
+        err = np.mean((self.z_tilde0 - self.z0) ** 2, axis=-1)
+        return [(i, float(self.gamma[i]), float(err[i])) for i in range(len(self.gamma))]
+
+
+def random_noise_config(cfg: PipelineConfig) -> PipelineConfig:
+    """The random-noise baseline of cfg: every forward step at the receiver.
+
+    transmitter_mode is kept (with T_F1 = 0 it is never read).
+    """
+    return replace(cfg, split=SplitConfig(0, cfg.split.t_f), receiver_forward_mode="stochastic")
 
 
 def encode_transmit(z0, cfg: PipelineConfig, schedule, plan, denoiser, rng):
@@ -191,12 +192,9 @@ def run_trial(cfg: PipelineConfig, source, schedule, plan, denoiser, n, rng) -> 
     z_tilde0 = _decode_from(z_hat, t_b, cfg, schedule, plan, denoiser)
 
     metrics = metric_report(z_tilde0, z0, np.random.default_rng(METRIC_SEED))
-    record = TransmissionRecord(
-        z0=z0, z_tx=sig.values, gamma=gamma_arr, y=y,
-        z_hat_tf=z_hat.values, z_tilde0=z_tilde0, budget=budget, metrics=metrics,
-    )
     return TrialResult(
-        record=record, metrics=metrics, budget=budget,
+        z0=z0, z_tx=sig.values, gamma=gamma_arr, y=y, z_hat_tf=z_hat.values,
+        z_tilde0=z_tilde0, budget=budget, metrics=metrics,
         t_b_resolved=t_b, saturated=saturated, gamma_mean=gamma_mean,
     )
 
@@ -205,39 +203,7 @@ def run_baseline_random_noise(cfg: PipelineConfig, source, schedule, plan,
                               denoiser, n, rng) -> TrialResult:
     """Table-I style baseline: transmit z0, add the forward noise at the receiver.
 
-    Uses the same substream layout as run_trial so a baseline driven by an
+    run_trial on random_noise_config(cfg), so a baseline driven by an
     identically-keyed stream is exactly paired with the proposed pipeline.
     """
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
-    k_src, _k_tx, k_ch, k_rx = rng.spawn(4)
-    z0 = gmm_sample(source, n, k_src)
-
-    sig = power_normalize(z0)
-    sigma_ch2 = snr_to_noise_var(cfg.channel.snr_db)
-    y = awgn_apply(sig, sigma_ch2, k_ch, cfg.channel.model)
-
-    gamma_arr = np.atleast_1d(np.asarray(sig.gamma, dtype=float))
-    gamma_mean = float(np.mean(gamma_arr))
-    sigma_eff2 = effective_noise_var(sigma_ch2, cfg.channel.model)
-
-    base_split = SplitConfig(0, cfg.split.t_f)
-    base_cfg = PipelineConfig(
-        split=base_split, channel=cfg.channel, t_b=cfg.t_b,
-        transmitter_mode="stochastic", receiver_forward_mode="stochastic",
-        guidance=cfg.guidance,
-        condition_receiver_forward=cfg.condition_receiver_forward, seed=cfg.seed,
-    )
-    t_b, saturated, budget = resolve_t_b(base_cfg, schedule, plan, gamma_mean, sigma_eff2)
-    z_hat = receiver_forward(y, base_cfg, schedule, plan, denoiser, k_rx)
-    z_tilde0 = _decode_from(z_hat, t_b, base_cfg, schedule, plan, denoiser)
-
-    metrics = metric_report(z_tilde0, z0, np.random.default_rng(METRIC_SEED))
-    record = TransmissionRecord(
-        z0=z0, z_tx=sig.values, gamma=gamma_arr, y=y,
-        z_hat_tf=z_hat.values, z_tilde0=z_tilde0, budget=budget, metrics=metrics,
-    )
-    return TrialResult(
-        record=record, metrics=metrics, budget=budget,
-        t_b_resolved=t_b, saturated=saturated, gamma_mean=gamma_mean,
-    )
+    return run_trial(random_noise_config(cfg), source, schedule, plan, denoiser, n, rng)

@@ -51,6 +51,19 @@ def test_invalid_value_diagnostics(tmp_path):
         parse_config(path)
 
 
+@pytest.mark.parametrize("section,key", [
+    ("pipeline", "transmitter_mode"),
+    ("pipeline", "receiver_forward_mode"),
+    ("channel", "model"),
+    ("prop1", "gamma_mode"),
+    ("prop1", "transmitter_mode"),
+])
+def test_unknown_enumerated_value_rejected(tmp_path, section, key):
+    path = write(tmp_path, f"[{section}]\n{key} = bogus\n")
+    with pytest.raises(ConfigError, match=rf"exp\.ini:2: {section}\.{key}: .*'bogus'"):
+        parse_config(path)
+
+
 def test_syntax_error_reported(tmp_path):
     path = write(tmp_path, "[channel\nsnr_db = 5\n")
     with pytest.raises(ConfigError, match="syntax error"):

@@ -213,3 +213,25 @@ def test_guided_eps_uses_labels(sched):
     blend = guided_eps(den, z, t, dsc.GuidanceConfig(w=0.5, cond=0))
     assert not np.allclose(uncond, cond0)
     assert np.allclose(blend, uncond + 0.5 * (cond0 - uncond))
+
+
+class CountingDenoiser(dsc.ConstantDenoiser):
+    def __init__(self, value):
+        super().__init__(value)
+        self.calls = 0
+
+    def predict(self, z, t, cond=None):
+        self.calls += 1
+        return super().predict(z, t, cond)
+
+
+def test_zero_guidance_scale_skips_conditional_prediction(sched, plan50):
+    # w = 0 discards the conditional prediction, so it must not be computed
+    z = dsc.Latent(np.linspace(-1.0, 1.0, 8), plan50.training_step(5))
+    outs, calls = [], []
+    for guidance in (None, dsc.GuidanceConfig(w=0.0, cond=0)):
+        den = CountingDenoiser(np.full(8, 0.3))
+        outs.append(dsc.run_ddim_sample(sched, z, plan50.descending_plan(5), den, guidance).values)
+        calls.append(den.calls)
+    assert calls[0] == calls[1] == 5
+    assert np.array_equal(outs[0], outs[1])

@@ -88,16 +88,53 @@ def test_sweep_emits_svg(tmp_path):
     assert (tmp_path / "sweep_sw2.svg").exists()
 
 
-def test_sweep_dump_records(tmp_path):
+def test_sweep_dump_records(tmp_path, monkeypatch):
     cfg = small_cfg()
     cfg = replace(cfg, output=replace(cfg.output, dump_records=True),
                   sweep=replace(cfg.sweep, snr_db=(5.0,), seeds=(0,)))
-    harness.cmd_sweep(cfg, tmp_path)
-    dumps = [p for p in os.listdir(tmp_path) if p.startswith("records_")]
+    harness.cmd_sweep(cfg, tmp_path / "jobs2", jobs=2)
+    real_run_trial = harness.run_trial
+    calls = []
+
+    def counting(pipe_cfg, *args):
+        calls.append((pipe_cfg.split.t_f1, pipe_cfg.split.t_f2))
+        return real_run_trial(pipe_cfg, *args)
+
+    monkeypatch.setattr(harness, "run_trial", counting)
+    rows, _ = harness.cmd_sweep(cfg, tmp_path / "serial", jobs=1)
+    # one run per cell, the baseline's on split (0, T_F): the dump comes from
+    # the row's own run
+    assert sorted(calls) == sorted(
+        (r.t_f1, r.t_f2) if r.system == "proposed" else (0, r.t_f1 + r.t_f2) for r in rows
+    )
+    dumps = sorted(p for p in os.listdir(tmp_path / "serial") if p.startswith("records_"))
     assert len(dumps) == 2  # proposed + baseline
-    lines = open(tmp_path / dumps[0]).read().splitlines()
+    lines = (tmp_path / "serial" / dumps[0]).read_text().splitlines()
     assert lines[0] == "sample,gamma,sq_err"
     assert len(lines) == 1 + 32
+    for row in rows:
+        name = f"records_snr{row.snr_db:g}_seed{row.seed}_{row.system}.csv"
+        sq_err = [float(line.split(",")[2])
+                  for line in (tmp_path / "serial" / name).read_text().splitlines()[1:]]
+        assert np.mean(sq_err) == pytest.approx(row.mse, rel=1e-12)
+    for name in dumps:
+        assert (tmp_path / "serial" / name).read_bytes() == (tmp_path / "jobs2" / name).read_bytes()
+
+
+def test_random_noise_rows_report_cell_split_and_config_modes(tmp_path):
+    # the baseline runs on split (0, T_F) with a stochastic receiver leg, but
+    # its row reports the cell's split and the config's transmitter mode
+    cfg = small_cfg()
+    sweep_rows, _ = harness.cmd_sweep(cfg, tmp_path / "sweep")
+    ablate_rows, _ = harness.cmd_ablate(cfg, tmp_path / "ablate")
+    for rows, split in ((sweep_rows, (cfg.pipeline.t_f1, cfg.pipeline.t_f2)),
+                        (ablate_rows, (5, 5))):
+        baseline = [r for r in rows if r.system == "random_noise"]
+        assert baseline
+        for r in baseline:
+            assert (r.t_f1, r.t_f2) == split
+            assert r.transmitter_mode == cfg.pipeline.transmitter_mode == "ddim_inversion"
+            assert r.receiver_forward_mode == "stochastic"
 
 
 def test_partial_rows_flushed_on_abort(tmp_path, monkeypatch):
@@ -238,6 +275,10 @@ def test_cli_config_error_exit_code(tmp_path):
     code = cli.main(["sweep", "--config", str(bad), "--out", str(tmp_path)])
     assert code == 2
     assert cli.main(["sweep", "--config", "/does/not/exist.ini"]) == 2
+    bogus = tmp_path / "bogus.ini"
+    bogus.write_text("[channel]\nmodel = bogus\n")
+    assert cli.main(["sweep", "--config", str(bogus), "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o" / "sweep.csv").exists()
 
 
 def test_cli_selftest():

@@ -101,7 +101,7 @@ def test_run_trial_deterministic(sched, plan50, bimodal_64):
     b = run_trial(cfg, bimodal_64, sched, plan50, den, 64, dsc.stream(1, 12))
     assert a.metrics == b.metrics
     assert a.t_b_resolved == b.t_b_resolved
-    assert np.array_equal(a.record.z_tilde0, b.record.z_tilde0)
+    assert np.array_equal(a.z_tilde0, b.z_tilde0)
 
 
 def test_degenerate_channel_identity(sched, plan50):
@@ -112,8 +112,8 @@ def test_degenerate_channel_identity(sched, plan50):
     cfg = PipelineConfig(split=SplitConfig(5, 0), channel=QUIET, t_b=5,
                          transmitter_mode="ddim_inversion")
     res = run_trial(cfg, src, sched, plan50, den, 16, dsc.stream(1, 13))
-    ref = res.record.gamma[:, None] * res.record.z0
-    assert np.max(np.abs(res.record.z_tilde0 - ref)) <= 1e-12
+    ref = res.gamma[:, None] * res.z0
+    assert np.max(np.abs(res.z_tilde0 - ref)) <= 1e-12
 
 
 def test_snr_ordering_median_mse(sched, plan50, bimodal_64):
@@ -179,7 +179,7 @@ def test_condition_receiver_forward_flag_changes_result(sched, plan50, bimodal_6
             condition_receiver_forward=flag,
         )
         out = run_trial(cfg, bimodal_64, sched, plan50, den, 32, dsc.stream(1, 16))
-        res[flag] = out.record.z_tilde0
+        res[flag] = out.z_tilde0
     assert not np.array_equal(res[False], res[True])
 
 
@@ -188,9 +188,9 @@ def test_baseline_trivial_recovery_and_determinism(sched, plan50, bimodal_64):
     cfg = PipelineConfig(split=SplitConfig(0, 0), channel=QUIET, t_b=0)
     a = run_baseline_random_noise(cfg, bimodal_64, sched, plan50, den, 16, dsc.stream(1, 17))
     b = run_baseline_random_noise(cfg, bimodal_64, sched, plan50, den, 16, dsc.stream(1, 17))
-    ref = a.record.gamma[:, None] * a.record.z0
-    assert np.max(np.abs(a.record.z_tilde0 - ref)) < 1e-12
-    assert np.array_equal(a.record.z_tilde0, b.record.z_tilde0)
+    ref = a.gamma[:, None] * a.z0
+    assert np.max(np.abs(a.z_tilde0 - ref)) < 1e-12
+    assert np.array_equal(a.z_tilde0, b.z_tilde0)
 
 
 def test_baseline_shares_source_draws_with_proposed(sched, plan50, bimodal_64):
@@ -198,13 +198,13 @@ def test_baseline_shares_source_draws_with_proposed(sched, plan50, bimodal_64):
     cfg = PipelineConfig(split=SplitConfig(5, 5), channel=AT5, t_b="auto")
     a = run_trial(cfg, bimodal_64, sched, plan50, den, 32, dsc.stream(1, 18))
     b = run_baseline_random_noise(cfg, bimodal_64, sched, plan50, den, 32, dsc.stream(1, 18))
-    assert np.array_equal(a.record.z0, b.record.z0)
+    assert np.array_equal(a.z0, b.z0)
 
 
 def test_record_per_sample_rows(sched, plan50, bimodal_64):
     den = dsc.GmmDenoiser(bimodal_64, sched)
     cfg = PipelineConfig(split=SplitConfig(5, 5), channel=AT5, t_b="auto")
     res = run_trial(cfg, bimodal_64, sched, plan50, den, 8, dsc.stream(1, 19))
-    rows = res.record.per_sample_rows()
+    rows = res.per_sample_rows()
     assert len(rows) == 8
     assert all(len(r) == 3 and r[1] > 0 and r[2] >= 0 for r in rows)
