@@ -120,28 +120,67 @@ def _logsumexp(a, axis):
     return np.squeeze(m, axis=axis) + np.log(np.sum(np.exp(a - m), axis=axis))
 
 
-def gmm_score(model, schedule, z, t, cond=None):
+@dataclass(frozen=True)
+class _ScoreTerms:
+    """Per-t constants of the diffused mixture's score.
+
+    The log of w_j N(z; mean_j, var_j) is
+    (z*z) @ neg_half_ivar + z @ mean_ivar + const_j, so the log-density of
+    every component is two (n, d) x (d, J) matmuls.
+    """
+
+    means: np.ndarray         # (J, d)
+    variances: np.ndarray     # (J, d)
+    neg_half_ivar: np.ndarray  # (d, J): -1 / (2 var_j)
+    mean_ivar: np.ndarray     # (d, J): mean_j / var_j
+    const: np.ndarray         # (J,): log w_j - (sum mean^2/var + log var + log 2 pi) / 2
+
+    @classmethod
+    def at(cls, model, schedule, t):
+        mt = gmm_marginal(model, schedule, t)
+        m, v = mt.means, mt.variances
+        ivar = 1.0 / v
+        const = np.log(mt.weights) - 0.5 * np.sum(m * m * ivar + np.log(v) + _LOG_2PI, axis=-1)
+        return cls(m, v, np.ascontiguousarray(-0.5 * ivar.T),
+                   np.ascontiguousarray((m * ivar).T), const)
+
+
+def gmm_score(model, schedule, z, t, cond=None, cache=None):
     """Gradient of log p_t at z for the diffused (optionally conditional) mixture.
 
     Responsibilities are computed in log space so far-from-mode probes at
-    large t do not underflow.
+    large t do not underflow.  ``cache`` (a dict owned by one model and
+    schedule) keeps the per-t terms across calls.
     """
     z = np.asarray(z, dtype=float)
     if z.shape[-1] != model.d:
         raise ParameterError(f"z has dimension {z.shape[-1]}, model has {model.d}")
     if not np.all(np.isfinite(z)):
         raise ParameterError("z contains non-finite values")
-    mt = gmm_marginal(model, schedule, t)
+    terms = None if cache is None else cache.get(t)
+    if terms is None:
+        terms = _ScoreTerms.at(model, schedule, t)
+        if cache is not None:
+            cache[t] = terms
+    means, variances = terms.means, terms.variances
     if cond is not None:
         j = int(cond)
-        if not (0 <= j < mt.n_components):
-            raise ParameterError(f"cond={cond!r} outside 0..{mt.n_components - 1}")
-        return (mt.means[j] - z) / mt.variances[j]
-    logp = _component_log_density(mt, z) + np.log(mt.weights)
+        if not (0 <= j < means.shape[0]):
+            raise ParameterError(f"cond={cond!r} outside 0..{means.shape[0] - 1}")
+        return (means[j] - z) / variances[j]
+    logp = (z * z) @ terms.neg_half_ivar + z @ terms.mean_ivar + terms.const
     logz = _logsumexp(logp, axis=-1)
     resp = np.exp(logp - logz[..., None])  # (..., J)
-    comp_score = (mt.means - z[..., None, :]) / mt.variances  # (..., J, d)
-    return np.sum(resp[..., None] * comp_score, axis=-2)
+    # sum_j resp_j (mean_j - z) / var_j, added in component order
+    score = (means[0] - z) / variances[0]
+    score *= resp[..., 0, None]
+    term = np.empty_like(score)
+    for j in range(1, means.shape[0]):
+        np.subtract(means[j], z, out=term)
+        term /= variances[j]
+        term *= resp[..., j, None]
+        score += term
+    return score
 
 
 def eps_from_score(score_value, schedule, t):
@@ -203,9 +242,10 @@ class GmmDenoiser(Denoiser):
     def __init__(self, model: GaussianMixtureModel, schedule: NoiseSchedule):
         self.model = model
         self.schedule = schedule
+        self._terms = {}  # t -> _ScoreTerms
 
     def predict(self, z, t, cond=None):
-        score = gmm_score(self.model, self.schedule, z, t, cond)
+        score = gmm_score(self.model, self.schedule, z, t, cond, self._terms)
         return eps_from_score(score, self.schedule, t)
 
 

@@ -10,6 +10,9 @@ byte-identical CSV files.
 
 from __future__ import annotations
 
+import contextvars
+import ctypes
+import glob
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -127,8 +130,19 @@ class Cell:
     records_csv: str | None = None  # per-sample dump path, written by run_cell
 
 
+# (cfg, build_objects(cfg)) of the command whose cells run in this context:
+# set by _execute_cells for the length of the command and by each pool
+# worker's initializer, so that run_cell(cfg, cell) builds nothing per cell.
+# Never kept past the command: an mlp checkpoint may change between commands.
+_command_objects = contextvars.ContextVar("command_objects", default=None)
+
+
 def run_cell(cfg: ExperimentConfig, cell: Cell) -> ResultRow:
-    schedule, plan, source, denoiser = build_objects(cfg)
+    current = _command_objects.get()
+    if current is not None and current[0] == cfg:
+        schedule, plan, source, denoiser = current[1]
+    else:
+        schedule, plan, source, denoiser = build_objects(cfg)
     p = cfg.pipeline
     pipe_cfg = PipelineConfig(
         split=SplitConfig(cell.t_f1, cell.t_f2),
@@ -171,11 +185,48 @@ def run_cell(cfg: ExperimentConfig, cell: Cell) -> ResultRow:
     )
 
 
+# The OpenBLAS thread setter as numpy 2 wheels, numpy 1.25-1.26 wheels and
+# unsuffixed builds name it.
+_BLAS_THREAD_SETTERS = (
+    "scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
+    "openblas_set_num_threads",
+)
+
+
+def _single_thread_blas():
+    """Run the OpenBLAS that numpy has loaded on one thread (if one is found).
+
+    Pool workers share the cores: with the library default every worker's
+    BLAS spins one thread per core, and --jobs N runs slower than serial.
+    Loading the wheel's bundled library by path returns numpy's own copy.
+    """
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in _BLAS_THREAD_SETTERS:
+            setter = getattr(lib, name, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+                return
+
+
+def _init_worker(cfg, objects):
+    _single_thread_blas()
+    _command_objects.set((cfg, objects))
+
+
 def _execute_cells(cfg, cells, jobs, csv_path):
     """Run cells (optionally on a worker pool), writing rows in cell order.
 
+    The objects are built once per command; pool workers receive them
+    through their initializer (a forked worker shares them without a copy).
     Completed prefix rows are flushed even if a later cell fails.
     """
+    objects = build_objects(cfg)
     done: dict[int, ResultRow] = {}
     ordered: list[ResultRow] = []
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
@@ -188,13 +239,15 @@ def _execute_cells(cfg, cells, jobs, csv_path):
                 ordered.append(row)
             fh.flush()
 
+        token = _command_objects.set((cfg, objects))
         try:
             if jobs <= 1:
                 for idx, cell in enumerate(cells):
                     done[idx] = run_cell(cfg, cell)
                     flush()
             else:
-                with ProcessPoolExecutor(max_workers=jobs) as pool:
+                with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
+                                         initargs=(cfg, objects)) as pool:
                     futures = {
                         pool.submit(run_cell, cfg, cell): idx
                         for idx, cell in enumerate(cells)
@@ -203,6 +256,7 @@ def _execute_cells(cfg, cells, jobs, csv_path):
                         done[futures[fut]] = fut.result()
                         flush()
         finally:
+            _command_objects.reset(token)
             flush()
     return ordered
 

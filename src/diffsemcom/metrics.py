@@ -50,6 +50,7 @@ def sliced_w2(x, y, n_projections, rng) -> float:
         )
     if n_projections < 1:
         raise ParameterError(f"need at least one projection, got {n_projections}")
+    _require_finite(x, y)
     d = x.shape[1]
     dirs = rng.standard_normal((int(n_projections), d))
     norms = np.linalg.norm(dirs, axis=1, keepdims=True)
@@ -62,13 +63,35 @@ def sliced_w2(x, y, n_projections, rng) -> float:
 
 def median_bandwidth(x, y) -> float:
     """Median pairwise distance over the pooled batch (bandwidth heuristic)."""
-    return _median_distance(_pooled_sq_dists(np.atleast_2d(x), np.atleast_2d(y)))
+    x, y = np.atleast_2d(x), np.atleast_2d(y)
+    _require_finite(x, y)
+    return _median_distance(_pooled_sq_dists(x, y))
 
 
 def _median_distance(sq):
-    iu = np.triu_indices(sq.shape[0], k=1)
-    med = float(np.median(np.sqrt(sq[iu])))
+    """Median of the distances above the diagonal of sq (1.0 if it is 0).
+
+    sqrt is monotone, so the median distance is the mean of the roots of the
+    one or two middle squared distances, as np.median takes it.  One
+    partial sort finds the upper middle value; the lower one (even count)
+    is the largest value below it.
+    """
+    idx = np.arange(sq.shape[0])
+    pairs = sq[idx[:, None] < idx]  # a copy, so it may be partitioned in place
+    if pairs.size == 0:
+        return 1.0
+    hi = pairs.size // 2
+    pairs.partition(hi)
+    middle = pairs[hi] if pairs.size % 2 else (pairs[:hi].max(), pairs[hi])
+    med = float(np.mean(np.sqrt(middle)))
     return med if med > 0.0 else 1.0
+
+
+def _require_finite(*batches):
+    """Reject NaN or inf: a partition-taken median would skip it silently."""
+    for batch in batches:
+        if not np.all(np.isfinite(batch)):
+            raise ParameterError("batches must be finite")
 
 
 def mmd2_unbiased(x, y, bandwidth=None) -> float:
@@ -84,16 +107,20 @@ def mmd2_unbiased(x, y, bandwidth=None) -> float:
         raise ParameterError(f"need at least 2 samples per batch, got {n} and {m}")
     if x.shape[1] != y.shape[1]:
         raise ParameterError(f"dimension mismatch: {x.shape[1]} vs {y.shape[1]}")
+    _require_finite(x, y)
     sq = _pooled_sq_dists(x, y)
     if bandwidth is None:
         bandwidth = _median_distance(sq)
     if bandwidth <= 0:
         raise ParameterError(f"bandwidth must be positive, got {bandwidth}")
-    h2 = 2.0 * bandwidth * bandwidth
+    neg_h2 = -2.0 * bandwidth * bandwidth
+
+    def kernel(block):
+        k = block / neg_h2  # a fresh contiguous array: its sum adds in a fixed order
+        return np.exp(k, out=k)
+
     # exp only the blocks read below: the pooled matrix's yx block is unused.
-    kxx = np.exp(-sq[:n, :n] / h2)
-    kyy = np.exp(-sq[n:, n:] / h2)
-    kxy = np.exp(-sq[:n, n:] / h2)
+    kxx, kyy, kxy = kernel(sq[:n, :n]), kernel(sq[n:, n:]), kernel(sq[:n, n:])
     np.fill_diagonal(kxx, 0.0)
     np.fill_diagonal(kyy, 0.0)
     return float(
@@ -105,7 +132,10 @@ def _pooled_sq_dists(x, y):
     """Squared distances between all rows of the stacked batch [x; y]."""
     z = np.vstack([x, y])
     zz = np.sum(z * z, axis=1)
-    sq = zz[:, None] + zz[None, :] - 2.0 * (z @ z.T)
+    gram = z @ z.T
+    gram *= 2.0
+    sq = zz[:, None] + zz[None, :]
+    sq -= gram
     np.maximum(sq, 0.0, out=sq)
     return sq
 

@@ -70,10 +70,7 @@ class TrialResult:
     """One trial's artifacts, row-stacked over the n samples of the batch."""
 
     z0: np.ndarray
-    z_tx: np.ndarray
     gamma: np.ndarray
-    y: np.ndarray
-    z_hat_tf: np.ndarray
     z_tilde0: np.ndarray
     budget: NoiseBudget
     metrics: MetricReport
@@ -193,8 +190,7 @@ def run_trial(cfg: PipelineConfig, source, schedule, plan, denoiser, n, rng) -> 
 
     metrics = metric_report(z_tilde0, z0, np.random.default_rng(METRIC_SEED))
     return TrialResult(
-        z0=z0, z_tx=sig.values, gamma=gamma_arr, y=y, z_hat_tf=z_hat.values,
-        z_tilde0=z_tilde0, budget=budget, metrics=metrics,
+        z0=z0, gamma=gamma_arr, z_tilde0=z_tilde0, budget=budget, metrics=metrics,
         t_b_resolved=t_b, saturated=saturated, gamma_mean=gamma_mean,
     )
 

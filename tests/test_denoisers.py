@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import diffsemcom as dsc
 from diffsemcom.denoisers import gmm_log_density, gmm_marginal, gmm_score, guided_eps
@@ -141,12 +143,60 @@ def test_conditional_consistency(sched):
     )
 
 
+def tensor_form_score(model, sched, z, t):
+    """Score through the (..., J, d) tensor of per-component differences."""
+    mt = gmm_marginal(model, sched, t)
+    diff = z[..., None, :] - mt.means
+    logp = np.log(mt.weights) - 0.5 * np.sum(
+        diff * diff / mt.variances + np.log(mt.variances) + np.log(2.0 * np.pi), axis=-1
+    )
+    resp = np.exp(logp - logp.max(axis=-1, keepdims=True))
+    resp /= resp.sum(axis=-1, keepdims=True)
+    terms = resp[..., None] * (mt.means - z[..., None, :]) / mt.variances
+    # scale: the summed magnitudes, so a score that cancels to ~0 between
+    # components is compared against what was cancelled
+    return terms.sum(axis=-2), np.abs(terms).sum(axis=-2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(j=st.integers(1, 4), d=st.integers(1, 16), t=st.integers(0, 1000),
+       seed=st.integers(0, 2**32 - 1), spread=st.sampled_from([0.5, 1.0, 3.0]))
+def test_score_matches_tensor_form(sched, j, d, t, seed, spread):
+    rng = np.random.default_rng(seed)
+    model = dsc.GaussianMixtureModel(
+        rng.dirichlet(np.ones(j)) if j > 1 else np.ones(1),
+        rng.normal(0.0, 1.5, (j, d)), rng.uniform(0.3, 2.0, (j, d)),
+    )
+    z = spread * rng.standard_normal((32, d))
+    ref, scale = tensor_form_score(model, sched, z, t)
+    cache = {}
+    got = gmm_score(model, sched, z, t, cache=cache)
+    assert np.all(np.abs(got - ref) <= 1e-10 * scale)
+    # the cached per-t terms give the same bits as freshly built ones
+    assert np.array_equal(gmm_score(model, sched, z, t, cache=cache), got)
+    assert list(cache) == [t]
+    # one row alone: the same score within the tolerance (BLAS may add a
+    # single row's dot products in another order than a batch's)
+    assert np.all(np.abs(gmm_score(model, sched, z[0], t) - ref[0]) <= 1e-10 * scale[0])
+
+
 def test_score_rejects_bad_input(sched):
     model = dsc.GaussianMixtureModel.standard_normal(2)
     with pytest.raises(ParameterError):
         gmm_score(model, sched, np.array([np.nan, 0.0]), 10)
     with pytest.raises(ParameterError):
         gmm_score(model, sched, np.zeros(3), 10)
+    with pytest.raises(ParameterError):
+        gmm_score(model, sched, np.zeros(2), 1001)
+    with pytest.raises(ParameterError):
+        gmm_score(model, sched, np.zeros(2), 10, cond=1)
+    cache = {}
+    den = dsc.GmmDenoiser(model, sched)
+    for bad in (np.array([np.inf, 0.0]), np.zeros(3)):
+        with pytest.raises(ParameterError):
+            gmm_score(model, sched, bad, 10, cache=cache)
+        with pytest.raises(ParameterError):
+            den.predict(bad, 10)
 
 
 def test_eps_from_score(sched):

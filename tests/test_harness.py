@@ -67,6 +67,55 @@ def test_sweep_parallel_matches_serial(tmp_path):
     assert open(p1, "rb").read() == open(p2, "rb").read()
 
 
+def test_sweep_builds_objects_once_per_command(tmp_path, monkeypatch):
+    real_build = harness.build_objects
+    calls = []
+
+    def counting(cfg):
+        calls.append(cfg)
+        return real_build(cfg)
+
+    monkeypatch.setattr(harness, "build_objects", counting)
+    cfg = small_cfg()
+    rows, _ = harness.cmd_sweep(cfg, tmp_path / "a", jobs=1)
+    assert len(rows) == 8 and calls == [cfg]
+    harness.cmd_sweep(cfg, tmp_path / "b", jobs=1)
+    assert calls == [cfg, cfg]
+    # a pool's workers take the parent's objects
+    harness.cmd_sweep(cfg, tmp_path / "c", jobs=2)
+    assert calls == [cfg, cfg, cfg]
+    # outside a command, run_cell builds its own objects
+    harness.run_cell(cfg, harness.Cell(5.0, 0, "proposed", 5, 5, "auto", "auto", 16))
+    assert len(calls) == 4
+
+
+def _blas_threads_in_pool_worker():
+    import ctypes
+    import glob
+
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
+            if hasattr(lib, name):
+                getter = getattr(lib, name)
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                return getter()
+    return None
+
+
+def test_pool_workers_run_single_threaded_blas():
+    from concurrent.futures import ProcessPoolExecutor
+
+    cfg = small_cfg()
+    with ProcessPoolExecutor(max_workers=1, initializer=harness._init_worker,
+                             initargs=(cfg, harness.build_objects(cfg))) as pool:
+        threads = pool.submit(_blas_threads_in_pool_worker).result()
+    if threads is None:
+        pytest.skip("numpy does not bundle OpenBLAS here")
+    assert threads == 1
+
+
 def test_sweep_baseline_off(tmp_path):
     rows, _ = harness.cmd_sweep(small_cfg(), tmp_path, baseline=False)
     assert len(rows) == 4
@@ -283,6 +332,17 @@ def test_cli_config_error_exit_code(tmp_path):
 
 def test_cli_selftest():
     assert cli.main(["selftest"]) == 0
+
+
+def test_python_m_runs_cli():
+    import subprocess
+    import sys
+
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+    proc = subprocess.run([sys.executable, "-m", "diffsemcom", "selftest"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "selftest passed" in proc.stdout
 
 
 def test_cli_runtime_error_exit_code(tmp_path):

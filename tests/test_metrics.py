@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import diffsemcom as dsc
 from diffsemcom.errors import ParameterError
-from diffsemcom.metrics import median_bandwidth
+from diffsemcom.metrics import _median_distance, _pooled_sq_dists, median_bandwidth
 
 
 def test_mse_trivial():
@@ -131,6 +133,45 @@ def test_median_bandwidth_positive():
     x = rng.standard_normal((30, 4))
     y = rng.standard_normal((30, 4))
     assert median_bandwidth(x, y) > 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(2, 40), d=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+       grid=st.booleans())
+def test_median_distance_matches_np_median(n, d, seed, grid):
+    # n rows give n (n - 1) / 2 pairs: odd and even counts both occur; a
+    # rounded grid adds tied distances
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((n, d)) * rng.uniform(0.1, 10.0)
+    if grid:
+        z = np.round(z)
+    sq = _pooled_sq_dists(z[: n // 2], z[n // 2:])
+    expected = float(np.median(np.sqrt(sq[np.triu_indices(n, k=1)])))
+    assert _median_distance(sq) == (expected if expected > 0.0 else 1.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])  # 0, 1, 3, 6 and 10 pairs
+def test_median_distance_all_zero_is_one(n):
+    assert _median_distance(np.zeros((n, n))) == 1.0
+    assert median_bandwidth(np.ones((n, 2)), np.ones((1, 2))) == 1.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_metrics_reject_non_finite(bad):
+    rng = np.random.default_rng(93)
+    x = rng.standard_normal((16, 3))
+    y = rng.standard_normal((16, 3))
+    x_bad = x.copy()
+    x_bad[4, 1] = bad
+    for a, b in ((x_bad, y), (y, x_bad)):
+        with pytest.raises(ParameterError, match="finite"):
+            dsc.mmd2_unbiased(a, b)
+        with pytest.raises(ParameterError, match="finite"):
+            dsc.mmd2_unbiased(a, b, bandwidth=1.0)
+        with pytest.raises(ParameterError, match="finite"):
+            dsc.sliced_w2(a, b, 8, dsc.stream(0, 93))
+        with pytest.raises(ParameterError, match="finite"):
+            median_bandwidth(a, b)
 
 
 def test_metric_report_fields():
