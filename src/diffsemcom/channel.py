@@ -11,7 +11,7 @@ validated against either.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,7 +23,7 @@ CHANNEL_MODELS = ("complex_paper", "real_simplified")
 @dataclass(frozen=True)
 class ChannelConfig:
     snr_db: float = 5.0
-    model: str = "complex_paper"
+    model: str = field(default="complex_paper", metadata={"choices": CHANNEL_MODELS})
 
     def __post_init__(self):
         if self.model not in CHANNEL_MODELS:

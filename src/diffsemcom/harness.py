@@ -97,6 +97,24 @@ def build_source_model(spec: SourceSpec) -> GaussianMixtureModel:
         raise ConfigError(f"invalid source mixture: {exc}") from exc
 
 
+def _check_key_combinations(cfg: ExperimentConfig, source: GaussianMixtureModel):
+    """Reject keys that parse one at a time but cannot run together."""
+    p, k = cfg.pipeline, cfg.schedule.k_steps
+    if p.t_f1 + p.t_f2 > k:
+        raise ConfigError(
+            f"pipeline.t_f1 + pipeline.t_f2 = {p.t_f1 + p.t_f2} exceeds schedule.k_steps = {k}")
+    for section in ("sweep", "ablate"):
+        n = getattr(cfg, section).n_per_cell
+        if n < 2:
+            raise ConfigError(f"{section}.n_per_cell = {n}: the MMD needs at least 2 samples")
+    if cfg.channel.model == "complex_paper" and source.d % 2:
+        raise ConfigError(
+            f"channel.model = complex_paper needs an even source.dimension, got {source.d}")
+    if p.guidance_label is not None and not 0 <= p.guidance_label < source.n_components:
+        raise ConfigError(f"pipeline.guidance_label = {p.guidance_label} is outside "
+                          f"the source's components 0..{source.n_components - 1}")
+
+
 def build_objects(cfg: ExperimentConfig):
     """(schedule, plan, source model, denoiser) for a parsed config."""
     try:
@@ -108,6 +126,7 @@ def build_objects(cfg: ExperimentConfig):
     except ParameterError as exc:
         raise ConfigError(f"invalid schedule: {exc}") from exc
     source = build_source_model(cfg.source)
+    _check_key_combinations(cfg, source)
     if cfg.denoiser.kind == "analytic":
         denoiser = GmmDenoiser(source, schedule)
     else:
@@ -316,9 +335,8 @@ def cmd_verify_prop1(cfg: ExperimentConfig, out_dir, _index_shift=0):
     os.makedirs(out_dir, exist_ok=True)
     schedule, plan, source, denoiser = build_objects(cfg)
     split = SplitConfig(cfg.pipeline.t_f1, cfg.pipeline.t_f2)
-    channel = ChannelConfig(snr_db=cfg.channel.snr_db, model=cfg.channel.model)
     report = validate_prop1(
-        schedule, plan, split, channel, source,
+        schedule, plan, split, cfg.channel, source,
         cfg.prop1.n_samples, cfg.prop1.gamma_mode,
         stream(cfg.run.seed, _SALT_PROP1),
         transmitter_mode=cfg.prop1.transmitter_mode,

@@ -1,7 +1,14 @@
+import string
+from dataclasses import fields
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from diffsemcom.config import (
+    ComponentSpec,
     ExperimentConfig,
+    SourceSpec,
     parse_config,
     serialize_config,
 )
@@ -52,6 +59,8 @@ def test_invalid_value_diagnostics(tmp_path):
 
 
 @pytest.mark.parametrize("section,key", [
+    ("schedule", "kind"),
+    ("denoiser", "kind"),
     ("pipeline", "transmitter_mode"),
     ("pipeline", "receiver_forward_mode"),
     ("channel", "model"),
@@ -61,6 +70,26 @@ def test_invalid_value_diagnostics(tmp_path):
 def test_unknown_enumerated_value_rejected(tmp_path, section, key):
     path = write(tmp_path, f"[{section}]\n{key} = bogus\n")
     with pytest.raises(ConfigError, match=rf"exp\.ini:2: {section}\.{key}: .*'bogus'"):
+        parse_config(path)
+
+
+def test_key_in_other_letter_case_reported_at_its_line(tmp_path):
+    path = write(tmp_path, "[channel]\nmodel = complex_paper\nSNR_DB = abc\n", "upper.ini")
+    with pytest.raises(ConfigError, match=r"upper\.ini:3: channel\.snr_db: invalid number 'abc'"):
+        parse_config(path)
+
+
+@pytest.mark.parametrize("section,key,value,kind", [
+    ("channel", "snr_db", "nan", "number"),
+    ("channel", "snr_db", "-inf", "number"),
+    ("pipeline", "guidance_scale", "inf", "number"),
+    ("sweep", "snr_db", "5 nan", "number list"),
+    ("source", "mean_1", "0 inf", "number list"),
+])
+def test_non_finite_number_rejected(tmp_path, section, key, value, kind):
+    path = write(tmp_path, f"[{section}]\n{key} = {value}\n")
+    with pytest.raises(ConfigError, match=rf"exp\.ini:2: {section}\.{key}: invalid {kind} "
+                                          r"'.*' \(expected a finite number\)"):
         parse_config(path)
 
 
@@ -170,3 +199,42 @@ def test_shipped_configs_parse():
     for name in ("default.ini", "bimodal.ini"):
         cfg = parse_config(os.path.join(here, "configs", name))
         assert cfg.schedule.k_steps == 50
+
+
+# Values from each field annotation's parser domain; a field with choices
+# draws from them.  A field whose annotation is missing here fails the test.
+_INTS = st.integers(-10**6, 10**6)
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+_VALUES = {
+    "int": _INTS,
+    "float": _FLOATS,
+    "str": st.text(string.ascii_letters + string.digits + "._-/", max_size=12),
+    "bool": st.booleans(),
+    "tuple[float, ...]": st.lists(_FLOATS, min_size=1, max_size=4).map(tuple),
+    "tuple[int, ...]": st.lists(_INTS, min_size=1, max_size=4).map(tuple),
+    "int | str": st.one_of(st.just("auto"), st.integers(0, 10**6)),
+    "int | None": st.one_of(st.none(), _INTS),
+}
+
+
+def _specs(cls):
+    return st.builds(cls, **{
+        f.name: st.sampled_from(f.metadata["choices"]) if "choices" in f.metadata
+        else _VALUES[f.type]
+        for f in fields(cls)
+    })
+
+
+_SOURCES = st.builds(SourceSpec, dimension=_INTS,
+                     components=st.lists(_specs(ComponentSpec), min_size=1, max_size=3).map(tuple))
+_CONFIGS = st.builds(ExperimentConfig, source=_SOURCES, **{
+    f.name: _specs(f.default_factory) for f in fields(ExperimentConfig) if f.name != "source"
+})
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cfg=_CONFIGS)
+def test_round_trip_every_field(tmp_path, cfg):
+    path = write(tmp_path, serialize_config(cfg), "drawn.ini")
+    assert parse_config(path) == cfg

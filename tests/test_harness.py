@@ -329,6 +329,28 @@ def test_cli_config_error_exit_code(tmp_path):
     assert cli.main(["sweep", "--config", str(bogus), "--out", str(tmp_path / "o")]) == 2
     assert not (tmp_path / "o" / "sweep.csv").exists()
 
+    small = "[source]\ndimension = 8\n[sweep]\nsnr_db = 5\nseeds = 0\nn_per_cell = 16\n"
+    for i, text in enumerate([
+        small + "[channel]\nsnr_db = nan\n",
+        small.replace("snr_db = 5", "snr_db = 5 nan"),
+        small + "[pipeline]\nt_f1 = 40\nt_f2 = 20\n",
+        small + "[schedule]\nk_steps = 5\n",
+        small.replace("n_per_cell = 16", "n_per_cell = 1"),
+        small + "[ablate]\nn_per_cell = 1\n",
+        small.replace("dimension = 8", "dimension = 7"),
+        small + "[pipeline]\nguidance_label = 2\nguidance_scale = 1.5\n",
+    ]):
+        path = tmp_path / f"bad{i}.ini"
+        path.write_text(text)
+        out = tmp_path / f"o{i}"
+        assert cli.main(["sweep", "--config", str(path), "--out", str(out)]) == 2, text
+        assert not (out / "sweep.csv").exists(), text
+    nan_snr = tmp_path / "nan_snr.ini"
+    nan_snr.write_text("[channel]\nsnr_db = nan\n")
+    out = tmp_path / "p"
+    assert cli.main(["verify-prop1", "--config", str(nan_snr), "--out", str(out)]) == 2
+    assert not (out / "prop1_report.csv").exists()
+
 
 def test_cli_selftest():
     assert cli.main(["selftest"]) == 0
