@@ -26,7 +26,7 @@ from .config import ExperimentConfig, SourceSpec
 from .denoisers import GaussianMixtureModel, GmmDenoiser, GuidanceConfig
 from .errors import ConfigError, ParameterError
 from .mlp import MlpDenoiser, TrainConfig, init_mlp, load_checkpoint, save_checkpoint, train_denoiser
-from .noise_budget import SplitConfig, validate_prop1
+from .noise_budget import MIN_PROP1_SAMPLES, SplitConfig, validate_prop1
 from .pipeline import PipelineConfig, random_noise_config, run_trial
 from .rng import stream
 from .schedule import build_schedule, make_stride_plan
@@ -100,13 +100,23 @@ def build_source_model(spec: SourceSpec) -> GaussianMixtureModel:
 def _check_key_combinations(cfg: ExperimentConfig, source: GaussianMixtureModel):
     """Reject keys that parse one at a time but cannot run together."""
     p, k = cfg.pipeline, cfg.schedule.k_steps
+    for key in ("t_f1", "t_f2", "guidance_scale"):
+        if getattr(p, key) < 0:
+            raise ConfigError(f"pipeline.{key} = {getattr(p, key)} is negative")
     if p.t_f1 + p.t_f2 > k:
         raise ConfigError(
             f"pipeline.t_f1 + pipeline.t_f2 = {p.t_f1 + p.t_f2} exceeds schedule.k_steps = {k}")
+    if p.t_b != "auto" and p.t_b > k:
+        raise ConfigError(f"pipeline.t_b = {p.t_b} exceeds schedule.k_steps = {k}")
+    if p.t_b == 0 and p.t_f1 + p.t_f2 > 0:
+        raise ConfigError("pipeline.t_b = 0 needs an empty split (t_f1 = t_f2 = 0)")
     for section in ("sweep", "ablate"):
         n = getattr(cfg, section).n_per_cell
         if n < 2:
             raise ConfigError(f"{section}.n_per_cell = {n}: the MMD needs at least 2 samples")
+    if cfg.prop1.n_samples < MIN_PROP1_SAMPLES:
+        raise ConfigError(f"prop1.n_samples = {cfg.prop1.n_samples} is below the "
+                          f"validator's floor of {MIN_PROP1_SAMPLES}")
     if cfg.channel.model == "complex_paper" and source.d % 2:
         raise ConfigError(
             f"channel.model = complex_paper needs an even source.dimension, got {source.d}")

@@ -339,6 +339,12 @@ def test_cli_config_error_exit_code(tmp_path):
         small + "[ablate]\nn_per_cell = 1\n",
         small.replace("dimension = 8", "dimension = 7"),
         small + "[pipeline]\nguidance_label = 2\nguidance_scale = 1.5\n",
+        small + "[pipeline]\nt_f1 = -1\n",
+        small + "[pipeline]\nt_f2 = -1\n",
+        small + "[pipeline]\nguidance_scale = -1\n",
+        small + "[pipeline]\nt_b = 60\n[schedule]\nk_steps = 50\n",
+        small + "[pipeline]\nt_b = 0\n",
+        small + "[prop1]\nn_samples = 500\n",
     ]):
         path = tmp_path / f"bad{i}.ini"
         path.write_text(text)
@@ -349,6 +355,11 @@ def test_cli_config_error_exit_code(tmp_path):
     nan_snr.write_text("[channel]\nsnr_db = nan\n")
     out = tmp_path / "p"
     assert cli.main(["verify-prop1", "--config", str(nan_snr), "--out", str(out)]) == 2
+    assert not (out / "prop1_report.csv").exists()
+    few = tmp_path / "few.ini"
+    few.write_text("[prop1]\nn_samples = 500\n")
+    out = tmp_path / "q"
+    assert cli.main(["verify-prop1", "--config", str(few), "--out", str(out)]) == 2
     assert not (out / "prop1_report.csv").exists()
 
 

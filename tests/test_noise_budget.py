@@ -1,8 +1,10 @@
+import os
+
 import numpy as np
 import pytest
 
 import diffsemcom as dsc
-from diffsemcom.channel import ChannelConfig
+from diffsemcom.channel import ChannelConfig, effective_noise_var, snr_to_noise_var
 from diffsemcom.errors import ParameterError
 from diffsemcom.noise_budget import SplitConfig, validate_prop1
 
@@ -203,3 +205,74 @@ def test_validator_csv_shape(sched, plan50):
     assert lines[0] == "dim,empirical_mean_err,empirical_var,predicted_var,rel_err"
     assert len(lines) == 1 + 8
     assert rep.summary_line().startswith("prop1 ")
+
+
+def _serial_moments(sched, plan, split, channel_cfg, source, n_samples, gamma_mode, rng,
+                    transmitter_mode, denoiser, chunk):
+    """The validator's chunk loop as it ran on one thread in fresh arrays:
+    the reference that the threaded, buffer-reusing loop must match bit for bit.
+    Returns (emp_mean, emp_var, gamma_used)."""
+    d = source.d
+    ab = sched.alpha_bars
+    t1 = plan.training_step(split.t_f1)
+    tf = plan.training_step(split.t_f)
+    r = float(ab[tf] / ab[t1])
+    sigma_eff2 = effective_noise_var(snr_to_noise_var(channel_cfg.snr_db), channel_cfg.model)
+    n_chunks = (n_samples + chunk - 1) // chunk
+    kids = rng.spawn(1 + n_chunks)
+    z0 = dsc.gmm_sample(source, 1, kids[0])[0]
+    inv_tx = None
+    if transmitter_mode == "ddim_inversion" and split.t_f1 > 0:
+        inv_tx = dsc.run_ddim_invert(
+            sched, dsc.Latent(z0, 0), plan.ascending_steps(0, split.t_f1), denoiser
+        ).values
+    sum_z, sum_z2, sum_gamma = [], [], []
+    done = 0
+    for c in range(n_chunks):
+        m = min(chunk, n_samples - done)
+        g = kids[1 + c]
+        if inv_tx is not None:
+            z_t1 = np.broadcast_to(inv_tx, (m, d))
+        else:
+            eps1 = g.standard_normal((m, d))
+            z_t1 = np.sqrt(ab[t1]) * z0 + np.sqrt(1.0 - ab[t1]) * eps1
+        if gamma_mode == "per_sample":
+            gamma = 1.0 / np.sqrt(np.mean(z_t1 * z_t1, axis=-1))
+        else:
+            gamma = np.ones(m)
+        y = gamma[:, None] * z_t1 + np.sqrt(sigma_eff2) * g.standard_normal((m, d))
+        eps2 = g.standard_normal((m, d))
+        z_hat = np.sqrt(r) * y + np.sqrt(1.0 - r) * eps2
+        sum_z.append(np.sum(z_hat, axis=0))
+        sum_z2.append(np.sum(z_hat * z_hat, axis=0))
+        sum_gamma.append(float(np.sum(gamma)))
+        done += m
+    total = np.sum(np.stack(sum_z), axis=0)
+    total2 = np.sum(np.stack(sum_z2), axis=0)
+    emp_mean = total / n_samples
+    emp_var = (total2 - n_samples * emp_mean * emp_mean) / (n_samples - 1)
+    return emp_mean, emp_var, float(np.sum(sum_gamma) / n_samples)
+
+
+@pytest.mark.parametrize("chunk", [4096, 1000])  # 3 chunks; 11 chunks, more than threads
+def test_validator_bits_match_serial_loop_at_any_thread_count(sched, plan50, bimodal_64,
+                                                             monkeypatch, chunk):
+    src = bimodal_64
+    den = dsc.GmmDenoiser(src, sched)
+    channel = ChannelConfig(5.0, "complex_paper")
+    n = 10_001
+    for split in (SplitConfig(5, 5), SplitConfig(0, 10), SplitConfig(10, 0)):
+        for gamma_mode in ("per_sample", "forced_unit"):
+            for tx in ("stochastic", "ddim_inversion"):
+                case = (split, gamma_mode, tx)
+                ref = _serial_moments(sched, plan50, split, channel, src, n, gamma_mode,
+                                      dsc.stream(0, 79), tx, den, chunk)
+                for cpus in (1, 3):
+                    monkeypatch.setattr(os, "sched_getaffinity",
+                                        lambda pid, cpus=cpus: set(range(cpus)), raising=False)
+                    rep = validate_prop1(sched, plan50, split, channel, src, n, gamma_mode,
+                                         dsc.stream(0, 79), transmitter_mode=tx,
+                                         denoiser=den, chunk=chunk)
+                    assert np.array_equal(rep.emp_mean, ref[0]), (case, cpus)
+                    assert np.array_equal(rep.emp_var, ref[1]), (case, cpus)
+                    assert rep.budget.gamma_used == ref[2], (case, cpus)
