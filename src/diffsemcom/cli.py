@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Subcommands: verify-prop1, sweep, ablate, train, selftest.
+Subcommands: verify-prop1, sweep, ablate, train.
 Exit codes: 0 success, 1 tolerance failure, 2 configuration error,
 3 runtime error.  The default output directory comes from --out, then the
 DIFFSEMCOM_OUT environment variable, then the config file.
@@ -20,8 +20,8 @@ from . import harness
 OUT_ENV_VAR = "DIFFSEMCOM_OUT"
 
 
-def _add_common(p, needs_config=True):
-    p.add_argument("--config", required=needs_config, help="path to the experiment config file")
+def _add_common(p):
+    p.add_argument("--config", required=True, help="path to the experiment config file")
     p.add_argument("--out", default=None, help="output directory")
     p.add_argument("--seed", type=int, default=None, help="override the master seed")
     p.add_argument("--jobs", type=int, default=None, help="worker pool size for grid cells")
@@ -49,8 +49,6 @@ def _build_parser():
 
     p = sub.add_parser("train", help="train the MLP denoiser")
     _add_common(p)
-
-    sub.add_parser("selftest", help="fast internal consistency checks")
     return parser
 
 
@@ -60,9 +58,6 @@ def _resolve_out(args, cfg):
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "selftest":
-        return harness.cmd_selftest()
-
     try:
         cfg = parse_config(args.config)
         if args.seed is not None:

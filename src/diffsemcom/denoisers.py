@@ -76,16 +76,13 @@ class GaussianMixtureModel:
         return cls(np.ones(1), np.zeros((1, d)), np.ones((1, d)))
 
 
-def gmm_sample(model, n, rng, return_labels=False):
+def gmm_sample(model, n, rng):
     """Draw n i.i.d. samples; deterministic given the generator state."""
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ParameterError(f"n must be a positive integer, got {n!r}")
     labels = rng.choice(model.n_components, size=int(n), p=model.weights)
     eps = rng.standard_normal((int(n), model.d))
-    out = model.means[labels] + np.sqrt(model.variances[labels]) * eps
-    if return_labels:
-        return out, labels
-    return out
+    return model.means[labels] + np.sqrt(model.variances[labels]) * eps
 
 
 def gmm_marginal(model, schedule: NoiseSchedule, t: int) -> GaussianMixtureModel:

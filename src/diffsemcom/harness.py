@@ -13,7 +13,6 @@ from __future__ import annotations
 import contextvars
 import ctypes
 import glob
-import math
 import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, fields
@@ -97,9 +96,15 @@ def build_source_model(spec: SourceSpec) -> GaussianMixtureModel:
         raise ConfigError(f"invalid source mixture: {exc}") from exc
 
 
-def _check_key_combinations(cfg: ExperimentConfig, source: GaussianMixtureModel):
+def _check_key_combinations(cfg: ExperimentConfig):
     """Reject keys that parse one at a time but cannot run together."""
-    p, k = cfg.pipeline, cfg.schedule.k_steps
+    p, k, d = cfg.pipeline, cfg.schedule.k_steps, cfg.source.dimension
+    if d < 1:
+        raise ConfigError(f"source.dimension = {d} must be >= 1")
+    for key, seeds in (("run.seed", (cfg.run.seed,)), ("sweep.seeds", cfg.sweep.seeds),
+                       ("ablate.seeds", cfg.ablate.seeds)):
+        if min(seeds) < 0:
+            raise ConfigError(f"{key} holds the negative seed {min(seeds)}")
     for key in ("t_f1", "t_f2", "guidance_scale"):
         if getattr(p, key) < 0:
             raise ConfigError(f"pipeline.{key} = {getattr(p, key)} is negative")
@@ -117,12 +122,21 @@ def _check_key_combinations(cfg: ExperimentConfig, source: GaussianMixtureModel)
     if cfg.prop1.n_samples < MIN_PROP1_SAMPLES:
         raise ConfigError(f"prop1.n_samples = {cfg.prop1.n_samples} is below the "
                           f"validator's floor of {MIN_PROP1_SAMPLES}")
-    if cfg.channel.model == "complex_paper" and source.d % 2:
+    if cfg.channel.model == "complex_paper" and d % 2:
         raise ConfigError(
-            f"channel.model = complex_paper needs an even source.dimension, got {source.d}")
-    if p.guidance_label is not None and not 0 <= p.guidance_label < source.n_components:
+            f"channel.model = complex_paper needs an even source.dimension, got {d}")
+    n_components = len(cfg.source.components)
+    if p.guidance_label is not None and not 0 <= p.guidance_label < n_components:
         raise ConfigError(f"pipeline.guidance_label = {p.guidance_label} is outside "
-                          f"the source's components 0..{source.n_components - 1}")
+                          f"the source's components 0..{n_components - 1}")
+    t = cfg.train
+    for key in ("hidden", "batch_size", "iterations"):
+        if getattr(t, key) < 1:
+            raise ConfigError(f"train.{key} = {getattr(t, key)} must be >= 1")
+    if t.time_embed < 2 or t.time_embed % 2:
+        raise ConfigError(f"train.time_embed = {t.time_embed} must be an even number >= 2")
+    if t.learning_rate < 0:
+        raise ConfigError(f"train.learning_rate = {t.learning_rate} is negative")
 
 
 def build_objects(cfg: ExperimentConfig):
@@ -135,8 +149,8 @@ def build_objects(cfg: ExperimentConfig):
         plan = make_stride_plan(schedule, cfg.schedule.k_steps)
     except ParameterError as exc:
         raise ConfigError(f"invalid schedule: {exc}") from exc
+    _check_key_combinations(cfg)
     source = build_source_model(cfg.source)
-    _check_key_combinations(cfg, source)
     if cfg.denoiser.kind == "analytic":
         denoiser = GmmDenoiser(source, schedule)
     else:
@@ -181,7 +195,6 @@ def run_cell(cfg: ExperimentConfig, cell: Cell) -> ResultRow:
         receiver_forward_mode=p.receiver_forward_mode,
         guidance=GuidanceConfig(w=p.guidance_scale, cond=p.guidance_label),
         condition_receiver_forward=p.condition_receiver_forward,
-        seed=cfg.run.seed,
     )
     if cell.system == "random_noise":
         pipe_cfg = random_noise_config(pipe_cfg)
@@ -312,7 +325,7 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir, jobs=None, baseline=None, plot=Non
     rows = _execute_cells(cfg, cells, jobs, csv_path)
     if plot:
         for metric in ("mse", "sw2"):
-            svg = svgplot.emit_svg_plot(rows, svgplot.PlotSpec(metric=metric))
+            svg = svgplot.emit_svg_plot(rows, metric)
             with open(os.path.join(out_dir, f"sweep_{metric}.svg"), "w",
                       encoding="utf-8", newline="\n") as fh:
                 fh.write(svg)
@@ -340,7 +353,7 @@ def cmd_ablate(cfg: ExperimentConfig, out_dir, jobs=None):
     return rows, csv_path
 
 
-def cmd_verify_prop1(cfg: ExperimentConfig, out_dir, _index_shift=0):
+def cmd_verify_prop1(cfg: ExperimentConfig, out_dir):
     """Run the noise-budget validator; exit 0 iff it meets its tolerances."""
     os.makedirs(out_dir, exist_ok=True)
     schedule, plan, source, denoiser = build_objects(cfg)
@@ -351,7 +364,6 @@ def cmd_verify_prop1(cfg: ExperimentConfig, out_dir, _index_shift=0):
         stream(cfg.run.seed, _SALT_PROP1),
         transmitter_mode=cfg.prop1.transmitter_mode,
         denoiser=denoiser,
-        _index_shift=_index_shift,
     )
     csv_path = os.path.join(out_dir, "prop1_report.csv")
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
@@ -390,57 +402,3 @@ def cmd_train(cfg: ExperimentConfig, out_dir):
           f"first-100 mean loss {np.mean(trace[:100]):.6g}, "
           f"last-100 mean loss {np.mean(trace[-100:]):.6g}")
     return ckpt_path, loss_path
-
-
-def cmd_selftest():
-    """Fast internal consistency battery; returns 0 on success."""
-    from .denoisers import ConstantDenoiser
-    from .diffusion import Latent, run_ddim_invert, run_ddim_sample
-    from .noise_budget import compute_noise_budget, select_denoise_steps
-
-    failures = []
-
-    def check(name, ok):
-        print(f"[{'ok' if ok else 'FAIL'}] {name}")
-        if not ok:
-            failures.append(name)
-
-    schedule = build_schedule("scaled_linear", 1000, 8.5e-4, 0.012)
-    plan = make_stride_plan(schedule, 50)
-    check("alpha_bar recursion", np.allclose(
-        schedule.alpha_bars[1:], schedule.alpha_bars[:-1] * schedule.alphas[1:],
-        rtol=1e-15, atol=0.0))
-
-    budget = compute_noise_budget(schedule, plan, SplitConfig(5, 5), 0.98, 0.15)
-    ident = (1 - budget.r) + 0.98**2 * budget.r * (1 - schedule.alpha_bars[plan.training_step(5)])
-    check("budget identity", abs(budget.sigma_eps2 - ident) < 1e-12)
-
-    levels = 1.0 - schedule.alpha_bars[plan.timesteps]
-    rng = np.random.default_rng(7)
-    ok = True
-    for s in rng.uniform(0, 1.1, size=50):
-        sel = select_denoise_steps(schedule, plan, s)
-        scan = next((i + 1 for i, lv in enumerate(levels) if lv >= s), None)
-        ok &= (sel.t_b == (scan if scan is not None else plan.k))
-        ok &= (sel.saturated == (scan is None))
-    check("step selector vs linear scan", ok)
-
-    z0 = rng.standard_normal(8)
-    den = ConstantDenoiser(rng.standard_normal(8))
-    up = run_ddim_invert(schedule, Latent(z0, 0), plan.ascending_steps(0, 5), den)
-    down = run_ddim_sample(schedule, up, plan.descending_plan(5), den)
-    check("constant-denoiser round trip", np.max(np.abs(down.values - z0)) < 1e-12)
-
-    if failures:
-        print(f"selftest failed: {failures}")
-        return 1
-    print("selftest passed")
-    return 0
-
-
-def sign_test_p_value(wins: int, n: int) -> float:
-    """One-sided exact binomial tail P(X >= wins) under p = 1/2."""
-    if not (0 <= wins <= n):
-        raise ParameterError(f"wins={wins} outside 0..{n}")
-    total = sum(math.comb(n, k) for k in range(wins, n + 1))
-    return total / 2.0 ** n

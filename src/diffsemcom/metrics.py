@@ -140,14 +140,15 @@ def _pooled_sq_dists(x, y):
     return sq
 
 
-def metric_report(decoded, source_batch, rng, n_projections=128, bandwidth=None) -> MetricReport:
-    """Distortion + distribution metrics of a decoded batch against its source."""
+def metric_report(decoded, source_batch, rng) -> MetricReport:
+    """Distortion + distribution metrics of a decoded batch against its source:
+    sw2 over 128 projections, MMD^2 at the median-heuristic bandwidth."""
     m = mse(decoded, source_batch)
     per_dim_var = float(np.mean(np.var(source_batch, axis=0)))
     nmse = m / per_dim_var if per_dim_var > 0 else float("inf")
     return MetricReport(
         mse=m,
         nmse=nmse,
-        sw2=sliced_w2(decoded, source_batch, n_projections, rng),
-        mmd2=mmd2_unbiased(decoded, source_batch, bandwidth),
+        sw2=sliced_w2(decoded, source_batch, 128, rng),
+        mmd2=mmd2_unbiased(decoded, source_batch),
     )

@@ -2,9 +2,8 @@
 
 Two tanh hidden layers over [latent, sinusoidal time embedding, label
 one-hot].  Gradients are hand-derived and checked against finite differences
-in the test suite; Adam is the training optimizer, plain SGD exists for the
-gradient-check path.  Checkpoints are flat little-endian float64 blobs with
-a versioned header.
+in the test suite; Adam is the training optimizer.  Checkpoints are flat
+little-endian float64 blobs with a versioned header.
 """
 
 from __future__ import annotations
@@ -88,11 +87,6 @@ def init_mlp(d, hidden, label_count, rng, t_emb=16) -> MlpParams:
     )
 
 
-def glorot_bound(fan_in: int, fan_out: int) -> float:
-    """Half-width of the init interval; every initial weight lies inside it."""
-    return float(np.sqrt(6.0 / (fan_in + fan_out)))
-
-
 def time_embedding(t, width):
     """Sinusoidal features of the raw training step, fixed geometric frequencies."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
@@ -153,12 +147,6 @@ def loss_and_grads(params, z_t, t, cond, eps_target):
     g_w1 = x.T @ g_a1
     g_b1 = g_a1.sum(axis=0)
     return loss, [g_w1, g_b1, g_w2, g_b2, g_w3, g_b3]
-
-
-def sgd_step(params, grads, learning_rate):
-    """Plain gradient descent update, in place."""
-    for arr, g in zip(params.arrays(), grads):
-        arr -= learning_rate * g
 
 
 class _Adam:

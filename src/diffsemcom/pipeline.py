@@ -7,6 +7,8 @@ T_F1 as-is (no de-normalization), forwarded T_F2 further steps, retagged at
 the resolved denoising depth T_B, and sampled back to 0.  T_B > T_F means
 the decoder deliberately starts from a higher nominal noise level than the
 latent's tag; that is the noise-level matching under channel noise.
+There is one decode path, ``receive_decode``: ``run_trial`` resolves T_B
+from the noise budget and passes the depth to it.
 
 The random-noise baseline is the same pipeline on the split (0, T_F) with a
 stochastic receiver leg: the normalized source latent is transmitted as-is
@@ -49,7 +51,6 @@ class PipelineConfig:
     receiver_forward_mode: str = "ddim_inversion"
     guidance: GuidanceConfig = field(default_factory=GuidanceConfig)
     condition_receiver_forward: bool = False
-    seed: int = 0
 
     def __post_init__(self):
         if self.transmitter_mode not in TRANSMITTER_MODES:
@@ -134,7 +135,9 @@ def resolve_t_b(cfg: PipelineConfig, schedule, plan, gamma, sigma_eff2):
     return int(cfg.t_b), False, budget
 
 
-def _decode_from(z_hat: Latent, t_b, cfg, schedule, plan, denoiser):
+def receive_decode(y, cfg: PipelineConfig, schedule, plan, denoiser, rng, t_b) -> np.ndarray:
+    """Receiver: forward continuation, retag at the resolved depth t_b, DDIM sampling."""
+    z_hat = receiver_forward(y, cfg, schedule, plan, denoiser, rng)
     if t_b == 0:
         if cfg.split.t_f != 0:
             raise ConfigError("resolved t_b = 0 is only valid for an empty split")
@@ -145,23 +148,6 @@ def _decode_from(z_hat: Latent, t_b, cfg, schedule, plan, denoiser):
     return run_ddim_sample(
         schedule, z, plan.descending_plan(t_b), denoiser, cfg.guidance
     ).values
-
-
-def receive_decode(y, cfg: PipelineConfig, schedule, plan, denoiser, rng,
-                   t_b=None, gamma_hint=1.0):
-    """Receiver: forward continuation, noise-matched retag, DDIM sampling.
-
-    ``t_b`` overrides the config; with cfg.t_b = 'auto' and no override the
-    depth is resolved from the budget at ``gamma_hint`` (the receiver does
-    not observe the transmitter's per-sample scaling).
-    """
-    z_hat = receiver_forward(y, cfg, schedule, plan, denoiser, rng)
-    if t_b is None:
-        sigma_eff2 = effective_noise_var(
-            snr_to_noise_var(cfg.channel.snr_db), cfg.channel.model
-        )
-        t_b, _, _ = resolve_t_b(cfg, schedule, plan, gamma_hint, sigma_eff2)
-    return _decode_from(z_hat, int(t_b), cfg, schedule, plan, denoiser)
 
 
 def run_trial(cfg: PipelineConfig, source, schedule, plan, denoiser, n, rng) -> TrialResult:
@@ -184,9 +170,7 @@ def run_trial(cfg: PipelineConfig, source, schedule, plan, denoiser, n, rng) -> 
     gamma_mean = float(np.mean(gamma_arr))
     sigma_eff2 = effective_noise_var(sigma_ch2, cfg.channel.model)
     t_b, saturated, budget = resolve_t_b(cfg, schedule, plan, gamma_mean, sigma_eff2)
-
-    z_hat = receiver_forward(y, cfg, schedule, plan, denoiser, k_rx)
-    z_tilde0 = _decode_from(z_hat, t_b, cfg, schedule, plan, denoiser)
+    z_tilde0 = receive_decode(y, cfg, schedule, plan, denoiser, k_rx, t_b)
 
     metrics = metric_report(z_tilde0, z0, np.random.default_rng(METRIC_SEED))
     return TrialResult(

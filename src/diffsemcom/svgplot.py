@@ -7,8 +7,6 @@ the chosen metric, x is the SNR in dB.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ParameterError
@@ -23,14 +21,6 @@ _PALETTE = (
 )
 
 
-@dataclass(frozen=True)
-class PlotSpec:
-    metric: str
-    title: str = ""
-    width: int = 640
-    height: int = 420
-
-
 def _series_key(row):
     return (row.system, row.t_f1, row.t_f2, row.t_b_mode)
 
@@ -40,13 +30,11 @@ def _series_label(key):
     return f"{system} ({t_f1},{t_f2}) t_b={t_b_mode}"
 
 
-def emit_svg_plot(rows, spec: PlotSpec) -> str:
-    """Render rows as an SVG line chart; returns the document text."""
-    if isinstance(spec, str):
-        spec = PlotSpec(metric=spec)
-    if spec.metric not in _PLOTTABLE:
+def emit_svg_plot(rows, metric: str) -> str:
+    """Render rows' `metric` as a 640x420 SVG line chart; returns the document text."""
+    if metric not in _PLOTTABLE:
         raise ParameterError(
-            f"unknown metric {spec.metric!r}; expected one of {_PLOTTABLE}"
+            f"unknown metric {metric!r}; expected one of {_PLOTTABLE}"
         )
     rows = list(rows)
     if not rows:
@@ -55,7 +43,7 @@ def emit_svg_plot(rows, spec: PlotSpec) -> str:
     series: dict[tuple, dict[float, list[float]]] = {}
     for row in rows:
         bucket = series.setdefault(_series_key(row), {})
-        bucket.setdefault(float(row.snr_db), []).append(float(getattr(row, spec.metric)))
+        bucket.setdefault(float(row.snr_db), []).append(float(getattr(row, metric)))
 
     points = {
         key: sorted((x, float(np.median(ys))) for x, ys in buckets.items())
@@ -73,7 +61,7 @@ def emit_svg_plot(rows, spec: PlotSpec) -> str:
     pad = 0.05 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
 
-    w, h = spec.width, spec.height
+    w, h = 640, 420
     ml, mr, mt, mb = 70, 20, 30, 45
 
     def sx(x):
@@ -90,10 +78,9 @@ def emit_svg_plot(rows, spec: PlotSpec) -> str:
         f'<line x1="{ml}" y1="{h - mb}" x2="{w - mr}" y2="{h - mb}" stroke="black"/>',
         f'<line x1="{ml}" y1="{mt}" x2="{ml}" y2="{h - mb}" stroke="black"/>',
     ]
-    title = spec.title or f"{spec.metric} vs snr_db"
     out.append(
         f'<text x="{w / 2:.1f}" y="18" font-family="sans-serif" font-size="13" '
-        f'text-anchor="middle">{title}</text>'
+        f'text-anchor="middle">{metric} vs snr_db</text>'
     )
     for x in sorted(set(xs)):
         px = sx(x)
@@ -116,7 +103,7 @@ def emit_svg_plot(rows, spec: PlotSpec) -> str:
     )
     out.append(
         f'<text x="16" y="{(mt + h - mb) / 2:.1f}" font-family="sans-serif" font-size="11" '
-        f'text-anchor="middle" transform="rotate(-90 16 {(mt + h - mb) / 2:.1f})">{spec.metric}</text>'
+        f'text-anchor="middle" transform="rotate(-90 16 {(mt + h - mb) / 2:.1f})">{metric}</text>'
     )
 
     for i, (key, pts) in enumerate(points.items()):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import diffsemcom as dsc
+from diffsemcom import noise_budget
 
 
 @pytest.fixture(scope="session")
@@ -31,3 +32,27 @@ def tight_wide_source(d):
 @pytest.fixture(scope="session")
 def bimodal_64():
     return tight_wide_source(64)
+
+
+@pytest.fixture(scope="session")
+def bimodal_8():
+    return tight_wide_source(8)
+
+
+@pytest.fixture
+def mis_index_budget(monkeypatch):
+    """Call to make the validator's predicted budget mis-index T_F1 by +2.
+
+    A negative control: the Monte-Carlo moments stay right, so a validator
+    that still passes cannot tell a wrong budget from a right one.
+    """
+    def install():
+        real = noise_budget.compute_noise_budget
+
+        def shifted(schedule, plan, split, gamma, sigma_eff2):
+            split = noise_budget.SplitConfig(min(split.t_f1 + 2, plan.k - split.t_f2), split.t_f2)
+            return real(schedule, plan, split, gamma, sigma_eff2)
+
+        monkeypatch.setattr(noise_budget, "compute_noise_budget", shifted)
+
+    return install

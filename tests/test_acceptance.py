@@ -8,13 +8,15 @@ import math
 import os
 import time
 import numpy as np
+import pytest
 
 import diffsemcom as dsc
 from diffsemcom import cli
 from diffsemcom.channel import ChannelConfig
 from diffsemcom.config import parse_config
 from diffsemcom.denoisers import gmm_log_density, gmm_marginal, gmm_score
-from diffsemcom.harness import cmd_verify_prop1, sign_test_p_value
+from diffsemcom.errors import ParameterError
+from diffsemcom.harness import cmd_verify_prop1
 from diffsemcom.mlp import TrainConfig, init_mlp, loss_and_grads, mlp_predict, train_denoiser
 from diffsemcom.noise_budget import SplitConfig
 from diffsemcom.pipeline import PipelineConfig, run_baseline_random_noise, run_trial
@@ -230,6 +232,22 @@ def test_criterion_08_inversion_vs_random_noise():
     ok = wins_sw2 >= 16 and wins_mse >= 16
     _report(8, "inversion beats random-noise baseline on sw2 and mse >= 80%",
             ok, f"sw2 {wins_sw2}/20, mse {wins_mse}/20")
+
+
+def sign_test_p_value(wins: int, n: int) -> float:
+    """One-sided exact binomial tail P(X >= wins) under p = 1/2."""
+    if not (0 <= wins <= n):
+        raise ParameterError(f"wins={wins} outside 0..{n}")
+    total = sum(math.comb(n, k) for k in range(wins, n + 1))
+    return total / 2.0 ** n
+
+
+def test_sign_test_p_value():
+    assert sign_test_p_value(0, 10) == pytest.approx(1.0)
+    assert sign_test_p_value(10, 10) == pytest.approx(2.0**-10)
+    assert sign_test_p_value(5, 9) == pytest.approx(0.5)
+    with pytest.raises(ParameterError):
+        sign_test_p_value(11, 10)
 
 
 def test_criterion_09_split_trend():

@@ -162,11 +162,12 @@ def test_validator_full_pipeline_passes(sched, plan50):
     assert rep.passed()
 
 
-def test_validator_negative_control(sched, plan50):
+def test_validator_negative_control(sched, plan50, mis_index_budget):
+    mis_index_budget()
     src = dsc.GaussianMixtureModel.standard_normal(64)
     rep = validate_prop1(
         sched, plan50, SplitConfig(5, 5), ChannelConfig(5.0, "complex_paper"),
-        src, 20_000, "per_sample", dsc.stream(0, 75), _index_shift=2,
+        src, 20_000, "per_sample", dsc.stream(0, 75),
     )
     assert not rep.passed()
 

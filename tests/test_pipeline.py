@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import diffsemcom as dsc
 from diffsemcom.channel import ChannelConfig
 from diffsemcom.errors import ConfigError
 from diffsemcom.noise_budget import SplitConfig
 from diffsemcom.pipeline import (
+    RECEIVER_FORWARD_MODES,
+    TRANSMITTER_MODES,
     PipelineConfig,
     encode_transmit,
     receive_decode,
@@ -61,7 +65,7 @@ def test_receive_decode_exact_inverse(sched, plan50):
     den = dsc.ConstantDenoiser(rng.standard_normal(8))
     y = dsc.run_ddim_invert(sched, dsc.Latent(z0, 0), plan50.ascending_steps(0, 5), den).values
     cfg = PipelineConfig(split=SplitConfig(5, 0), channel=QUIET, t_b=5)
-    out = receive_decode(y, cfg, sched, plan50, den, dsc.stream(1, 6))
+    out = receive_decode(y, cfg, sched, plan50, den, dsc.stream(1, 6), 5)
     assert np.max(np.abs(out - z0)) <= 1e-12
 
 
@@ -78,7 +82,7 @@ def test_receive_decode_gamma_consistent_round_trip(sched, plan50):
     cfg = PipelineConfig(split=SplitConfig(5, 0), channel=ChannelConfig(300.0, "complex_paper"), t_b=5)
     z0 = dsc.gmm_sample(src, 8, dsc.stream(1, 7))
     sig, gamma = encode_transmit(z0, cfg, sched, plan50, den, dsc.stream(1, 8))
-    out = receive_decode(sig.values, cfg, sched, plan50, den, dsc.stream(1, 9))
+    out = receive_decode(sig.values, cfg, sched, plan50, den, dsc.stream(1, 9), 5)
     ref = gamma[:, None] * z0
     rel = np.sum((out - ref) ** 2, axis=-1) / np.sum(ref**2, axis=-1)
     assert np.max(rel) < 1e-2
@@ -88,10 +92,45 @@ def test_receive_decode_t_b_zero_only_for_empty_split(sched, plan50, std_normal_
     den = dsc.GmmDenoiser(std_normal_8, sched)
     y = np.ones(8)
     cfg0 = PipelineConfig(split=SplitConfig(0, 0), channel=QUIET, t_b=0)
-    assert np.array_equal(receive_decode(y, cfg0, sched, plan50, den, dsc.stream(1, 10)), y)
+    assert np.array_equal(receive_decode(y, cfg0, sched, plan50, den, dsc.stream(1, 10), 0), y)
     cfg_bad = PipelineConfig(split=SplitConfig(5, 0), channel=QUIET, t_b=0)
     with pytest.raises(ConfigError):
-        receive_decode(y, cfg_bad, sched, plan50, den, dsc.stream(1, 11))
+        receive_decode(y, cfg_bad, sched, plan50, den, dsc.stream(1, 11), 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    t_f1=st.integers(0, 10), t_f2=st.integers(0, 10),
+    receiver_forward_mode=st.sampled_from(RECEIVER_FORWARD_MODES),
+    transmitter_mode=st.sampled_from(TRANSMITTER_MODES),
+    t_b=st.one_of(st.just("auto"), st.integers(0, 50)),
+    seed=st.integers(0, 2**16),
+)
+def test_run_trial_decodes_through_receive_decode(sched, plan50, bimodal_8, t_f1, t_f2,
+                                                  receiver_forward_mode, transmitter_mode,
+                                                  t_b, seed):
+    # run_trial has no decoder of its own: its output is the hand-wired chain
+    # encode_transmit -> awgn_apply -> receive_decode on the four substreams
+    if t_b == 0 and t_f1 + t_f2:
+        t_b = t_f1 + t_f2  # t_b = 0 is valid only on the empty split
+    den = dsc.GmmDenoiser(bimodal_8, sched)
+    cfg = PipelineConfig(split=SplitConfig(t_f1, t_f2), channel=AT5, t_b=t_b,
+                         transmitter_mode=transmitter_mode,
+                         receiver_forward_mode=receiver_forward_mode)
+    res = run_trial(cfg, bimodal_8, sched, plan50, den, 4, dsc.stream(2, seed))
+
+    k_src, k_tx, k_ch, k_rx = dsc.stream(2, seed).spawn(4)
+    z0 = dsc.gmm_sample(bimodal_8, 4, k_src)
+    sig, gamma = encode_transmit(z0, cfg, sched, plan50, den, k_tx)
+    sigma_ch2 = dsc.snr_to_noise_var(AT5.snr_db)
+    y = dsc.awgn_apply(sig, sigma_ch2, k_ch, AT5.model)
+    if t_b == "auto":
+        budget = dsc.compute_noise_budget(sched, plan50, cfg.split, float(np.mean(gamma)),
+                                          dsc.effective_noise_var(sigma_ch2, AT5.model))
+        t_b = dsc.select_denoise_steps(sched, plan50, budget.sigma_tot2).t_b
+    assert res.t_b_resolved == t_b
+    assert np.array_equal(res.z_tilde0,
+                          receive_decode(y, cfg, sched, plan50, den, k_rx, t_b))
 
 
 def test_run_trial_deterministic(sched, plan50, bimodal_64):
