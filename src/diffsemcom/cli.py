@@ -60,10 +60,11 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = parse_config(args.config)
-        if args.seed is not None:
-            cfg = replace(cfg, run=replace(cfg.run, seed=args.seed))
-        if args.jobs is not None:
-            cfg = replace(cfg, run=replace(cfg.run, jobs=args.jobs))
+        run = {key: getattr(args, key) for key in ("seed", "jobs")
+               if getattr(args, key) is not None}
+        sweep = {key: getattr(args, key) == "on" for key in ("baseline", "plot")
+                 if getattr(args, key, None) is not None}
+        cfg = replace(cfg, run=replace(cfg.run, **run), sweep=replace(cfg.sweep, **sweep))
         out_dir = _resolve_out(args, cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -74,9 +75,7 @@ def main(argv=None) -> int:
             code, _report = harness.cmd_verify_prop1(cfg, out_dir)
             return code
         if args.command == "sweep":
-            baseline = None if args.baseline is None else args.baseline == "on"
-            plot = None if args.plot is None else args.plot == "on"
-            _rows, csv_path = harness.cmd_sweep(cfg, out_dir, baseline=baseline, plot=plot)
+            _rows, csv_path = harness.cmd_sweep(cfg, out_dir)
             print(f"wrote {csv_path}")
             return 0
         if args.command == "ablate":

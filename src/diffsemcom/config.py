@@ -7,8 +7,11 @@ canonical file that reparses to an equal configuration.
 
 The section dataclasses are the schema: a key's name, default and allowed
 values are its field's, and its parser is chosen by the field's annotation.
-Only ``[source]`` is read by hand, for its numbered ``weight_j`` /
-``mean_j`` / ``var_j`` keys.
+``[channel]``, ``[pipeline]`` and ``[train]`` are the runtime classes
+``ChannelConfig``, ``PipelineConfig`` and ``TrainConfig``; a range error of
+their constructors is reported at the section header's line.  Only
+``[source]`` is read by hand, for its numbered ``weight_j`` / ``mean_j`` /
+``var_j`` keys.
 """
 
 from __future__ import annotations
@@ -20,9 +23,10 @@ import re
 from dataclasses import dataclass, field, fields
 
 from .channel import ChannelConfig
-from .errors import ConfigError
+from .errors import ConfigError, ParameterError
+from .mlp import TrainConfig
 from .noise_budget import GAMMA_MODES
-from .pipeline import RECEIVER_FORWARD_MODES, TRANSMITTER_MODES
+from .pipeline import TRANSMITTER_MODES, PipelineConfig
 from .schedule import SCHEDULE_KINDS
 
 _SOURCE_DYNAMIC = re.compile(r"^(weight|mean|var)_([0-9]+)$")
@@ -57,20 +61,6 @@ class DenoiserSpec:
 
 
 @dataclass(frozen=True)
-class PipelineSpec:
-    t_f1: int = 5
-    t_f2: int = 5
-    t_b: int | str = "auto"
-    transmitter_mode: str = field(
-        default="ddim_inversion", metadata={"choices": TRANSMITTER_MODES})
-    receiver_forward_mode: str = field(
-        default="ddim_inversion", metadata={"choices": RECEIVER_FORWARD_MODES})
-    guidance_scale: float = 0.0
-    guidance_label: int | None = None
-    condition_receiver_forward: bool = False
-
-
-@dataclass(frozen=True)
 class SweepSpec:
     snr_db: tuple[float, ...] = (0.0, 5.0, 10.0, 15.0, 20.0)
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
@@ -94,20 +84,6 @@ class Prop1Spec:
 
 
 @dataclass(frozen=True)
-class TrainSpec:
-    learning_rate: float = 2e-3
-    batch_size: int = 256
-    iterations: int = 6000
-    hidden: int = 64
-    time_embed: int = 16
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    checkpoint: str = "denoiser.ckpt"
-    loss_csv: str = "train_loss.csv"
-
-
-@dataclass(frozen=True)
 class OutputSpec:
     directory: str = "out"
     dump_records: bool = False
@@ -125,12 +101,12 @@ class ExperimentConfig:
     schedule: ScheduleSpec = field(default_factory=ScheduleSpec)
     source: SourceSpec = field(default_factory=SourceSpec)
     denoiser: DenoiserSpec = field(default_factory=DenoiserSpec)
-    pipeline: PipelineSpec = field(default_factory=PipelineSpec)
+    pipeline: PipelineConfig = field(default_factory=PipelineConfig)
     channel: ChannelConfig = field(default_factory=ChannelConfig)
     sweep: SweepSpec = field(default_factory=SweepSpec)
     ablate: AblateSpec = field(default_factory=AblateSpec)
     prop1: Prop1Spec = field(default_factory=Prop1Spec)
-    train: TrainSpec = field(default_factory=TrainSpec)
+    train: TrainConfig = field(default_factory=TrainConfig)
     output: OutputSpec = field(default_factory=OutputSpec)
 
 
@@ -192,12 +168,7 @@ def _to_ints(raw: str) -> tuple[int, ...]:
 
 
 def _to_t_b(raw: str):
-    if raw == "auto":
-        return "auto"
-    value = int(raw)
-    if value < 0:
-        raise ValueError("t_b must be 'auto' or a non-negative integer")
-    return value
+    return raw if raw == "auto" else int(raw)
 
 
 def _to_label(raw: str):
@@ -248,7 +219,11 @@ class _SectionReader:
             if choices is not None and value not in choices:
                 self._fail(f.name, f"expected one of {', '.join(choices)}, got {value!r}")
             values[f.name] = value
-        return cls(**values)
+        try:
+            return cls(**values)
+        except (ParameterError, ConfigError) as exc:
+            line = _line_of(self.text, self.section)
+            raise ConfigError(f"{self.path}:{line}: [{self.section}]: {exc}") from exc
 
 
 def parse_config(path) -> ExperimentConfig:

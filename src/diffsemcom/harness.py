@@ -15,18 +15,17 @@ import ctypes
 import glob
 import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from . import svgplot
-from .channel import ChannelConfig
 from .config import ExperimentConfig, SourceSpec
-from .denoisers import GaussianMixtureModel, GmmDenoiser, GuidanceConfig
+from .denoisers import GaussianMixtureModel, GmmDenoiser
 from .errors import ConfigError, ParameterError
-from .mlp import MlpDenoiser, TrainConfig, init_mlp, load_checkpoint, save_checkpoint, train_denoiser
-from .noise_budget import MIN_PROP1_SAMPLES, SplitConfig, validate_prop1
-from .pipeline import PipelineConfig, random_noise_config, run_trial
+from .mlp import MlpDenoiser, init_mlp, load_checkpoint, save_checkpoint, train_denoiser
+from .noise_budget import MIN_PROP1_SAMPLES, validate_prop1
+from .pipeline import random_noise_config, run_trial
 from .rng import stream
 from .schedule import build_schedule, make_stride_plan
 
@@ -97,7 +96,7 @@ def build_source_model(spec: SourceSpec) -> GaussianMixtureModel:
 
 
 def _check_key_combinations(cfg: ExperimentConfig):
-    """Reject keys that parse one at a time but cannot run together."""
+    """Reject keys that each section accepts but that cannot run together."""
     p, k, d = cfg.pipeline, cfg.schedule.k_steps, cfg.source.dimension
     if d < 1:
         raise ConfigError(f"source.dimension = {d} must be >= 1")
@@ -105,9 +104,6 @@ def _check_key_combinations(cfg: ExperimentConfig):
                        ("ablate.seeds", cfg.ablate.seeds)):
         if min(seeds) < 0:
             raise ConfigError(f"{key} holds the negative seed {min(seeds)}")
-    for key in ("t_f1", "t_f2", "guidance_scale"):
-        if getattr(p, key) < 0:
-            raise ConfigError(f"pipeline.{key} = {getattr(p, key)} is negative")
     if p.t_f1 + p.t_f2 > k:
         raise ConfigError(
             f"pipeline.t_f1 + pipeline.t_f2 = {p.t_f1 + p.t_f2} exceeds schedule.k_steps = {k}")
@@ -129,14 +125,6 @@ def _check_key_combinations(cfg: ExperimentConfig):
     if p.guidance_label is not None and not 0 <= p.guidance_label < n_components:
         raise ConfigError(f"pipeline.guidance_label = {p.guidance_label} is outside "
                           f"the source's components 0..{n_components - 1}")
-    t = cfg.train
-    for key in ("hidden", "batch_size", "iterations"):
-        if getattr(t, key) < 1:
-            raise ConfigError(f"train.{key} = {getattr(t, key)} must be >= 1")
-    if t.time_embed < 2 or t.time_embed % 2:
-        raise ConfigError(f"train.time_embed = {t.time_embed} must be an even number >= 2")
-    if t.learning_rate < 0:
-        raise ConfigError(f"train.learning_rate = {t.learning_rate} is negative")
 
 
 def build_objects(cfg: ExperimentConfig):
@@ -186,20 +174,12 @@ def run_cell(cfg: ExperimentConfig, cell: Cell) -> ResultRow:
         schedule, plan, source, denoiser = current[1]
     else:
         schedule, plan, source, denoiser = build_objects(cfg)
-    p = cfg.pipeline
-    pipe_cfg = PipelineConfig(
-        split=SplitConfig(cell.t_f1, cell.t_f2),
-        channel=ChannelConfig(snr_db=float(cell.snr_db), model=cfg.channel.model),
-        t_b=cell.t_b,
-        transmitter_mode=p.transmitter_mode,
-        receiver_forward_mode=p.receiver_forward_mode,
-        guidance=GuidanceConfig(w=p.guidance_scale, cond=p.guidance_label),
-        condition_receiver_forward=p.condition_receiver_forward,
-    )
+    pipe_cfg = replace(cfg.pipeline, t_f1=cell.t_f1, t_f2=cell.t_f2, t_b=cell.t_b)
     if cell.system == "random_noise":
         pipe_cfg = random_noise_config(pipe_cfg)
+    channel = replace(cfg.channel, snr_db=float(cell.snr_db))
     rng = stream(cfg.run.seed, _SALT_CELL, cell.seed)
-    result = run_trial(pipe_cfg, source, schedule, plan, denoiser, cell.n, rng)
+    result = run_trial(pipe_cfg, channel, source, schedule, plan, denoiser, cell.n, rng)
     if cell.records_csv is not None:
         with open(cell.records_csv, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("sample,gamma,sq_err\n")
@@ -261,12 +241,13 @@ def _init_worker(cfg, objects):
     _command_objects.set((cfg, objects))
 
 
-def _execute_cells(cfg, cells, jobs, csv_path):
-    """Run cells (optionally on a worker pool), writing rows in cell order.
+def _execute_cells(cfg, cells, csv_path):
+    """Run cells (on a pool of cfg.run.jobs workers), writing rows in cell order.
 
     The objects are built once per command; pool workers receive them
     through their initializer (a forked worker shares them without a copy).
-    Completed prefix rows are flushed even if a later cell fails.
+    Completed prefix rows are flushed even if a later cell fails, and a
+    failure cancels the cells that have not started.
     """
     objects = build_objects(cfg)
     done: dict[int, ResultRow] = {}
@@ -283,34 +264,37 @@ def _execute_cells(cfg, cells, jobs, csv_path):
 
         token = _command_objects.set((cfg, objects))
         try:
-            if jobs <= 1:
+            if cfg.run.jobs <= 1:
                 for idx, cell in enumerate(cells):
                     done[idx] = run_cell(cfg, cell)
                     flush()
             else:
-                with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
+                with ProcessPoolExecutor(max_workers=cfg.run.jobs, initializer=_init_worker,
                                          initargs=(cfg, objects)) as pool:
                     futures = {
                         pool.submit(run_cell, cfg, cell): idx
                         for idx, cell in enumerate(cells)
                     }
-                    for fut in as_completed(futures):
-                        done[futures[fut]] = fut.result()
-                        flush()
+                    try:
+                        for fut in as_completed(futures):
+                            done[futures[fut]] = fut.result()
+                            flush()
+                    except BaseException:
+                        # Keep the rows the serial run would have written.
+                        pool.shutdown(cancel_futures=True)
+                        done.update((idx, fut.result()) for fut, idx in futures.items()
+                                    if not fut.cancelled() and fut.exception() is None)
+                        raise
         finally:
             _command_objects.reset(token)
             flush()
     return ordered
 
 
-def cmd_sweep(cfg: ExperimentConfig, out_dir, jobs=None, baseline=None, plot=None):
+def cmd_sweep(cfg: ExperimentConfig, out_dir):
     """Full factorial over (snr_db x seeds), proposed plus optional baseline."""
     os.makedirs(out_dir, exist_ok=True)
-    jobs = cfg.run.jobs if jobs is None else jobs
-    baseline = cfg.sweep.baseline if baseline is None else baseline
-    plot = cfg.sweep.plot if plot is None else plot
-
-    systems = ["proposed"] + (["random_noise"] if baseline else [])
+    systems = ["proposed"] + (["random_noise"] if cfg.sweep.baseline else [])
     p = cfg.pipeline
     t_b_mode = "auto" if p.t_b == "auto" else "fixed"
     cells = [
@@ -322,8 +306,8 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir, jobs=None, baseline=None, plot=Non
         for system in systems
     ]
     csv_path = os.path.join(out_dir, "sweep.csv")
-    rows = _execute_cells(cfg, cells, jobs, csv_path)
-    if plot:
+    rows = _execute_cells(cfg, cells, csv_path)
+    if cfg.sweep.plot:
         for metric in ("mse", "sw2"):
             svg = svgplot.emit_svg_plot(rows, metric)
             with open(os.path.join(out_dir, f"sweep_{metric}.svg"), "w",
@@ -335,10 +319,9 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir, jobs=None, baseline=None, plot=Non
 ABLATION_SPLITS = ((10, 0), (5, 5), (0, 10))
 
 
-def cmd_ablate(cfg: ExperimentConfig, out_dir, jobs=None):
+def cmd_ablate(cfg: ExperimentConfig, out_dir):
     """Split/depth ablation grid plus the inversion-vs-random-noise comparison."""
     os.makedirs(out_dir, exist_ok=True)
-    jobs = cfg.run.jobs if jobs is None else jobs
     snr = cfg.ablate.snr_db
     n = cfg.ablate.n_per_cell
     cells = []
@@ -349,7 +332,7 @@ def cmd_ablate(cfg: ExperimentConfig, out_dir, jobs=None):
             cells.append(Cell(snr, seed, "proposed", t_f1, t_f2, "auto", "auto", n))
         cells.append(Cell(snr, seed, "random_noise", 5, 5, "auto", "auto", n))
     csv_path = os.path.join(out_dir, "ablate.csv")
-    rows = _execute_cells(cfg, cells, jobs, csv_path)
+    rows = _execute_cells(cfg, cells, csv_path)
     return rows, csv_path
 
 
@@ -357,9 +340,8 @@ def cmd_verify_prop1(cfg: ExperimentConfig, out_dir):
     """Run the noise-budget validator; exit 0 iff it meets its tolerances."""
     os.makedirs(out_dir, exist_ok=True)
     schedule, plan, source, denoiser = build_objects(cfg)
-    split = SplitConfig(cfg.pipeline.t_f1, cfg.pipeline.t_f2)
     report = validate_prop1(
-        schedule, plan, split, cfg.channel, source,
+        schedule, plan, cfg.pipeline.split, cfg.channel, source,
         cfg.prop1.n_samples, cfg.prop1.gamma_mode,
         stream(cfg.run.seed, _SALT_PROP1),
         transmitter_mode=cfg.prop1.transmitter_mode,
@@ -385,12 +367,7 @@ def cmd_train(cfg: ExperimentConfig, out_dir):
         source.d, t.hidden, source.n_components,
         stream(cfg.run.seed, _SALT_TRAIN), t_emb=t.time_embed,
     )
-    train_cfg = TrainConfig(
-        learning_rate=t.learning_rate, batch_size=t.batch_size,
-        iterations=t.iterations, beta1=t.beta1, beta2=t.beta2, eps=t.eps,
-        seed=cfg.run.seed,
-    )
-    trained, trace = train_denoiser(params, source, schedule, train_cfg)
+    trained, trace = train_denoiser(params, source, schedule, t, cfg.run.seed)
     ckpt_path = os.path.join(out_dir, t.checkpoint)
     save_checkpoint(trained, ckpt_path)
     loss_path = os.path.join(out_dir, t.loss_csv)

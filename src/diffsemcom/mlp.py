@@ -36,10 +36,6 @@ class MlpParams:
     w3: np.ndarray
     b3: np.ndarray
 
-    @property
-    def input_width(self) -> int:
-        return self.d + self.t_emb + self.label_count
-
     def arrays(self):
         return [getattr(self, name) for name in _PARAM_NAMES]
 
@@ -52,19 +48,30 @@ class MlpParams:
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """The ``[train]`` section: network size, Adam settings and output names."""
+
     learning_rate: float = 2e-3
     batch_size: int = 256
     iterations: int = 6000
+    hidden: int = 64
+    time_embed: int = 16
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    seed: int = 0
+    checkpoint: str = "denoiser.ckpt"
+    loss_csv: str = "train_loss.csv"
 
     def __post_init__(self):
         if self.learning_rate < 0:
-            raise ParameterError(f"learning rate must be >= 0, got {self.learning_rate}")
-        if self.batch_size < 1 or self.iterations < 1:
-            raise ParameterError("batch size and iterations must be positive")
+            raise ParameterError(f"learning_rate = {self.learning_rate} is negative")
+        for key in ("hidden", "batch_size", "iterations"):
+            if getattr(self, key) < 1:
+                raise ParameterError(f"{key} = {getattr(self, key)} must be >= 1")
+        if self.time_embed < 2 or self.time_embed % 2:
+            raise ParameterError(f"time_embed = {self.time_embed} must be an even number >= 2")
+        for key in ("beta1", "beta2"):  # Adam divides by 1 - beta**step
+            if not 0 <= getattr(self, key) < 1:
+                raise ParameterError(f"{key} = {getattr(self, key)} must be in [0, 1)")
 
 
 def init_mlp(d, hidden, label_count, rng, t_emb=16) -> MlpParams:
@@ -169,18 +176,19 @@ class _Adam:
             arr -= c.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + c.eps)
 
 
-def train_denoiser(params, source, schedule, cfg: TrainConfig):
+def train_denoiser(params, source, schedule, cfg: TrainConfig, seed: int):
     """Denoising-objective training loop.
 
     Each step draws z0 from the source, a uniform step t in 1..t_train and
     fresh noise, forms z_t by the reparameterized forward process, and takes
-    one Adam step on ||eps - net(z_t, t)||^2.  Returns the trained copy and
-    the per-iteration loss trace.
+    one Adam step on ||eps - net(z_t, t)||^2; the draws come from a stream
+    seeded by ``seed``.  Returns the trained copy and the per-iteration loss
+    trace.
     """
     if source.d != params.d:
         raise ParameterError(f"source dimension {source.d} != network dimension {params.d}")
     params = params.copy()
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
     adam = _Adam(cfg, [a.shape for a in params.arrays()])
     ab = schedule.alpha_bars
     trace = np.empty(cfg.iterations)

@@ -8,7 +8,8 @@ the resolved denoising depth T_B, and sampled back to 0.  T_B > T_F means
 the decoder deliberately starts from a higher nominal noise level than the
 latent's tag; that is the noise-level matching under channel noise.
 There is one decode path, ``receive_decode``: ``run_trial`` resolves T_B
-from the noise budget and passes the depth to it.
+from the noise budget and passes the depth to it.  ``PipelineConfig`` is a
+config file's ``[pipeline]`` section; the channel is a separate argument.
 
 The random-noise baseline is the same pipeline on the split (0, T_F) with a
 stochastic receiver leg: the normalized source latent is transmitted as-is
@@ -44,12 +45,17 @@ METRIC_SEED = 20318
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    split: SplitConfig
-    channel: ChannelConfig
+    """The ``[pipeline]`` section: split, depth, modes and guidance."""
+
+    t_f1: int = 5
+    t_f2: int = 5
     t_b: int | str = "auto"
-    transmitter_mode: str = "ddim_inversion"
-    receiver_forward_mode: str = "ddim_inversion"
-    guidance: GuidanceConfig = field(default_factory=GuidanceConfig)
+    transmitter_mode: str = field(
+        default="ddim_inversion", metadata={"choices": TRANSMITTER_MODES})
+    receiver_forward_mode: str = field(
+        default="ddim_inversion", metadata={"choices": RECEIVER_FORWARD_MODES})
+    guidance_scale: float = 0.0
+    guidance_label: int | None = None
     condition_receiver_forward: bool = False
 
     def __post_init__(self):
@@ -59,11 +65,20 @@ class PipelineConfig:
             raise ParameterError(
                 f"unknown receiver_forward_mode {self.receiver_forward_mode!r}"
             )
-        if isinstance(self.t_b, str):
-            if self.t_b != "auto":
-                raise ConfigError(f"t_b must be an integer or 'auto', got {self.t_b!r}")
-        elif self.t_b < 0:
-            raise ConfigError(f"t_b must be >= 0, got {self.t_b}")
+        if self.t_b != "auto" and (isinstance(self.t_b, str) or self.t_b < 0):
+            raise ConfigError(f"t_b must be 'auto' or an integer >= 0, got {self.t_b!r}")
+        # Built here so that their range checks run at construction.
+        object.__setattr__(self, "_split", SplitConfig(self.t_f1, self.t_f2))
+        object.__setattr__(
+            self, "_guidance", GuidanceConfig(self.guidance_scale, self.guidance_label))
+
+    @property
+    def split(self) -> SplitConfig:
+        return self._split
+
+    @property
+    def guidance(self) -> GuidanceConfig:
+        return self._guidance
 
 
 @dataclass
@@ -90,7 +105,7 @@ def random_noise_config(cfg: PipelineConfig) -> PipelineConfig:
 
     transmitter_mode is kept (with T_F1 = 0 it is never read).
     """
-    return replace(cfg, split=SplitConfig(0, cfg.split.t_f), receiver_forward_mode="stochastic")
+    return replace(cfg, t_f1=0, t_f2=cfg.split.t_f, receiver_forward_mode="stochastic")
 
 
 def encode_transmit(z0, cfg: PipelineConfig, schedule, plan, denoiser, rng):
@@ -150,7 +165,8 @@ def receive_decode(y, cfg: PipelineConfig, schedule, plan, denoiser, rng, t_b) -
     ).values
 
 
-def run_trial(cfg: PipelineConfig, source, schedule, plan, denoiser, n, rng) -> TrialResult:
+def run_trial(cfg: PipelineConfig, channel: ChannelConfig, source, schedule, plan,
+              denoiser, n, rng) -> TrialResult:
     """Draw n source latents and push them through the full pipeline.
 
     The generator is split into fixed-purpose substreams (source, transmitter
@@ -163,12 +179,12 @@ def run_trial(cfg: PipelineConfig, source, schedule, plan, denoiser, n, rng) -> 
     z0 = gmm_sample(source, n, k_src)
 
     sig, gamma = encode_transmit(z0, cfg, schedule, plan, denoiser, k_tx)
-    sigma_ch2 = snr_to_noise_var(cfg.channel.snr_db)
-    y = awgn_apply(sig, sigma_ch2, k_ch, cfg.channel.model)
+    sigma_ch2 = snr_to_noise_var(channel.snr_db)
+    y = awgn_apply(sig, sigma_ch2, k_ch, channel.model)
 
     gamma_arr = np.atleast_1d(np.asarray(gamma, dtype=float))
     gamma_mean = float(np.mean(gamma_arr))
-    sigma_eff2 = effective_noise_var(sigma_ch2, cfg.channel.model)
+    sigma_eff2 = effective_noise_var(sigma_ch2, channel.model)
     t_b, saturated, budget = resolve_t_b(cfg, schedule, plan, gamma_mean, sigma_eff2)
     z_tilde0 = receive_decode(y, cfg, schedule, plan, denoiser, k_rx, t_b)
 
@@ -179,11 +195,11 @@ def run_trial(cfg: PipelineConfig, source, schedule, plan, denoiser, n, rng) -> 
     )
 
 
-def run_baseline_random_noise(cfg: PipelineConfig, source, schedule, plan,
-                              denoiser, n, rng) -> TrialResult:
+def run_baseline_random_noise(cfg: PipelineConfig, channel: ChannelConfig, source,
+                              schedule, plan, denoiser, n, rng) -> TrialResult:
     """Table-I style baseline: transmit z0, add the forward noise at the receiver.
 
     run_trial on random_noise_config(cfg), so a baseline driven by an
     identically-keyed stream is exactly paired with the proposed pipeline.
     """
-    return run_trial(random_noise_config(cfg), source, schedule, plan, denoiser, n, rng)
+    return run_trial(random_noise_config(cfg), channel, source, schedule, plan, denoiser, n, rng)

@@ -191,24 +191,21 @@ def _trend_setup():
 def test_criterion_07_remark3_trend():
     sched, plan, src, den = _trend_setup()
     ch = ChannelConfig(5.0, "real_simplified")
-    cfg_auto = PipelineConfig(split=SplitConfig(5, 5), channel=ch, t_b="auto")
-    cfg_forced = PipelineConfig(split=SplitConfig(5, 5), channel=ch, t_b=10)
+    cfg_auto = PipelineConfig(t_f1=5, t_f2=5, t_b="auto")
+    cfg_forced = PipelineConfig(t_f1=5, t_f2=5, t_b=10)
     wins = 0
     t_b_auto = None
     for seed in range(20):
-        a = run_trial(cfg_auto, src, sched, plan, den, 256, dsc.stream(0, 1, seed))
-        f = run_trial(cfg_forced, src, sched, plan, den, 256, dsc.stream(0, 1, seed))
+        a = run_trial(cfg_auto, ch, src, sched, plan, den, 256, dsc.stream(0, 1, seed))
+        f = run_trial(cfg_forced, ch, src, sched, plan, den, 256, dsc.stream(0, 1, seed))
         wins += a.metrics.sw2 < f.metrics.sw2
         t_b_auto = a.t_b_resolved
     monotone = True
     for seed in range(5):
         tbs = []
         for snr in (0.0, 5.0, 10.0, 15.0, 20.0):
-            cfg = PipelineConfig(
-                split=SplitConfig(5, 5), channel=ChannelConfig(snr, "real_simplified"),
-                t_b="auto",
-            )
-            res = run_trial(cfg, src, sched, plan, den, 64, dsc.stream(0, 1, seed))
+            cfg = PipelineConfig(t_f1=5, t_f2=5, t_b="auto")
+            res = run_trial(cfg, ChannelConfig(snr, "real_simplified"), src, sched, plan, den, 64, dsc.stream(0, 1, seed))
             tbs.append(res.t_b_resolved)
         monotone &= all(x >= y for x, y in zip(tbs, tbs[1:]))
     ok = wins >= 16 and t_b_auto > 10 and monotone
@@ -219,14 +216,12 @@ def test_criterion_07_remark3_trend():
 
 def test_criterion_08_inversion_vs_random_noise():
     sched, plan, src, den = _trend_setup()
-    cfg = PipelineConfig(
-        split=SplitConfig(5, 5), channel=ChannelConfig(5.0, "real_simplified"),
-        t_b="auto",
-    )
+    cfg = PipelineConfig(t_f1=5, t_f2=5, t_b="auto")
+    ch = ChannelConfig(5.0, "real_simplified")
     wins_sw2 = wins_mse = 0
     for seed in range(20):
-        a = run_trial(cfg, src, sched, plan, den, 256, dsc.stream(0, 1, seed))
-        b = run_baseline_random_noise(cfg, src, sched, plan, den, 256, dsc.stream(0, 1, seed))
+        a = run_trial(cfg, ch, src, sched, plan, den, 256, dsc.stream(0, 1, seed))
+        b = run_baseline_random_noise(cfg, ch, src, sched, plan, den, 256, dsc.stream(0, 1, seed))
         wins_sw2 += a.metrics.sw2 < b.metrics.sw2
         wins_mse += a.metrics.mse < b.metrics.mse
     ok = wins_sw2 >= 16 and wins_mse >= 16
@@ -253,12 +248,12 @@ def test_sign_test_p_value():
 def test_criterion_09_split_trend():
     sched, plan, src, den = _trend_setup()
     ch = ChannelConfig(5.0, "real_simplified")
-    cfg_55 = PipelineConfig(split=SplitConfig(5, 5), channel=ch, t_b="auto")
-    cfg_100 = PipelineConfig(split=SplitConfig(10, 0), channel=ch, t_b="auto")
+    cfg_55 = PipelineConfig(t_f1=5, t_f2=5, t_b="auto")
+    cfg_100 = PipelineConfig(t_f1=10, t_f2=0, t_b="auto")
     wins = 0
     for seed in range(30):
-        a = run_trial(cfg_55, src, sched, plan, den, 256, dsc.stream(0, 1, seed))
-        b = run_trial(cfg_100, src, sched, plan, den, 256, dsc.stream(0, 1, seed))
+        a = run_trial(cfg_55, ch, src, sched, plan, den, 256, dsc.stream(0, 1, seed))
+        b = run_trial(cfg_100, ch, src, sched, plan, den, 256, dsc.stream(0, 1, seed))
         wins += a.metrics.sw2 <= b.metrics.sw2
     p = sign_test_p_value(wins, 30)
     ok = wins >= 18
@@ -312,7 +307,7 @@ def test_criterion_11_mlp_denoiser(sched):
     src = dsc.GaussianMixtureModel.standard_normal(2)
     trained, _ = train_denoiser(
         init_mlp(2, 64, 1, dsc.stream(11, 1)), src, sched,
-        TrainConfig(learning_rate=2e-3, batch_size=256, iterations=6000, seed=123),
+        TrainConfig(learning_rate=2e-3, batch_size=256, iterations=6000), 123,
     )
     probe_rng = np.random.default_rng(99)
     tt = probe_rng.integers(1, 1001, size=4000)

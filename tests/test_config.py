@@ -13,6 +13,8 @@ from diffsemcom.config import (
     serialize_config,
 )
 from diffsemcom.errors import ConfigError
+from diffsemcom.mlp import TrainConfig
+from diffsemcom.pipeline import PipelineConfig
 
 
 def write(tmp_path, text, name="exp.ini"):
@@ -90,6 +92,12 @@ def test_non_finite_number_rejected(tmp_path, section, key, value, kind):
     path = write(tmp_path, f"[{section}]\n{key} = {value}\n")
     with pytest.raises(ConfigError, match=rf"exp\.ini:2: {section}\.{key}: invalid {kind} "
                                           r"'.*' \(expected a finite number\)"):
+        parse_config(path)
+
+
+def test_section_range_error_reported_at_section_line(tmp_path):
+    path = write(tmp_path, "[channel]\nsnr_db = 5\n\n[pipeline]\nt_b = 3\nt_f1 = -1\n")
+    with pytest.raises(ConfigError, match=r"exp\.ini:4: \[pipeline\]: split counts must be >= 0"):
         parse_config(path)
 
 
@@ -202,9 +210,21 @@ def test_shipped_configs_parse():
 
 
 # Values from each field annotation's parser domain; a field with choices
-# draws from them.  A field whose annotation is missing here fails the test.
+# draws from them, and a field its class range-checks from _DOMAINS.  A field
+# whose annotation is missing here fails the test.
 _INTS = st.integers(-10**6, 10**6)
 _FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+_NON_NEGATIVE = st.floats(min_value=0.0, allow_infinity=False)
+_POSITIVE_INTS = st.integers(1, 10**6)
+_ADAM_BETAS = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
+_DOMAINS = {
+    PipelineConfig: {"t_f1": st.integers(0, 10**6), "t_f2": st.integers(0, 10**6),
+                     "guidance_scale": _NON_NEGATIVE},
+    TrainConfig: {"learning_rate": _NON_NEGATIVE, "batch_size": _POSITIVE_INTS,
+                  "iterations": _POSITIVE_INTS, "hidden": _POSITIVE_INTS,
+                  "time_embed": st.integers(1, 10**5).map(lambda k: 2 * k),
+                  "beta1": _ADAM_BETAS, "beta2": _ADAM_BETAS},
+}
 _VALUES = {
     "int": _INTS,
     "float": _FLOATS,
@@ -218,8 +238,10 @@ _VALUES = {
 
 
 def _specs(cls):
+    domains = _DOMAINS.get(cls, {})
     return st.builds(cls, **{
         f.name: st.sampled_from(f.metadata["choices"]) if "choices" in f.metadata
+        else domains[f.name] if f.name in domains
         else _VALUES[f.type]
         for f in fields(cls)
     })

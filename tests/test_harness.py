@@ -1,4 +1,5 @@
 import os
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -22,6 +23,10 @@ def small_cfg(**kw):
         train=replace(cfg.train, iterations=120, hidden=16, batch_size=64),
     )
     return replace(cfg, **kw) if kw else cfg
+
+
+def with_jobs(cfg, jobs):
+    return replace(cfg, run=replace(cfg.run, jobs=jobs))
 
 
 def test_build_source_broadcast_and_errors():
@@ -62,8 +67,8 @@ def test_sweep_cardinality_and_determinism(tmp_path):
 
 def test_sweep_parallel_matches_serial(tmp_path):
     cfg = small_cfg()
-    _, p1 = harness.cmd_sweep(cfg, tmp_path / "serial", jobs=1)
-    _, p2 = harness.cmd_sweep(cfg, tmp_path / "parallel", jobs=2)
+    _, p1 = harness.cmd_sweep(cfg, tmp_path / "serial")
+    _, p2 = harness.cmd_sweep(with_jobs(cfg, 2), tmp_path / "parallel")
     assert open(p1, "rb").read() == open(p2, "rb").read()
 
 
@@ -77,13 +82,13 @@ def test_sweep_builds_objects_once_per_command(tmp_path, monkeypatch):
 
     monkeypatch.setattr(harness, "build_objects", counting)
     cfg = small_cfg()
-    rows, _ = harness.cmd_sweep(cfg, tmp_path / "a", jobs=1)
+    rows, _ = harness.cmd_sweep(cfg, tmp_path / "a")
     assert len(rows) == 8 and calls == [cfg]
-    harness.cmd_sweep(cfg, tmp_path / "b", jobs=1)
+    harness.cmd_sweep(cfg, tmp_path / "b")
     assert calls == [cfg, cfg]
     # a pool's workers take the parent's objects
-    harness.cmd_sweep(cfg, tmp_path / "c", jobs=2)
-    assert calls == [cfg, cfg, cfg]
+    harness.cmd_sweep(with_jobs(cfg, 2), tmp_path / "c")
+    assert calls == [cfg, cfg, with_jobs(cfg, 2)]
     # outside a command, run_cell builds its own objects
     harness.run_cell(cfg, harness.Cell(5.0, 0, "proposed", 5, 5, "auto", "auto", 16))
     assert len(calls) == 4
@@ -117,22 +122,25 @@ def test_pool_workers_run_single_threaded_blas():
 
 
 def test_sweep_baseline_off(tmp_path):
-    rows, _ = harness.cmd_sweep(small_cfg(), tmp_path, baseline=False)
+    cfg = small_cfg()
+    rows, _ = harness.cmd_sweep(replace(cfg, sweep=replace(cfg.sweep, baseline=False)), tmp_path)
     assert len(rows) == 4
     assert all(r.system == "proposed" for r in rows)
 
 
 def test_sweep_auto_t_b_non_increasing_in_snr(tmp_path):
     cfg = small_cfg()
-    cfg = replace(cfg, sweep=replace(cfg.sweep, snr_db=(0.0, 5.0, 10.0, 15.0, 20.0)))
-    rows, _ = harness.cmd_sweep(cfg, tmp_path, baseline=False)
+    cfg = replace(cfg, sweep=replace(cfg.sweep, snr_db=(0.0, 5.0, 10.0, 15.0, 20.0),
+                                     baseline=False))
+    rows, _ = harness.cmd_sweep(cfg, tmp_path)
     for seed in (0, 1):
         tbs = [r.t_b_resolved for r in rows if r.seed == seed]
         assert all(a >= b for a, b in zip(tbs, tbs[1:]))
 
 
 def test_sweep_emits_svg(tmp_path):
-    harness.cmd_sweep(small_cfg(), tmp_path, plot=True)
+    cfg = small_cfg()
+    harness.cmd_sweep(replace(cfg, sweep=replace(cfg.sweep, plot=True)), tmp_path)
     assert (tmp_path / "sweep_mse.svg").exists()
     assert (tmp_path / "sweep_sw2.svg").exists()
 
@@ -141,16 +149,16 @@ def test_sweep_dump_records(tmp_path, monkeypatch):
     cfg = small_cfg()
     cfg = replace(cfg, output=replace(cfg.output, dump_records=True),
                   sweep=replace(cfg.sweep, snr_db=(5.0,), seeds=(0,)))
-    harness.cmd_sweep(cfg, tmp_path / "jobs2", jobs=2)
+    harness.cmd_sweep(with_jobs(cfg, 2), tmp_path / "jobs2")
     real_run_trial = harness.run_trial
     calls = []
 
     def counting(pipe_cfg, *args):
-        calls.append((pipe_cfg.split.t_f1, pipe_cfg.split.t_f2))
+        calls.append((pipe_cfg.t_f1, pipe_cfg.t_f2))
         return real_run_trial(pipe_cfg, *args)
 
     monkeypatch.setattr(harness, "run_trial", counting)
-    rows, _ = harness.cmd_sweep(cfg, tmp_path / "serial", jobs=1)
+    rows, _ = harness.cmd_sweep(cfg, tmp_path / "serial")
     # one run per cell, the baseline's on split (0, T_F): the dump comes from
     # the row's own run
     assert sorted(calls) == sorted(
@@ -199,10 +207,41 @@ def test_partial_rows_flushed_on_abort(tmp_path, monkeypatch):
 
     monkeypatch.setattr(harness, "run_cell", exploding)
     with pytest.raises(RuntimeError):
-        harness.cmd_sweep(cfg, tmp_path, baseline=False)
+        harness.cmd_sweep(replace(cfg, sweep=replace(cfg.sweep, baseline=False)), tmp_path)
     lines = (tmp_path / "sweep.csv").read_text().splitlines()
     assert lines[0] == RESULT_HEADER
     assert len(lines) == 1 + 3  # completed prefix was flushed
+
+
+_started_log = None  # the file _run_cell_failing_at_seed_1 appends each started cell to
+_real_run_cell = harness.run_cell
+
+
+def _run_cell_failing_at_seed_1(cfg, cell):
+    # module level, so that the pool can pickle it by name
+    with open(_started_log, "a") as fh:
+        fh.write(f"{cell.seed}\n")
+    if cell.seed == 1:
+        raise RuntimeError("cell failed")
+    if cell.seed > 1:
+        time.sleep(0.1)  # later cells outlast the report of the failure
+    return _real_run_cell(cfg, cell)
+
+
+def test_failed_cell_under_jobs_cancels_the_rest(tmp_path, monkeypatch):
+    # a pool stops at a failed cell and writes the serial run's prefix rows
+    monkeypatch.setattr(harness, "run_cell", _run_cell_failing_at_seed_1)
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text("[source]\ndimension = 8\n[sweep]\nsnr_db = 5\nseeds = 0..9\nn_per_cell = 16\n")
+    csv = {}
+    for jobs in ("1", "2"):
+        monkeypatch.setitem(globals(), "_started_log", str(tmp_path / f"started{jobs}"))
+        out = tmp_path / f"jobs{jobs}"
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(out), "--jobs", jobs]) == 3
+        csv[jobs] = (out / "sweep.csv").read_bytes()
+    assert csv["2"] == csv["1"]
+    assert len(csv["1"].splitlines()) == 1 + 2  # header and seed 0's two cells
+    assert len((tmp_path / "started2").read_text().split()) < 20  # the grid's size
 
 
 def test_ablate_grid(tmp_path):
@@ -357,6 +396,9 @@ def test_cli_config_error_exit_code(tmp_path):
         "[train]\nlearning_rate = -0.1\n",
         "[train]\nbatch_size = 0\n",
         "[train]\niterations = 0\n",
+        "[train]\nbeta1 = 1\n",
+        "[train]\nbeta2 = 1\n",
+        "[train]\nbeta2 = -0.1\n",
     ]):
         path = tmp_path / f"bad_train{i}.ini"
         path.write_text(small + text)

@@ -105,7 +105,7 @@ def test_training_loss_halves(sched):
         init_losses.append(loss)
     _, trace = train_denoiser(
         params, src, sched,
-        TrainConfig(learning_rate=2e-3, batch_size=256, iterations=800, seed=123),
+        TrainConfig(learning_rate=2e-3, batch_size=256, iterations=800), 123,
     )
     assert np.mean(trace[-100:]) <= 0.5 * np.mean(init_losses)
 
@@ -115,7 +115,7 @@ def test_zero_learning_rate_keeps_params(sched):
     params = init_mlp(2, 8, 1, dsc.stream(4, 7))
     trained, _ = train_denoiser(
         params, src, sched,
-        TrainConfig(learning_rate=0.0, batch_size=16, iterations=20, seed=0),
+        TrainConfig(learning_rate=0.0, batch_size=16, iterations=20), 0,
     )
     for a, b in zip(trained.arrays(), params.arrays()):
         assert np.array_equal(a, b)
@@ -129,7 +129,7 @@ def test_training_divergence_raises(sched):
     with pytest.raises(TrainingDivergedError) as err:
         train_denoiser(
             params, src, sched,
-            TrainConfig(learning_rate=1e-3, batch_size=16, iterations=50, seed=0),
+            TrainConfig(learning_rate=1e-3, batch_size=16, iterations=50), 0,
         )
     assert err.value.loss_trace is not None
     assert err.value.loss_trace.size == 0  # diverged on the first iteration
@@ -137,9 +137,9 @@ def test_training_divergence_raises(sched):
 
 def test_training_bit_reproducible(sched):
     src = dsc.GaussianMixtureModel.standard_normal(2)
-    cfg = TrainConfig(learning_rate=1e-3, batch_size=32, iterations=50, seed=9)
-    p1, t1 = train_denoiser(init_mlp(2, 8, 1, dsc.stream(4, 9)), src, sched, cfg)
-    p2, t2 = train_denoiser(init_mlp(2, 8, 1, dsc.stream(4, 9)), src, sched, cfg)
+    cfg = TrainConfig(learning_rate=1e-3, batch_size=32, iterations=50)
+    p1, t1 = train_denoiser(init_mlp(2, 8, 1, dsc.stream(4, 9)), src, sched, cfg, 9)
+    p2, t2 = train_denoiser(init_mlp(2, 8, 1, dsc.stream(4, 9)), src, sched, cfg, 9)
     assert np.array_equal(t1, t2)
     for a, b in zip(p1.arrays(), p2.arrays()):
         assert np.array_equal(a, b)
@@ -176,22 +176,19 @@ def test_trained_pipeline_mse_within_factor_two(sched):
     # end-to-end smoke: the trained net's pipeline MSE stays within 2x of
     # the analytic denoiser's on the standard-normal source
     from diffsemcom.channel import ChannelConfig
-    from diffsemcom.noise_budget import SplitConfig
     from diffsemcom.pipeline import PipelineConfig, run_trial
 
     src = dsc.GaussianMixtureModel.standard_normal(2)
     trained, _ = train_denoiser(
         init_mlp(2, 64, 1, dsc.stream(4, 12)), src, sched,
-        TrainConfig(learning_rate=2e-3, batch_size=256, iterations=2500, seed=5),
+        TrainConfig(learning_rate=2e-3, batch_size=256, iterations=2500), 5,
     )
     plan = dsc.make_stride_plan(sched, 50)
-    cfg = PipelineConfig(
-        split=SplitConfig(5, 5),
-        channel=ChannelConfig(5.0, "real_simplified"), t_b="auto",
-    )
+    cfg = PipelineConfig(t_f1=5, t_f2=5, t_b="auto")
+    channel = ChannelConfig(5.0, "real_simplified")
     mses = {}
     for name, den in (("mlp", MlpDenoiser(trained)),
                       ("analytic", dsc.GmmDenoiser(src, sched))):
-        res = run_trial(cfg, src, sched, plan, den, 512, dsc.stream(4, 13))
+        res = run_trial(cfg, channel, src, sched, plan, den, 512, dsc.stream(4, 13))
         mses[name] = res.metrics.mse
     assert mses["mlp"] <= 2.0 * mses["analytic"]

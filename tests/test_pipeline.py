@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 import diffsemcom as dsc
 from diffsemcom.channel import ChannelConfig
 from diffsemcom.errors import ConfigError
-from diffsemcom.noise_budget import SplitConfig
 from diffsemcom.pipeline import (
     RECEIVER_FORWARD_MODES,
     TRANSMITTER_MODES,
@@ -22,7 +21,7 @@ AT5 = ChannelConfig(5.0, "real_simplified")
 
 
 def test_encode_tf1_zero_is_normalized_source(sched, plan50, std_normal_8):
-    cfg = PipelineConfig(split=SplitConfig(0, 5), channel=AT5)
+    cfg = PipelineConfig(t_f1=0, t_f2=5)
     den = dsc.GmmDenoiser(std_normal_8, sched)
     z0 = dsc.gmm_sample(std_normal_8, 4, dsc.stream(1, 0))
     sig, gamma = encode_transmit(z0, cfg, sched, plan50, den, dsc.stream(1, 1))
@@ -34,7 +33,7 @@ def test_encode_tf1_zero_is_normalized_source(sched, plan50, std_normal_8):
 def test_encode_zero_denoiser_matches_normalized_source(sched, plan50, std_normal_8):
     # a zero prediction makes inversion a pure scaling, which normalization
     # absorbs: transmitted values equal the normalized source
-    cfg = PipelineConfig(split=SplitConfig(5, 0), channel=AT5)
+    cfg = PipelineConfig(t_f1=5, t_f2=0)
     z0 = dsc.gmm_sample(std_normal_8, 4, dsc.stream(1, 2))
     sig, _ = encode_transmit(z0, cfg, sched, plan50, dsc.ConstantDenoiser(0.0),
                              dsc.stream(1, 3))
@@ -64,7 +63,7 @@ def test_receive_decode_exact_inverse(sched, plan50):
     z0 = rng.standard_normal(8)
     den = dsc.ConstantDenoiser(rng.standard_normal(8))
     y = dsc.run_ddim_invert(sched, dsc.Latent(z0, 0), plan50.ascending_steps(0, 5), den).values
-    cfg = PipelineConfig(split=SplitConfig(5, 0), channel=QUIET, t_b=5)
+    cfg = PipelineConfig(t_f1=5, t_f2=0, t_b=5)
     out = receive_decode(y, cfg, sched, plan50, den, dsc.stream(1, 6), 5)
     assert np.max(np.abs(out - z0)) <= 1e-12
 
@@ -79,7 +78,7 @@ def test_receive_decode_gamma_consistent_round_trip(sched, plan50):
         np.full((2, d), 0.36),
     )
     den = dsc.GmmDenoiser(src, sched)
-    cfg = PipelineConfig(split=SplitConfig(5, 0), channel=ChannelConfig(300.0, "complex_paper"), t_b=5)
+    cfg = PipelineConfig(t_f1=5, t_f2=0, t_b=5)
     z0 = dsc.gmm_sample(src, 8, dsc.stream(1, 7))
     sig, gamma = encode_transmit(z0, cfg, sched, plan50, den, dsc.stream(1, 8))
     out = receive_decode(sig.values, cfg, sched, plan50, den, dsc.stream(1, 9), 5)
@@ -91,9 +90,9 @@ def test_receive_decode_gamma_consistent_round_trip(sched, plan50):
 def test_receive_decode_t_b_zero_only_for_empty_split(sched, plan50, std_normal_8):
     den = dsc.GmmDenoiser(std_normal_8, sched)
     y = np.ones(8)
-    cfg0 = PipelineConfig(split=SplitConfig(0, 0), channel=QUIET, t_b=0)
+    cfg0 = PipelineConfig(t_f1=0, t_f2=0, t_b=0)
     assert np.array_equal(receive_decode(y, cfg0, sched, plan50, den, dsc.stream(1, 10), 0), y)
-    cfg_bad = PipelineConfig(split=SplitConfig(5, 0), channel=QUIET, t_b=0)
+    cfg_bad = PipelineConfig(t_f1=5, t_f2=0, t_b=0)
     with pytest.raises(ConfigError):
         receive_decode(y, cfg_bad, sched, plan50, den, dsc.stream(1, 11), 0)
 
@@ -114,10 +113,9 @@ def test_run_trial_decodes_through_receive_decode(sched, plan50, bimodal_8, t_f1
     if t_b == 0 and t_f1 + t_f2:
         t_b = t_f1 + t_f2  # t_b = 0 is valid only on the empty split
     den = dsc.GmmDenoiser(bimodal_8, sched)
-    cfg = PipelineConfig(split=SplitConfig(t_f1, t_f2), channel=AT5, t_b=t_b,
-                         transmitter_mode=transmitter_mode,
+    cfg = PipelineConfig(t_f1=t_f1, t_f2=t_f2, t_b=t_b, transmitter_mode=transmitter_mode,
                          receiver_forward_mode=receiver_forward_mode)
-    res = run_trial(cfg, bimodal_8, sched, plan50, den, 4, dsc.stream(2, seed))
+    res = run_trial(cfg, AT5, bimodal_8, sched, plan50, den, 4, dsc.stream(2, seed))
 
     k_src, k_tx, k_ch, k_rx = dsc.stream(2, seed).spawn(4)
     z0 = dsc.gmm_sample(bimodal_8, 4, k_src)
@@ -135,9 +133,9 @@ def test_run_trial_decodes_through_receive_decode(sched, plan50, bimodal_8, t_f1
 
 def test_run_trial_deterministic(sched, plan50, bimodal_64):
     den = dsc.GmmDenoiser(bimodal_64, sched)
-    cfg = PipelineConfig(split=SplitConfig(5, 5), channel=AT5, t_b="auto")
-    a = run_trial(cfg, bimodal_64, sched, plan50, den, 64, dsc.stream(1, 12))
-    b = run_trial(cfg, bimodal_64, sched, plan50, den, 64, dsc.stream(1, 12))
+    cfg = PipelineConfig(t_f1=5, t_f2=5, t_b="auto")
+    a = run_trial(cfg, AT5, bimodal_64, sched, plan50, den, 64, dsc.stream(1, 12))
+    b = run_trial(cfg, AT5, bimodal_64, sched, plan50, den, 64, dsc.stream(1, 12))
     assert a.metrics == b.metrics
     assert a.t_b_resolved == b.t_b_resolved
     assert np.array_equal(a.z_tilde0, b.z_tilde0)
@@ -148,9 +146,8 @@ def test_degenerate_channel_identity(sched, plan50):
     # decoded latent equals gamma * z0 exactly (no de-normalization exists)
     src = dsc.GaussianMixtureModel.standard_normal(16)
     den = dsc.ConstantDenoiser(0.0)
-    cfg = PipelineConfig(split=SplitConfig(5, 0), channel=QUIET, t_b=5,
-                         transmitter_mode="ddim_inversion")
-    res = run_trial(cfg, src, sched, plan50, den, 16, dsc.stream(1, 13))
+    cfg = PipelineConfig(t_f1=5, t_f2=0, t_b=5, transmitter_mode="ddim_inversion")
+    res = run_trial(cfg, QUIET, src, sched, plan50, den, 16, dsc.stream(1, 13))
     ref = res.gamma[:, None] * res.z0
     assert np.max(np.abs(res.z_tilde0 - ref)) <= 1e-12
 
@@ -160,11 +157,8 @@ def test_snr_ordering_median_mse(sched, plan50, bimodal_64):
     lo, hi = [], []
     for seed in range(20):
         for target, snr in ((lo, 0.0), (hi, 20.0)):
-            cfg = PipelineConfig(
-                split=SplitConfig(5, 5),
-                channel=ChannelConfig(snr, "real_simplified"), t_b="auto",
-            )
-            res = run_trial(cfg, bimodal_64, sched, plan50, den, 64, dsc.stream(1, 100 + seed))
+            cfg = PipelineConfig(t_f1=5, t_f2=5, t_b="auto")
+            res = run_trial(cfg, ChannelConfig(snr, "real_simplified"), bimodal_64, sched, plan50, den, 64, dsc.stream(1, 100 + seed))
             target.append(res.metrics.mse)
     assert np.median(hi) < np.median(lo)
 
@@ -176,12 +170,10 @@ def test_sw2_median_decreases_along_snr_for_unit_power_source(sched, plan50):
     den = dsc.GmmDenoiser(src, sched)
     medians = []
     for snr in (0.0, 10.0, 20.0):
-        cfg = PipelineConfig(
-            split=SplitConfig(5, 5),
-            channel=ChannelConfig(snr, "real_simplified"), t_b="auto",
-        )
+        cfg = PipelineConfig(t_f1=5, t_f2=5, t_b="auto")
+        channel = ChannelConfig(snr, "real_simplified")
         vals = [
-            run_trial(cfg, src, sched, plan50, den, 128, dsc.stream(1, 200 + seed)).metrics.sw2
+            run_trial(cfg, channel, src, sched, plan50, den, 128, dsc.stream(1, 200 + seed)).metrics.sw2
             for seed in range(8)
         ]
         medians.append(np.median(vals))
@@ -190,9 +182,8 @@ def test_sw2_median_decreases_along_snr_for_unit_power_source(sched, plan50):
 
 def test_paper_analog_t_b_exceeds_t_f_at_0db(sched, plan50, bimodal_64):
     den = dsc.GmmDenoiser(bimodal_64, sched)
-    cfg = PipelineConfig(split=SplitConfig(5, 5),
-                         channel=ChannelConfig(0.0, "complex_paper"), t_b="auto")
-    res = run_trial(cfg, bimodal_64, sched, plan50, den, 64, dsc.stream(1, 14))
+    cfg = PipelineConfig(t_f1=5, t_f2=5, t_b="auto")
+    res = run_trial(cfg, ChannelConfig(0.0, "complex_paper"), bimodal_64, sched, plan50, den, 64, dsc.stream(1, 14))
     assert res.t_b_resolved > 10
 
 
@@ -200,9 +191,8 @@ def test_receiver_forward_modes_both_work(sched, plan50, bimodal_64):
     den = dsc.GmmDenoiser(bimodal_64, sched)
     outs = {}
     for mode in ("ddim_inversion", "stochastic"):
-        cfg = PipelineConfig(split=SplitConfig(5, 5), channel=AT5, t_b="auto",
-                             receiver_forward_mode=mode)
-        res = run_trial(cfg, bimodal_64, sched, plan50, den, 32, dsc.stream(1, 15))
+        cfg = PipelineConfig(t_f1=5, t_f2=5, t_b="auto", receiver_forward_mode=mode)
+        res = run_trial(cfg, AT5, bimodal_64, sched, plan50, den, 32, dsc.stream(1, 15))
         outs[mode] = res.metrics.mse
     assert all(np.isfinite(v) for v in outs.values())
     assert outs["ddim_inversion"] != outs["stochastic"]
@@ -213,20 +203,20 @@ def test_condition_receiver_forward_flag_changes_result(sched, plan50, bimodal_6
     res = {}
     for flag in (False, True):
         cfg = PipelineConfig(
-            split=SplitConfig(5, 5), channel=AT5, t_b="auto",
-            guidance=dsc.GuidanceConfig(w=1.0, cond=0),
+            t_f1=5, t_f2=5, t_b="auto", guidance_scale=1.0, guidance_label=0,
             condition_receiver_forward=flag,
         )
-        out = run_trial(cfg, bimodal_64, sched, plan50, den, 32, dsc.stream(1, 16))
+        out = run_trial(cfg, AT5, bimodal_64, sched, plan50, den, 32, dsc.stream(1, 16))
         res[flag] = out.z_tilde0
     assert not np.array_equal(res[False], res[True])
 
 
 def test_baseline_trivial_recovery_and_determinism(sched, plan50, bimodal_64):
     den = dsc.GmmDenoiser(bimodal_64, sched)
-    cfg = PipelineConfig(split=SplitConfig(0, 0), channel=QUIET, t_b=0)
-    a = run_baseline_random_noise(cfg, bimodal_64, sched, plan50, den, 16, dsc.stream(1, 17))
-    b = run_baseline_random_noise(cfg, bimodal_64, sched, plan50, den, 16, dsc.stream(1, 17))
+    cfg = PipelineConfig(t_f1=0, t_f2=0, t_b=0)
+    a = run_baseline_random_noise(cfg, QUIET, bimodal_64, sched, plan50, den, 16,
+                                  dsc.stream(1, 17))
+    b = run_baseline_random_noise(cfg, QUIET, bimodal_64, sched, plan50, den, 16, dsc.stream(1, 17))
     ref = a.gamma[:, None] * a.z0
     assert np.max(np.abs(a.z_tilde0 - ref)) < 1e-12
     assert np.array_equal(a.z_tilde0, b.z_tilde0)
@@ -234,16 +224,16 @@ def test_baseline_trivial_recovery_and_determinism(sched, plan50, bimodal_64):
 
 def test_baseline_shares_source_draws_with_proposed(sched, plan50, bimodal_64):
     den = dsc.GmmDenoiser(bimodal_64, sched)
-    cfg = PipelineConfig(split=SplitConfig(5, 5), channel=AT5, t_b="auto")
-    a = run_trial(cfg, bimodal_64, sched, plan50, den, 32, dsc.stream(1, 18))
-    b = run_baseline_random_noise(cfg, bimodal_64, sched, plan50, den, 32, dsc.stream(1, 18))
+    cfg = PipelineConfig(t_f1=5, t_f2=5, t_b="auto")
+    a = run_trial(cfg, AT5, bimodal_64, sched, plan50, den, 32, dsc.stream(1, 18))
+    b = run_baseline_random_noise(cfg, AT5, bimodal_64, sched, plan50, den, 32, dsc.stream(1, 18))
     assert np.array_equal(a.z0, b.z0)
 
 
 def test_record_per_sample_rows(sched, plan50, bimodal_64):
     den = dsc.GmmDenoiser(bimodal_64, sched)
-    cfg = PipelineConfig(split=SplitConfig(5, 5), channel=AT5, t_b="auto")
-    res = run_trial(cfg, bimodal_64, sched, plan50, den, 8, dsc.stream(1, 19))
+    cfg = PipelineConfig(t_f1=5, t_f2=5, t_b="auto")
+    res = run_trial(cfg, AT5, bimodal_64, sched, plan50, den, 8, dsc.stream(1, 19))
     rows = res.per_sample_rows()
     assert len(rows) == 8
     assert all(len(r) == 3 and r[1] > 0 and r[2] >= 0 for r in rows)
