@@ -60,12 +60,16 @@ def power_normalize(z) -> NormalizedSignal:
     """Scale z to unit average power per component.
 
     gamma = 1 / sqrt(mean(z^2)) along the last axis; for a batch the scaling
-    is per row.  A zero signal has no defined scaling.
+    is per row.  A zero signal has no defined scaling, and neither has a
+    signal with a non-finite entry or whose power overflows.
     """
     z = np.asarray(z, dtype=float)
-    power = np.mean(z * z, axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        power = np.mean(z * z, axis=-1)
     if np.any(power == 0.0):
         raise DegenerateInputError("cannot power-normalize a zero signal")
+    if not np.all(np.isfinite(power)):
+        raise DegenerateInputError("cannot power-normalize a signal of non-finite power")
     gamma = 1.0 / np.sqrt(power)
     values = z * gamma[..., None] if z.ndim > 1 else gamma * z
     return NormalizedSignal(values=values, gamma=gamma if z.ndim > 1 else float(gamma))
@@ -86,7 +90,8 @@ def awgn_apply(signal, sigma_ch2: float, rng, model: str = "complex_paper") -> n
 
 
 def measure_snr(sent, received) -> float:
-    """Empirical SNR in dB over a batch; +inf when the noise power is zero."""
+    """Empirical SNR in dB over a batch; +inf when the noise power is zero,
+    -inf when the signal power is zero."""
     sent = np.asarray(sent, dtype=float)
     received = np.asarray(received, dtype=float)
     if sent.shape != received.shape:
@@ -94,4 +99,7 @@ def measure_snr(sent, received) -> float:
     noise_power = float(np.sum((received - sent) ** 2))
     if noise_power == 0.0:
         return math.inf
-    return 10.0 * math.log10(float(np.sum(sent * sent)) / noise_power)
+    signal_power = float(np.sum(sent * sent))
+    if signal_power == 0.0:
+        return -math.inf
+    return 10.0 * math.log10(signal_power / noise_power)

@@ -10,7 +10,10 @@ convention throughout.
 Operators work on arrays whose last axis is the latent dimension and are
 pure: identical inputs, including the generator state for the stochastic
 forward, give identical outputs.  Stochasticity in the deterministic
-sampler is fixed at zero.
+sampler is fixed at zero.  The plan folds ``run_ddim_sample`` and
+``run_ddim_invert`` check nothing themselves: each step checks that its
+target lies strictly past the latent's step and within the schedule, so a
+repeated, out-of-order or out-of-range plan step raises ParameterError.
 """
 
 from __future__ import annotations
@@ -92,27 +95,13 @@ def ddim_invert_step(schedule, z: Latent, t_next: int, denoiser, guidance=None) 
 
 def run_ddim_sample(schedule, z: Latent, plan, denoiser, guidance=None) -> Latent:
     """Fold ddim_sample_step over a strictly descending list of target steps."""
-    plan = [int(t) for t in plan]
-    if not plan:
-        return z
-    if any(b >= a for a, b in zip(plan, plan[1:])):
-        raise ParameterError(f"sampling plan must be strictly descending: {plan}")
-    if plan[0] >= z.t or plan[-1] < 0:
-        raise ParameterError(f"sampling plan {plan} incompatible with z.t={z.t}")
     for t_prev in plan:
-        z = ddim_sample_step(schedule, z, t_prev, denoiser, guidance)
+        z = ddim_sample_step(schedule, z, int(t_prev), denoiser, guidance)
     return z
 
 
 def run_ddim_invert(schedule, z: Latent, plan, denoiser, guidance=None) -> Latent:
     """Fold ddim_invert_step over a strictly ascending list of target steps."""
-    plan = [int(t) for t in plan]
-    if not plan:
-        return z
-    if any(b <= a for a, b in zip(plan, plan[1:])):
-        raise ParameterError(f"inversion plan must be strictly ascending: {plan}")
-    if plan[0] <= z.t or plan[-1] > schedule.t_train:
-        raise ParameterError(f"inversion plan {plan} incompatible with z.t={z.t}")
     for t_next in plan:
-        z = ddim_invert_step(schedule, z, t_next, denoiser, guidance)
+        z = ddim_invert_step(schedule, z, int(t_next), denoiser, guidance)
     return z

@@ -14,8 +14,10 @@ import contextvars
 import ctypes
 import glob
 import os
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, fields, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -242,53 +244,30 @@ def _init_worker(cfg, objects):
 
 
 def _execute_cells(cfg, cells, csv_path):
-    """Run cells (on a pool of cfg.run.jobs workers), writing rows in cell order.
+    """Run cells (on a pool of up to cfg.run.jobs workers), writing rows in cell order.
 
     The objects are built once per command; pool workers receive them
     through their initializer (a forked worker shares them without a copy).
-    Completed prefix rows are flushed even if a later cell fails, and a
-    failure cancels the cells that have not started.
+    Both paths map run_cell over the cells in order: each row is flushed as
+    it arrives, and a failed cell stops the loop (the pool's map cancels the
+    cells that have not started).
     """
     objects = build_objects(cfg)
-    done: dict[int, ResultRow] = {}
-    ordered: list[ResultRow] = []
-    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(RESULT_HEADER + "\n")
-
-        def flush():
-            while len(ordered) in done:
-                row = done[len(ordered)]
+    workers = min(cfg.run.jobs, len(cells))
+    rows: list[ResultRow] = []
+    token = _command_objects.set((cfg, objects))
+    try:
+        with open(csv_path, "w", encoding="utf-8", newline="\n") as fh, ExitStack() as stack:
+            fh.write(RESULT_HEADER + "\n")
+            mapper = map if workers <= 1 else stack.enter_context(ProcessPoolExecutor(
+                max_workers=workers, initializer=_init_worker, initargs=(cfg, objects))).map
+            for row in mapper(run_cell, repeat(cfg), cells):
                 fh.write(row_to_csv(row) + "\n")
-                ordered.append(row)
-            fh.flush()
-
-        token = _command_objects.set((cfg, objects))
-        try:
-            if cfg.run.jobs <= 1:
-                for idx, cell in enumerate(cells):
-                    done[idx] = run_cell(cfg, cell)
-                    flush()
-            else:
-                with ProcessPoolExecutor(max_workers=cfg.run.jobs, initializer=_init_worker,
-                                         initargs=(cfg, objects)) as pool:
-                    futures = {
-                        pool.submit(run_cell, cfg, cell): idx
-                        for idx, cell in enumerate(cells)
-                    }
-                    try:
-                        for fut in as_completed(futures):
-                            done[futures[fut]] = fut.result()
-                            flush()
-                    except BaseException:
-                        # Keep the rows the serial run would have written.
-                        pool.shutdown(cancel_futures=True)
-                        done.update((idx, fut.result()) for fut, idx in futures.items()
-                                    if not fut.cancelled() and fut.exception() is None)
-                        raise
-        finally:
-            _command_objects.reset(token)
-            flush()
-    return ordered
+                fh.flush()
+                rows.append(row)
+    finally:
+        _command_objects.reset(token)
+    return rows
 
 
 def cmd_sweep(cfg: ExperimentConfig, out_dir):

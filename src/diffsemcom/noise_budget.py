@@ -67,8 +67,6 @@ class NoiseBudget:
 def compute_noise_budget(schedule, plan, split: SplitConfig, gamma: float,
                          sigma_eff2: float) -> NoiseBudget:
     """Evaluate the budget formulas with steps resolved through the plan."""
-    if split.t_f > plan.k:
-        raise ParameterError(f"split {split} exceeds plan steps k={plan.k}")
     if gamma <= 0:
         raise ParameterError(f"gamma must be positive, got {gamma}")
     if sigma_eff2 < 0:

@@ -7,9 +7,11 @@ T_F1 as-is (no de-normalization), forwarded T_F2 further steps, retagged at
 the resolved denoising depth T_B, and sampled back to 0.  T_B > T_F means
 the decoder deliberately starts from a higher nominal noise level than the
 latent's tag; that is the noise-level matching under channel noise.
-There is one decode path, ``receive_decode``: ``run_trial`` resolves T_B
-from the noise budget and passes the depth to it.  ``PipelineConfig`` is a
-config file's ``[pipeline]`` section; the channel is a separate argument.
+The transmitter (0 -> T_F1) and the receiver (T_F1 -> T_F) run the one
+forward leg, ``_forward_leg``.  There is one decode path, ``receive_decode``:
+``run_trial`` resolves T_B from the noise budget and passes the depth to it.
+``PipelineConfig`` is a config file's ``[pipeline]`` section; the channel is
+a separate argument.
 
 The random-noise baseline is the same pipeline on the split (0, T_F) with a
 stochastic receiver leg: the normalized source latent is transmitted as-is
@@ -108,37 +110,29 @@ def random_noise_config(cfg: PipelineConfig) -> PipelineConfig:
     return replace(cfg, t_f1=0, t_f2=cfg.split.t_f, receiver_forward_mode="stochastic")
 
 
+def _forward_leg(z, s_from, s_to, mode, schedule, plan, denoiser, guidance, rng) -> Latent:
+    """Forward z from scheduler step s_from up to s_to (either leg of the split)."""
+    if s_to == s_from:
+        return z
+    if mode == "stochastic":
+        return forward_reparam(schedule, z, plan.training_step(s_to), rng)
+    return run_ddim_invert(schedule, z, plan.ascending_steps(s_from, s_to), denoiser, guidance)
+
+
 def encode_transmit(z0, cfg: PipelineConfig, schedule, plan, denoiser, rng):
     """Transmitter: forward over the first T_F1 plan steps, then normalize."""
-    z0 = np.asarray(z0, dtype=float)
-    t_f1 = cfg.split.t_f1
-    if t_f1 == 0:
-        values = z0
-    elif cfg.transmitter_mode == "stochastic":
-        values = forward_reparam(
-            schedule, Latent(z0, 0), plan.training_step(t_f1), rng
-        ).values
-    else:
-        values = run_ddim_invert(
-            schedule, Latent(z0, 0), plan.ascending_steps(0, t_f1),
-            denoiser, cfg.guidance,
-        ).values
-    sig = power_normalize(values)
+    z = _forward_leg(Latent(z0, 0), 0, cfg.split.t_f1, cfg.transmitter_mode,
+                     schedule, plan, denoiser, cfg.guidance, rng)
+    sig = power_normalize(z.values)
     return sig, sig.gamma
 
 
 def receiver_forward(y, cfg: PipelineConfig, schedule, plan, denoiser, rng) -> Latent:
     """Receiver continues the forward process from the channel output."""
-    z = Latent(np.asarray(y, dtype=float), plan.training_step(cfg.split.t_f1))
-    if cfg.split.t_f2 == 0:
-        return z
-    if cfg.receiver_forward_mode == "stochastic":
-        return forward_reparam(schedule, z, plan.training_step(cfg.split.t_f), rng)
+    t_f1 = cfg.split.t_f1
     guidance = cfg.guidance if cfg.condition_receiver_forward else None
-    return run_ddim_invert(
-        schedule, z, plan.ascending_steps(cfg.split.t_f1, cfg.split.t_f),
-        denoiser, guidance,
-    )
+    return _forward_leg(Latent(y, plan.training_step(t_f1)), t_f1, cfg.split.t_f,
+                        cfg.receiver_forward_mode, schedule, plan, denoiser, guidance, rng)
 
 
 def resolve_t_b(cfg: PipelineConfig, schedule, plan, gamma, sigma_eff2):
@@ -173,8 +167,6 @@ def run_trial(cfg: PipelineConfig, channel: ChannelConfig, source, schedule, pla
     noise, channel, receiver noise) so that two configurations driven by
     identically-keyed streams share their source draws and channel noise.
     """
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
     k_src, k_tx, k_ch, k_rx = rng.spawn(4)
     z0 = gmm_sample(source, n, k_src)
 

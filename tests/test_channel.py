@@ -66,6 +66,15 @@ def test_power_normalize_zero_vector():
         dsc.power_normalize(np.zeros(8))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e200])
+def test_power_normalize_non_finite_power(bad):
+    # a non-finite entry, or one whose square overflows, has no defined scaling
+    row = np.array([bad, 1.0])
+    for z in (row, np.vstack([np.ones(2), row])):
+        with pytest.raises(DegenerateInputError):
+            dsc.power_normalize(z)
+
+
 def test_awgn_zero_variance_identity():
     rng = dsc.stream(0, 54)
     sig = dsc.power_normalize(np.random.default_rng(1).standard_normal(16))
@@ -110,6 +119,7 @@ def test_awgn_streams_independent():
 def test_measure_snr_sentinels():
     z = np.ones((3, 4))
     assert dsc.measure_snr(z, z) == math.inf
+    assert dsc.measure_snr(np.zeros((3, 4)), z) == -math.inf  # signal power = 0
     assert dsc.measure_snr(z, 2 * z) == pytest.approx(0.0)  # noise power = signal power
     with pytest.raises(ParameterError):
         dsc.measure_snr(np.ones(3), np.ones(4))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import diffsemcom as dsc
 from diffsemcom.diffusion import _ddim_step
@@ -141,6 +143,47 @@ def test_run_plan_validation(sched):
         dsc.run_ddim_invert(sched, z, [600, 550], zero)
     with pytest.raises(ParameterError):
         dsc.run_ddim_invert(sched, z, [600, 1200], zero)
+
+
+def _plans(min_size):
+    """Strictly increasing training steps in 1..1000."""
+    return st.lists(st.integers(1, 1000), min_size=min_size, max_size=12, unique=True).map(sorted)
+
+
+@settings(max_examples=80, deadline=None)
+@given(steps=_plans(1), d=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_invert_then_sample_round_trip_property(sched, steps, d, seed):
+    rng = np.random.default_rng(seed)
+    den = dsc.ConstantDenoiser(rng.standard_normal(d))
+    z0 = rng.standard_normal(d)
+    up = dsc.run_ddim_invert(sched, dsc.Latent(z0, 0), steps, den)
+    down = dsc.run_ddim_sample(sched, up, steps[-2::-1] + [0], den)
+    assert up.t == steps[-1] and down.t == 0
+    assert np.max(np.abs(down.values - z0)) < 1e-12
+
+
+@settings(max_examples=80, deadline=None)
+@given(steps=_plans(2), d=st.integers(1, 8), fault=st.sampled_from(["repeat", "swap", "range"]),
+       data=st.data())
+def test_bad_plan_raises_property(sched, steps, d, fault, data):
+    # the folds check nothing themselves: every bad plan fails in a step
+    den = dsc.ConstantDenoiser(0.5)
+    up, down = list(steps), steps[-2::-1] + [0]
+    if fault == "range":
+        up.append(sched.t_train + data.draw(st.integers(1, 50)))
+        down.append(-data.draw(st.integers(1, 50)))
+    else:
+        for plan in (up, down):
+            i = data.draw(st.integers(0, len(plan) - 1))
+            if fault == "repeat":
+                plan.insert(i, plan[i])
+            else:
+                j = min(i, len(plan) - 2)
+                plan[j], plan[j + 1] = plan[j + 1], plan[j]
+    with pytest.raises(ParameterError):
+        dsc.run_ddim_invert(sched, dsc.Latent(np.ones(d), 0), up, den)
+    with pytest.raises(ParameterError):
+        dsc.run_ddim_sample(sched, dsc.Latent(np.ones(d), steps[-1]), down, den)
 
 
 def test_constant_denoiser_multi_step_round_trip(sched):

@@ -1,5 +1,6 @@
 import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -72,6 +73,24 @@ def test_sweep_parallel_matches_serial(tmp_path):
     assert open(p1, "rb").read() == open(p2, "rb").read()
 
 
+def test_pool_capped_at_cell_count(tmp_path, monkeypatch):
+    # --jobs above the grid size forks no idle workers
+    sizes = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    cfg = small_cfg()
+    cfg = replace(cfg, sweep=replace(cfg.sweep, snr_db=(5.0,), seeds=(0,)))  # 2 cells
+    _, serial = harness.cmd_sweep(cfg, tmp_path / "serial")
+    _, pooled = harness.cmd_sweep(with_jobs(cfg, 4), tmp_path / "jobs4")
+    assert sizes == [2]
+    assert open(pooled, "rb").read() == open(serial, "rb").read()
+
+
 def test_sweep_builds_objects_once_per_command(tmp_path, monkeypatch):
     real_build = harness.build_objects
     calls = []
@@ -110,8 +129,6 @@ def _blas_threads_in_pool_worker():
 
 
 def test_pool_workers_run_single_threaded_blas():
-    from concurrent.futures import ProcessPoolExecutor
-
     cfg = small_cfg()
     with ProcessPoolExecutor(max_workers=1, initializer=harness._init_worker,
                              initargs=(cfg, harness.build_objects(cfg))) as pool:
