@@ -22,13 +22,11 @@ from .denoisers import (
     Denoiser,
     GaussianMixtureModel,
     GmmDenoiser,
-    GuidanceConfig,
     eps_from_score,
     gmm_log_density,
     gmm_marginal,
     gmm_sample,
     gmm_score,
-    guide,
 )
 from .diffusion import (
     Latent,

@@ -171,10 +171,6 @@ def _to_t_b(raw: str):
     return raw if raw == "auto" else int(raw)
 
 
-def _to_label(raw: str):
-    return None if raw == "" else int(raw)
-
-
 # Field annotation -> (parser, what diagnostics call a value of that type).
 _CONVERTERS = {
     "int": (int, "integer"),
@@ -184,7 +180,6 @@ _CONVERTERS = {
     "tuple[float, ...]": (_to_floats, "number list"),
     "tuple[int, ...]": (_to_ints, "integer list"),
     "int | str": (_to_t_b, "step count"),
-    "int | None": (_to_label, "label"),
 }
 
 
@@ -286,8 +281,6 @@ def _fmt(value) -> str:
         return repr(value)
     if isinstance(value, tuple):
         return " ".join(_fmt(v) for v in value)
-    if value is None:
-        return ""
     return str(value)
 
 

@@ -1,11 +1,10 @@
-"""Noise-predictor contract, analytic Gaussian-mixture denoiser, and guidance.
+"""Noise-predictor contract and the analytic Gaussian-mixture denoiser.
 
 The analytic denoiser is the workhorse oracle of the toy system: for a
 diagonal Gaussian mixture source the diffused density at any step t is again
 a mixture in closed form, so its score (and hence the optimal noise
-prediction eps_hat = -sqrt(1 - alpha_bar_t) * score) is exact.  Conditioning
-is a discrete component label standing in for a prompt embedding; ``None``
-means unconditional.
+prediction eps_hat = -sqrt(1 - alpha_bar_t) * score) is exact.  Every
+prediction is unconditional.
 """
 
 from __future__ import annotations
@@ -22,10 +21,10 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 
 
 class Denoiser(abc.ABC):
-    """Anything that predicts the injected noise from (z, t, cond)."""
+    """Anything that predicts the injected noise from (z, t)."""
 
     @abc.abstractmethod
-    def predict(self, z: np.ndarray, t: int, cond: int | None = None) -> np.ndarray:
+    def predict(self, z: np.ndarray, t: int) -> np.ndarray:
         """Return eps_hat with the same shape as ``z`` (last axis = dimension)."""
 
 
@@ -142,8 +141,8 @@ class _ScoreTerms:
                    np.ascontiguousarray((m * ivar).T), const)
 
 
-def gmm_score(model, schedule, z, t, cond=None, cache=None):
-    """Gradient of log p_t at z for the diffused (optionally conditional) mixture.
+def gmm_score(model, schedule, z, t, cache=None):
+    """Gradient of log p_t at z for the diffused mixture.
 
     Responsibilities are computed in log space so far-from-mode probes at
     large t do not underflow.  ``cache`` (a dict owned by one model and
@@ -160,11 +159,6 @@ def gmm_score(model, schedule, z, t, cond=None, cache=None):
         if cache is not None:
             cache[t] = terms
     means, variances = terms.means, terms.variances
-    if cond is not None:
-        j = int(cond)
-        if not (0 <= j < means.shape[0]):
-            raise ParameterError(f"cond={cond!r} outside 0..{means.shape[0] - 1}")
-        return (means[j] - z) / variances[j]
     logp = (z * z) @ terms.neg_half_ivar + z @ terms.mean_ivar + terms.const
     logz = _logsumexp(logp, axis=-1)
     resp = np.exp(logp - logz[..., None])  # (..., J)
@@ -191,48 +185,6 @@ def eps_from_score(score_value, schedule, t):
     return -np.sqrt(1.0 - schedule.alpha_bars[t]) * np.asarray(score_value, dtype=float)
 
 
-def guide(eps_uncond, eps_cond, w):
-    """Classifier-free guidance blend: eps_u + w * (eps_c - eps_u)."""
-    eps_uncond = np.asarray(eps_uncond, dtype=float)
-    eps_cond = np.asarray(eps_cond, dtype=float)
-    if eps_uncond.shape != eps_cond.shape:
-        raise ParameterError(
-            f"shape mismatch: {eps_uncond.shape} vs {eps_cond.shape}"
-        )
-    if w < 0:
-        raise ParameterError(f"guidance scale must be >= 0, got {w}")
-    if w == 0.0:
-        return np.array(eps_uncond)
-    if w == 1.0:
-        return np.array(eps_cond)
-    return eps_uncond + w * (eps_cond - eps_uncond)
-
-
-@dataclass(frozen=True)
-class GuidanceConfig:
-    """Guidance scale and the conditioning label (None = unconditional)."""
-
-    w: float = 0.0
-    cond: int | None = None
-
-    def __post_init__(self):
-        if self.w < 0:
-            raise ParameterError(f"guidance scale must be >= 0, got {self.w}")
-
-
-def guided_eps(denoiser, values, t, guidance):
-    """Denoiser prediction under a GuidanceConfig (or None = unconditional)."""
-    if guidance is None or guidance.cond is None or guidance.w == 0.0:
-        return denoiser.predict(values, t, None)
-    if guidance.w == 1.0:
-        return denoiser.predict(values, t, guidance.cond)
-    return guide(
-        denoiser.predict(values, t, None),
-        denoiser.predict(values, t, guidance.cond),
-        guidance.w,
-    )
-
-
 class GmmDenoiser(Denoiser):
     """Exact noise predictor for a Gaussian-mixture source."""
 
@@ -241,8 +193,8 @@ class GmmDenoiser(Denoiser):
         self.schedule = schedule
         self._terms = {}  # t -> _ScoreTerms
 
-    def predict(self, z, t, cond=None):
-        score = gmm_score(self.model, self.schedule, z, t, cond, self._terms)
+    def predict(self, z, t):
+        score = gmm_score(self.model, self.schedule, z, t, self._terms)
         return eps_from_score(score, self.schedule, t)
 
 
@@ -252,6 +204,6 @@ class ConstantDenoiser(Denoiser):
     def __init__(self, value):
         self.value = np.asarray(value, dtype=float)
 
-    def predict(self, z, t, cond=None):
+    def predict(self, z, t):
         z = np.asarray(z, dtype=float)
         return np.broadcast_to(self.value, z.shape).copy()

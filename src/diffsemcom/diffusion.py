@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .denoisers import guided_eps
 from .errors import ParameterError
 from .schedule import alpha_bar_ratio
 
@@ -50,8 +49,6 @@ def forward_reparam(schedule, z: Latent, t_to: int, rng) -> Latent:
     Returns sqrt(r) z + sqrt(1-r) eps with r the retention ratio over the
     jump; from t = 0 this is the one-shot reparameterized forward process.
     """
-    if t_to < z.t:
-        raise ParameterError(f"cannot move forward from t={z.t} to t={t_to}")
     r = alpha_bar_ratio(schedule, z.t, t_to)
     eps = rng.standard_normal(z.values.shape)
     return Latent(np.sqrt(r) * z.values + np.sqrt(1.0 - r) * eps, t_to)
@@ -71,37 +68,37 @@ def _ddim_step(schedule, values, t_from, t_to, eps_hat):
     return c * values + coef * eps_hat
 
 
-def ddim_sample_step(schedule, z: Latent, t_prev: int, denoiser, guidance=None) -> Latent:
+def ddim_sample_step(schedule, z: Latent, t_prev: int, denoiser) -> Latent:
     """One deterministic denoising step from z.t down to t_prev."""
     if not (0 <= t_prev < z.t <= schedule.t_train):
         raise ParameterError(
             f"sample step needs 0 <= t_prev < z.t <= {schedule.t_train}, "
             f"got t_prev={t_prev}, z.t={z.t}"
         )
-    eps_hat = guided_eps(denoiser, z.values, z.t, guidance)
+    eps_hat = denoiser.predict(z.values, z.t)
     return Latent(_ddim_step(schedule, z.values, z.t, t_prev, eps_hat), t_prev)
 
 
-def ddim_invert_step(schedule, z: Latent, t_next: int, denoiser, guidance=None) -> Latent:
+def ddim_invert_step(schedule, z: Latent, t_next: int, denoiser) -> Latent:
     """One deterministic inversion step from z.t up to t_next."""
     if not (0 <= z.t < t_next <= schedule.t_train):
         raise ParameterError(
             f"invert step needs z.t < t_next <= {schedule.t_train}, "
             f"got t_next={t_next}, z.t={z.t}"
         )
-    eps_hat = guided_eps(denoiser, z.values, z.t, guidance)
+    eps_hat = denoiser.predict(z.values, z.t)
     return Latent(_ddim_step(schedule, z.values, z.t, t_next, eps_hat), t_next)
 
 
-def run_ddim_sample(schedule, z: Latent, plan, denoiser, guidance=None) -> Latent:
+def run_ddim_sample(schedule, z: Latent, plan, denoiser) -> Latent:
     """Fold ddim_sample_step over a strictly descending list of target steps."""
     for t_prev in plan:
-        z = ddim_sample_step(schedule, z, int(t_prev), denoiser, guidance)
+        z = ddim_sample_step(schedule, z, int(t_prev), denoiser)
     return z
 
 
-def run_ddim_invert(schedule, z: Latent, plan, denoiser, guidance=None) -> Latent:
+def run_ddim_invert(schedule, z: Latent, plan, denoiser) -> Latent:
     """Fold ddim_invert_step over a strictly ascending list of target steps."""
     for t_next in plan:
-        z = ddim_invert_step(schedule, z, int(t_next), denoiser, guidance)
+        z = ddim_invert_step(schedule, z, int(t_next), denoiser)
     return z

@@ -106,6 +106,8 @@ def _check_key_combinations(cfg: ExperimentConfig):
                        ("ablate.seeds", cfg.ablate.seeds)):
         if min(seeds) < 0:
             raise ConfigError(f"{key} holds the negative seed {min(seeds)}")
+    if cfg.run.jobs < 1:
+        raise ConfigError(f"run.jobs = {cfg.run.jobs} must be >= 1")
     if p.t_f1 + p.t_f2 > k:
         raise ConfigError(
             f"pipeline.t_f1 + pipeline.t_f2 = {p.t_f1 + p.t_f2} exceeds schedule.k_steps = {k}")
@@ -123,14 +125,14 @@ def _check_key_combinations(cfg: ExperimentConfig):
     if cfg.channel.model == "complex_paper" and d % 2:
         raise ConfigError(
             f"channel.model = complex_paper needs an even source.dimension, got {d}")
-    n_components = len(cfg.source.components)
-    if p.guidance_label is not None and not 0 <= p.guidance_label < n_components:
-        raise ConfigError(f"pipeline.guidance_label = {p.guidance_label} is outside "
-                          f"the source's components 0..{n_components - 1}")
 
 
-def build_objects(cfg: ExperimentConfig):
-    """(schedule, plan, source model, denoiser) for a parsed config."""
+def build_objects(cfg: ExperimentConfig, with_denoiser=True):
+    """(schedule, plan, source model, denoiser) for a parsed config.
+
+    The denoiser is None unless ``with_denoiser``: an mlp denoiser loads a
+    checkpoint, which ``train`` is about to write.
+    """
     try:
         schedule = build_schedule(
             cfg.schedule.kind, cfg.schedule.t_train,
@@ -141,7 +143,9 @@ def build_objects(cfg: ExperimentConfig):
         raise ConfigError(f"invalid schedule: {exc}") from exc
     _check_key_combinations(cfg)
     source = build_source_model(cfg.source)
-    if cfg.denoiser.kind == "analytic":
+    if not with_denoiser:
+        denoiser = None
+    elif cfg.denoiser.kind == "analytic":
         denoiser = GmmDenoiser(source, schedule)
     else:
         if not cfg.denoiser.checkpoint:
@@ -318,7 +322,8 @@ def cmd_ablate(cfg: ExperimentConfig, out_dir):
 def cmd_verify_prop1(cfg: ExperimentConfig, out_dir):
     """Run the noise-budget validator; exit 0 iff it meets its tolerances."""
     os.makedirs(out_dir, exist_ok=True)
-    schedule, plan, source, denoiser = build_objects(cfg)
+    schedule, plan, source, denoiser = build_objects(
+        cfg, with_denoiser=cfg.prop1.transmitter_mode == "ddim_inversion")
     report = validate_prop1(
         schedule, plan, cfg.pipeline.split, cfg.channel, source,
         cfg.prop1.n_samples, cfg.prop1.gamma_mode,
@@ -340,7 +345,7 @@ def cmd_verify_prop1(cfg: ExperimentConfig, out_dir):
 def cmd_train(cfg: ExperimentConfig, out_dir):
     """Train the MLP denoiser; write checkpoint and loss-trace CSV."""
     os.makedirs(out_dir, exist_ok=True)
-    schedule, _plan, source, _denoiser = build_objects(cfg)
+    schedule, _plan, source, _denoiser = build_objects(cfg, with_denoiser=False)
     t = cfg.train
     params = init_mlp(
         source.d, t.hidden, source.n_components,

@@ -211,8 +211,12 @@ class MlpDenoiser(Denoiser):
     def __init__(self, params: MlpParams):
         self.params = params
 
-    def predict(self, z, t, cond=None):
-        return mlp_predict(self.params, z, t, cond)
+    def predict(self, z, t):
+        # Unconditional, like training: the label one-hot is all zeros.  The
+        # label inputs stay because init_mlp's Glorot draws depend on
+        # n_in = d + t_emb + label_count, so removing them would change every
+        # initial weight, the loss trace and the checkpoint header.
+        return mlp_predict(self.params, z, t)
 
 
 def save_checkpoint(params: MlpParams, path):

@@ -10,6 +10,8 @@ latent's tag; that is the noise-level matching under channel noise.
 The transmitter (0 -> T_F1) and the receiver (T_F1 -> T_F) run the one
 forward leg, ``_forward_leg``.  There is one decode path, ``receive_decode``:
 ``run_trial`` resolves T_B from the noise budget and passes the depth to it.
+Every DDIM step, in either leg or the decoder, makes one unconditional
+denoiser call.
 ``PipelineConfig`` is a config file's ``[pipeline]`` section; the channel is
 a separate argument.
 
@@ -31,7 +33,7 @@ from .channel import (
     power_normalize,
     snr_to_noise_var,
 )
-from .denoisers import GuidanceConfig, gmm_sample
+from .denoisers import gmm_sample
 from .diffusion import Latent, forward_reparam, run_ddim_invert, run_ddim_sample
 from .errors import ConfigError, ParameterError
 from .metrics import MetricReport, metric_report
@@ -47,7 +49,7 @@ METRIC_SEED = 20318
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """The ``[pipeline]`` section: split, depth, modes and guidance."""
+    """The ``[pipeline]`` section: split, depth and the two forward-leg modes."""
 
     t_f1: int = 5
     t_f2: int = 5
@@ -56,9 +58,6 @@ class PipelineConfig:
         default="ddim_inversion", metadata={"choices": TRANSMITTER_MODES})
     receiver_forward_mode: str = field(
         default="ddim_inversion", metadata={"choices": RECEIVER_FORWARD_MODES})
-    guidance_scale: float = 0.0
-    guidance_label: int | None = None
-    condition_receiver_forward: bool = False
 
     def __post_init__(self):
         if self.transmitter_mode not in TRANSMITTER_MODES:
@@ -69,18 +68,12 @@ class PipelineConfig:
             )
         if self.t_b != "auto" and (isinstance(self.t_b, str) or self.t_b < 0):
             raise ConfigError(f"t_b must be 'auto' or an integer >= 0, got {self.t_b!r}")
-        # Built here so that their range checks run at construction.
+        # Built here so that its range checks run at construction.
         object.__setattr__(self, "_split", SplitConfig(self.t_f1, self.t_f2))
-        object.__setattr__(
-            self, "_guidance", GuidanceConfig(self.guidance_scale, self.guidance_label))
 
     @property
     def split(self) -> SplitConfig:
         return self._split
-
-    @property
-    def guidance(self) -> GuidanceConfig:
-        return self._guidance
 
 
 @dataclass
@@ -110,19 +103,19 @@ def random_noise_config(cfg: PipelineConfig) -> PipelineConfig:
     return replace(cfg, t_f1=0, t_f2=cfg.split.t_f, receiver_forward_mode="stochastic")
 
 
-def _forward_leg(z, s_from, s_to, mode, schedule, plan, denoiser, guidance, rng) -> Latent:
+def _forward_leg(z, s_from, s_to, mode, schedule, plan, denoiser, rng) -> Latent:
     """Forward z from scheduler step s_from up to s_to (either leg of the split)."""
     if s_to == s_from:
         return z
     if mode == "stochastic":
         return forward_reparam(schedule, z, plan.training_step(s_to), rng)
-    return run_ddim_invert(schedule, z, plan.ascending_steps(s_from, s_to), denoiser, guidance)
+    return run_ddim_invert(schedule, z, plan.ascending_steps(s_from, s_to), denoiser)
 
 
 def encode_transmit(z0, cfg: PipelineConfig, schedule, plan, denoiser, rng):
     """Transmitter: forward over the first T_F1 plan steps, then normalize."""
     z = _forward_leg(Latent(z0, 0), 0, cfg.split.t_f1, cfg.transmitter_mode,
-                     schedule, plan, denoiser, cfg.guidance, rng)
+                     schedule, plan, denoiser, rng)
     sig = power_normalize(z.values)
     return sig, sig.gamma
 
@@ -130,9 +123,8 @@ def encode_transmit(z0, cfg: PipelineConfig, schedule, plan, denoiser, rng):
 def receiver_forward(y, cfg: PipelineConfig, schedule, plan, denoiser, rng) -> Latent:
     """Receiver continues the forward process from the channel output."""
     t_f1 = cfg.split.t_f1
-    guidance = cfg.guidance if cfg.condition_receiver_forward else None
     return _forward_leg(Latent(y, plan.training_step(t_f1)), t_f1, cfg.split.t_f,
-                        cfg.receiver_forward_mode, schedule, plan, denoiser, guidance, rng)
+                        cfg.receiver_forward_mode, schedule, plan, denoiser, rng)
 
 
 def resolve_t_b(cfg: PipelineConfig, schedule, plan, gamma, sigma_eff2):
@@ -154,9 +146,7 @@ def receive_decode(y, cfg: PipelineConfig, schedule, plan, denoiser, rng, t_b) -
     if not (1 <= t_b <= plan.k):
         raise ConfigError(f"resolved t_b={t_b} outside 1..{plan.k}")
     z = Latent(z_hat.values, plan.training_step(t_b))
-    return run_ddim_sample(
-        schedule, z, plan.descending_plan(t_b), denoiser, cfg.guidance
-    ).values
+    return run_ddim_sample(schedule, z, plan.descending_plan(t_b), denoiser).values
 
 
 def run_trial(cfg: PipelineConfig, channel: ChannelConfig, source, schedule, plan,

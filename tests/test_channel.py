@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import diffsemcom as dsc
 from diffsemcom.errors import DegenerateInputError, ParameterError
@@ -41,6 +44,19 @@ def test_power_normalize_unit_power_invariant():
     z = rng.standard_normal((7, 24))
     sig = dsc.power_normalize(z)
     assert np.allclose(np.mean(sig.values**2, axis=-1), 1.0, atol=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(unit=arrays(np.float64, st.tuples(st.integers(1, 8), st.integers(1, 32)),
+                   elements=st.floats(-1.0, 1.0, allow_subnormal=False)),
+       exponents=st.lists(st.integers(-100, 100), min_size=8, max_size=8))
+def test_power_normalize_unit_power_property(unit, exponents):
+    # rows of any scale whose largest entry keeps its square a normal float
+    assume(np.all(np.max(np.abs(unit), axis=1) >= 1e-3))
+    z = unit * 10.0 ** np.asarray(exponents[:unit.shape[0]], dtype=float)[:, None]
+    sig = dsc.power_normalize(z)
+    assert np.all(np.abs(np.mean(sig.values**2, axis=1) - 1.0) <= 1e-12)
+    assert np.array_equal(sig.values, z * sig.gamma[:, None])
 
 
 def test_power_normalize_idempotent():

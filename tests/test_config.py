@@ -84,7 +84,7 @@ def test_key_in_other_letter_case_reported_at_its_line(tmp_path):
 @pytest.mark.parametrize("section,key,value,kind", [
     ("channel", "snr_db", "nan", "number"),
     ("channel", "snr_db", "-inf", "number"),
-    ("pipeline", "guidance_scale", "inf", "number"),
+    ("train", "learning_rate", "inf", "number"),
     ("sweep", "snr_db", "5 nan", "number list"),
     ("source", "mean_1", "0 inf", "number list"),
 ])
@@ -92,6 +92,13 @@ def test_non_finite_number_rejected(tmp_path, section, key, value, kind):
     path = write(tmp_path, f"[{section}]\n{key} = {value}\n")
     with pytest.raises(ConfigError, match=rf"exp\.ini:2: {section}\.{key}: invalid {kind} "
                                           r"'.*' \(expected a finite number\)"):
+        parse_config(path)
+
+
+@pytest.mark.parametrize("key", ["guidance_scale", "guidance_label", "condition_receiver_forward"])
+def test_removed_guidance_key_rejected_at_its_line(tmp_path, key):
+    path = write(tmp_path, f"[pipeline]\nt_f1 = 5\n{key} = 0\n")
+    with pytest.raises(ConfigError, match=rf"exp\.ini:3: unknown config key 'pipeline\.{key}'"):
         parse_config(path)
 
 
@@ -177,9 +184,6 @@ var_2 = 0.75
 t_f1 = 3
 t_f2 = 2
 t_b = 9
-guidance_scale = 2.0
-guidance_label = 1
-condition_receiver_forward = true
 
 [channel]
 snr_db = 7.5
@@ -196,8 +200,6 @@ plot = true
     path2 = write(tmp_path, serialize_config(cfg), "roundtrip.ini")
     cfg2 = parse_config(path2)
     assert cfg2 == cfg
-    assert cfg2.pipeline.guidance_label == 1
-    assert cfg2.pipeline.condition_receiver_forward is True
 
 
 def test_shipped_configs_parse():
@@ -218,8 +220,7 @@ _NON_NEGATIVE = st.floats(min_value=0.0, allow_infinity=False)
 _POSITIVE_INTS = st.integers(1, 10**6)
 _ADAM_BETAS = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
 _DOMAINS = {
-    PipelineConfig: {"t_f1": st.integers(0, 10**6), "t_f2": st.integers(0, 10**6),
-                     "guidance_scale": _NON_NEGATIVE},
+    PipelineConfig: {"t_f1": st.integers(0, 10**6), "t_f2": st.integers(0, 10**6)},
     TrainConfig: {"learning_rate": _NON_NEGATIVE, "batch_size": _POSITIVE_INTS,
                   "iterations": _POSITIVE_INTS, "hidden": _POSITIVE_INTS,
                   "time_embed": st.integers(1, 10**5).map(lambda k: 2 * k),
@@ -233,7 +234,6 @@ _VALUES = {
     "tuple[float, ...]": st.lists(_FLOATS, min_size=1, max_size=4).map(tuple),
     "tuple[int, ...]": st.lists(_INTS, min_size=1, max_size=4).map(tuple),
     "int | str": st.one_of(st.just("auto"), st.integers(0, 10**6)),
-    "int | None": st.one_of(st.none(), _INTS),
 }
 
 

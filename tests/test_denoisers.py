@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import diffsemcom as dsc
-from diffsemcom.denoisers import gmm_log_density, gmm_marginal, gmm_score, guided_eps
+from diffsemcom.denoisers import gmm_log_density, gmm_marginal, gmm_score
 from diffsemcom.errors import ParameterError
 
 
@@ -132,17 +132,6 @@ def test_score_underflow_far_probe(sched):
     assert np.all(np.isfinite(score))
 
 
-def test_conditional_consistency(sched):
-    rng = np.random.default_rng(10)
-    model = dsc.GaussianMixtureModel(
-        np.array([1.0]), rng.normal(size=(1, 3)), rng.uniform(0.5, 1.5, (1, 3))
-    )
-    z = rng.standard_normal(3)
-    assert np.array_equal(
-        gmm_score(model, sched, z, 200, cond=0), gmm_score(model, sched, z, 200)
-    )
-
-
 def tensor_form_score(model, sched, z, t):
     """Score through the (..., J, d) tensor of per-component differences."""
     mt = gmm_marginal(model, sched, t)
@@ -188,8 +177,6 @@ def test_score_rejects_bad_input(sched):
         gmm_score(model, sched, np.zeros(3), 10)
     with pytest.raises(ParameterError):
         gmm_score(model, sched, np.zeros(2), 1001)
-    with pytest.raises(ParameterError):
-        gmm_score(model, sched, np.zeros(2), 10, cond=1)
     cache = {}
     den = dsc.GmmDenoiser(model, sched)
     for bad in (np.array([np.inf, 0.0]), np.zeros(3)):
@@ -227,61 +214,23 @@ def test_eps_optimality_monte_carlo(sched):
     assert err_analytic < err_zero
 
 
-def test_guide_trivial():
-    e_u = np.array([1.0, 2.0])
-    e_c = np.array([0.5, -1.0])
-    assert np.array_equal(dsc.guide(e_u, e_c, 1.0), e_c)
-    assert np.array_equal(dsc.guide(e_u, e_c, 0.0), e_u)
-    v = np.array([0.2, 0.4, -0.1])
-    # guidance scale 6 with zero unconditional prediction scales the
-    # conditional one by 6
-    assert np.allclose(dsc.guide(np.zeros(3), v, 6.0), 6.0 * v)
-
-
-def test_guide_identity_any_scale():
-    e = np.random.default_rng(13).standard_normal(5)
-    for w in (0.0, 0.7, 1.0, 6.0):
-        assert np.allclose(dsc.guide(e, e, w), e)
-
-
-def test_guide_validation():
-    with pytest.raises(ParameterError):
-        dsc.guide(np.zeros(2), np.zeros(3), 1.0)
-    with pytest.raises(ParameterError):
-        dsc.guide(np.zeros(2), np.zeros(2), -0.5)
-
-
-def test_guided_eps_uses_labels(sched):
-    model = dsc.GaussianMixtureModel(
-        np.array([0.5, 0.5]), np.array([[3.0], [-3.0]]), np.full((2, 1), 0.2)
-    )
-    den = dsc.GmmDenoiser(model, sched)
-    z = np.array([0.1])
-    t = 200
-    uncond = guided_eps(den, z, t, None)
-    cond0 = guided_eps(den, z, t, dsc.GuidanceConfig(w=1.0, cond=0))
-    blend = guided_eps(den, z, t, dsc.GuidanceConfig(w=0.5, cond=0))
-    assert not np.allclose(uncond, cond0)
-    assert np.allclose(blend, uncond + 0.5 * (cond0 - uncond))
-
-
 class CountingDenoiser(dsc.ConstantDenoiser):
     def __init__(self, value):
         super().__init__(value)
         self.calls = 0
 
-    def predict(self, z, t, cond=None):
+    def predict(self, z, t):
         self.calls += 1
-        return super().predict(z, t, cond)
+        return super().predict(z, t)
 
 
 def test_zero_guidance_scale_skips_conditional_prediction(sched, plan50):
-    # w = 0 discards the conditional prediction, so it must not be computed
-    z = dsc.Latent(np.linspace(-1.0, 1.0, 8), plan50.training_step(5))
-    outs, calls = [], []
-    for guidance in (None, dsc.GuidanceConfig(w=0.0, cond=0)):
-        den = CountingDenoiser(np.full(8, 0.3))
-        outs.append(dsc.run_ddim_sample(sched, z, plan50.descending_plan(5), den, guidance).values)
-        calls.append(den.calls)
-    assert calls[0] == calls[1] == 5
-    assert np.array_equal(outs[0], outs[1])
+    # Every DDIM step is unconditional: one predict call per plan step, in
+    # both folds, and no second (conditional) prediction.
+    z0 = dsc.Latent(np.linspace(-1.0, 1.0, 8), 0)
+    den = CountingDenoiser(np.full(8, 0.3))
+    z = dsc.run_ddim_invert(sched, z0, plan50.ascending_steps(0, 5), den)
+    assert den.calls == 5 and z.t == plan50.training_step(5)
+    den.calls = 0
+    dsc.run_ddim_sample(sched, z, plan50.descending_plan(5), den)
+    assert den.calls == 5

@@ -330,6 +330,32 @@ def test_train_command_and_reload(tmp_path):
     assert open(loss_csv).read() == open(loss2).read()
 
 
+def test_train_then_sweep_on_one_mlp_config(tmp_path):
+    # train writes the checkpoint that the same config's denoiser loads
+    out = tmp_path / "out"
+    cfg = tmp_path / "mlp.ini"
+    cfg.write_text(
+        "[source]\ndimension = 8\n"
+        f"[denoiser]\nkind = mlp\ncheckpoint = {out / 'denoiser.ckpt'}\n"
+        "[train]\niterations = 20\nhidden = 8\nbatch_size = 16\n"
+        "[sweep]\nsnr_db = 5\nseeds = 0\nn_per_cell = 8\nbaseline = false\n")
+    assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+    assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    assert len((out / "sweep.csv").read_text().splitlines()) == 2
+
+
+def test_stochastic_verify_prop1_loads_no_denoiser(tmp_path):
+    cfg = tmp_path / "cfg.ini"
+    text = ("[source]\ndimension = 32\n"
+            "[denoiser]\nkind = mlp\ncheckpoint = /missing/net.ckpt\n"
+            "[prop1]\nn_samples = 10000\n")
+    cfg.write_text(text)
+    assert cli.main(["verify-prop1", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
+    # the deterministic transmitter inverts with the denoiser, so it loads it
+    cfg.write_text(text + "transmitter_mode = ddim_inversion\n")
+    assert cli.main(["verify-prop1", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 3
+
+
 def _rows_for_plot():
     rows = []
     for snr in (0.0, 5.0, 10.0, 15.0, 20.0):
@@ -382,10 +408,10 @@ def test_cli_config_error_exit_code(tmp_path):
         small.replace("n_per_cell = 16", "n_per_cell = 1"),
         small + "[ablate]\nn_per_cell = 1\n",
         small.replace("dimension = 8", "dimension = 7"),
-        small + "[pipeline]\nguidance_label = 2\nguidance_scale = 1.5\n",
         small + "[pipeline]\nt_f1 = -1\n",
         small + "[pipeline]\nt_f2 = -1\n",
-        small + "[pipeline]\nguidance_scale = -1\n",
+        small + "[pipeline]\nguidance_scale = 1.5\n",
+        small + "[run]\njobs = 0\n",
         small + "[pipeline]\nt_b = 60\n[schedule]\nk_steps = 50\n",
         small + "[pipeline]\nt_b = 0\n",
         small + "[prop1]\nn_samples = 500\n",
@@ -406,6 +432,10 @@ def test_cli_config_error_exit_code(tmp_path):
         out = tmp_path / f"neg_seed_{command}"
         assert cli.main([command, "--config", str(good), "--out", str(out), "--seed", "-1"]) == 2
         assert not (out / written).exists()
+    for jobs in ("0", "-3"):
+        out = tmp_path / f"jobs{jobs}"
+        assert cli.main(["sweep", "--config", str(good), "--out", str(out), "--jobs", jobs]) == 2
+        assert not (out / "sweep.csv").exists()
     for i, text in enumerate([
         "[train]\nhidden = 0\n",
         "[train]\ntime_embed = 7\n",

@@ -2,11 +2,14 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import diffsemcom as dsc
 from diffsemcom.channel import ChannelConfig, effective_noise_var, snr_to_noise_var
 from diffsemcom.errors import ParameterError
 from diffsemcom.noise_budget import SplitConfig, validate_prop1
+from diffsemcom.schedule import SCHEDULE_KINDS
 
 
 def test_budget_no_receiver_leg(sched, plan50):
@@ -94,6 +97,33 @@ def test_selector_matches_linear_scan(sched, plan50):
             assert sel.t_b == plan50.k and sel.saturated
         else:
             assert sel.t_b == scan and not sel.saturated
+
+
+@st.composite
+def schedules_and_plans(draw):
+    kind = draw(st.sampled_from(SCHEDULE_KINDS))
+    t_train = draw(st.integers(1, 1000))
+    beta_start = draw(st.floats(1e-6, 0.05))
+    beta_end = draw(st.floats(beta_start, 0.3))
+    schedule = dsc.build_schedule(kind, t_train, beta_start, beta_end)
+    return schedule, dsc.make_stride_plan(schedule, draw(st.integers(1, t_train)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(sp=schedules_and_plans(), data=st.data())
+def test_selector_monotone_and_saturates_past_last_level_property(sp, data):
+    schedule, plan = sp
+    levels = 1 - schedule.alpha_bars[plan.timesteps]
+    # probes: arbitrary values, the plan's own levels and their neighbours
+    at_levels = st.sampled_from(levels).map(float)
+    probe = st.one_of(st.floats(0.0, 1.5), at_levels,
+                      at_levels.map(lambda v: float(np.nextafter(v, 2.0))))
+    sigmas = sorted(data.draw(st.lists(probe, min_size=1, max_size=30)))
+    picks = [dsc.select_denoise_steps(schedule, plan, s) for s in sigmas]
+    for s, sel in zip(sigmas, picks):
+        assert 1 <= sel.t_b <= plan.k
+        assert sel.saturated == (s > levels[-1])
+    assert all(a.t_b <= b.t_b for a, b in zip(picks, picks[1:]))
 
 
 def test_selector_rejects_negative(sched, plan50):

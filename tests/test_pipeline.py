@@ -198,19 +198,6 @@ def test_receiver_forward_modes_both_work(sched, plan50, bimodal_64):
     assert outs["ddim_inversion"] != outs["stochastic"]
 
 
-def test_condition_receiver_forward_flag_changes_result(sched, plan50, bimodal_64):
-    den = dsc.GmmDenoiser(bimodal_64, sched)
-    res = {}
-    for flag in (False, True):
-        cfg = PipelineConfig(
-            t_f1=5, t_f2=5, t_b="auto", guidance_scale=1.0, guidance_label=0,
-            condition_receiver_forward=flag,
-        )
-        out = run_trial(cfg, AT5, bimodal_64, sched, plan50, den, 32, dsc.stream(1, 16))
-        res[flag] = out.z_tilde0
-    assert not np.array_equal(res[False], res[True])
-
-
 def test_baseline_trivial_recovery_and_determinism(sched, plan50, bimodal_64):
     den = dsc.GmmDenoiser(bimodal_64, sched)
     cfg = PipelineConfig(t_f1=0, t_f2=0, t_b=0)
