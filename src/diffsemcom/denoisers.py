@@ -102,7 +102,7 @@ def gmm_log_density(model, z):
     """log p(z) for z of shape (..., d), via log-sum-exp over components."""
     z = np.asarray(z, dtype=float)
     logp = _component_log_density(model, z)
-    return _logsumexp(logp + np.log(model.weights), axis=-1)
+    return _logsumexp(logp + np.log(model.weights))
 
 
 def _component_log_density(model, z):
@@ -111,9 +111,23 @@ def _component_log_density(model, z):
     return -0.5 * np.sum(diff * diff / v + np.log(v) + _LOG_2PI, axis=-1)
 
 
-def _logsumexp(a, axis):
-    m = np.max(a, axis=axis, keepdims=True)
-    return np.squeeze(m, axis=axis) + np.log(np.sum(np.exp(a - m), axis=axis))
+def _logsumexp(a):
+    """log sum_j exp(a[..., j]), shifted by the max over the last axis.
+
+    That axis holds the few mixture components.  It is reduced by one
+    in-place pass per component, adding in component order as np.sum does
+    for fewer than 8 terms.  a[..., j] is an array even when a is 1-D, so
+    the passes also work on a single vector.
+    """
+    m = a[..., 0].copy()
+    for j in range(1, a.shape[-1]):
+        np.maximum(m, a[..., j], out=m)
+    e = a - m[..., None]
+    np.exp(e, out=e)
+    s = e[..., 0].copy()
+    for j in range(1, a.shape[-1]):
+        s += e[..., j]
+    return m + np.log(s)
 
 
 @dataclass(frozen=True)
@@ -160,7 +174,7 @@ def gmm_score(model, schedule, z, t, cache=None):
             cache[t] = terms
     means, variances = terms.means, terms.variances
     logp = (z * z) @ terms.neg_half_ivar + z @ terms.mean_ivar + terms.const
-    logz = _logsumexp(logp, axis=-1)
+    logz = _logsumexp(logp)
     resp = np.exp(logp - logz[..., None])  # (..., J)
     # sum_j resp_j (mean_j - z) / var_j, added in component order
     score = (means[0] - z) / variances[0]

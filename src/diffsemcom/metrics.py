@@ -4,10 +4,17 @@ mse/nmse play the distortion role, sliced 2-Wasserstein and unbiased MMD^2
 the distribution role.  Both distribution estimators take explicit
 randomness (projection directions) or none (MMD), so reported numbers are
 reproducible.
+
+The MMD and its median-heuristic bandwidth read three blocks of squared
+distances: within x, within y and from x to y.  The pooled matrix of the
+stacked batch [x; y] is never formed, as its yx block would only repeat xy.
+The median runs over the pairs above the pooled matrix's diagonal: the upper
+triangles of the xx and yy blocks and all of the xy block.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,19 +72,48 @@ def median_bandwidth(x, y) -> float:
     """Median pairwise distance over the pooled batch (bandwidth heuristic)."""
     x, y = np.atleast_2d(x), np.atleast_2d(y)
     _require_finite(x, y)
-    return _median_distance(_pooled_sq_dists(x, y))
+    return _median_distance(*_block_sq_dists(x, y))
 
 
-def _median_distance(sq):
-    """Median of the distances above the diagonal of sq (1.0 if it is 0).
+def _block_sq_dists(x, y):
+    """Squared distances within x, within y and from x to y."""
+    xn = np.sum(x * x, axis=1)
+    yn = np.sum(y * y, axis=1)
+    return _sq_dists(x, xn, x, xn), _sq_dists(y, yn, y, yn), _sq_dists(x, xn, y, yn)
+
+
+def _sq_dists(a, an, b, bn):
+    """Squared distances between the rows of a and b, given their squared norms."""
+    gram = a @ b.T  # when b is a, numpy computes the symmetric product
+    gram *= 2.0
+    sq = an[:, None] + bn[None, :]
+    sq -= gram
+    np.maximum(sq, 0.0, out=sq)
+    return sq
+
+
+@functools.lru_cache(maxsize=16)
+def _upper_flat(n):
+    """Flat indices of the entries above the diagonal of an n x n matrix
+    (read-only: every caller gets the same array)."""
+    i, j = np.triu_indices(n, k=1)
+    flat = i * n + j
+    flat.flags.writeable = False
+    return flat
+
+
+def _median_distance(sxx, syy, sxy):
+    """Median distance over the pooled pairs (1.0 if it is 0): the upper
+    triangles of sxx and syy and all of sxy.
 
     sqrt is monotone, so the median distance is the mean of the roots of the
     one or two middle squared distances, as np.median takes it.  One
     partial sort finds the upper middle value; the lower one (even count)
     is the largest value below it.
     """
-    idx = np.arange(sq.shape[0])
-    pairs = sq[idx[:, None] < idx]  # a copy, so it may be partitioned in place
+    pairs = np.concatenate(
+        (sxx.take(_upper_flat(sxx.shape[0])), syy.take(_upper_flat(syy.shape[0])), sxy.ravel())
+    )
     if pairs.size == 0:
         return 1.0
     hi = pairs.size // 2
@@ -108,36 +144,22 @@ def mmd2_unbiased(x, y, bandwidth=None) -> float:
     if x.shape[1] != y.shape[1]:
         raise ParameterError(f"dimension mismatch: {x.shape[1]} vs {y.shape[1]}")
     _require_finite(x, y)
-    sq = _pooled_sq_dists(x, y)
+    blocks = _block_sq_dists(x, y)
     if bandwidth is None:
-        bandwidth = _median_distance(sq)
-    if bandwidth <= 0:
-        raise ParameterError(f"bandwidth must be positive, got {bandwidth}")
+        bandwidth = _median_distance(*blocks)
+    if not (bandwidth > 0 and np.isfinite(bandwidth)):
+        raise ParameterError(f"bandwidth must be positive and finite, got {bandwidth}")
     neg_h2 = -2.0 * bandwidth * bandwidth
-
-    def kernel(block):
-        k = block / neg_h2  # a fresh contiguous array: its sum adds in a fixed order
-        return np.exp(k, out=k)
-
-    # exp only the blocks read below: the pooled matrix's yx block is unused.
-    kxx, kyy, kxy = kernel(sq[:n, :n]), kernel(sq[n:, n:]), kernel(sq[:n, n:])
+    # Each block is fresh and contiguous: its sum adds in a fixed order.
+    for block in blocks:
+        np.divide(block, neg_h2, out=block)
+        np.exp(block, out=block)
+    kxx, kyy, kxy = blocks
     np.fill_diagonal(kxx, 0.0)
     np.fill_diagonal(kyy, 0.0)
     return float(
         kxx.sum() / (n * (n - 1)) + kyy.sum() / (m * (m - 1)) - 2.0 * kxy.mean()
     )
-
-
-def _pooled_sq_dists(x, y):
-    """Squared distances between all rows of the stacked batch [x; y]."""
-    z = np.vstack([x, y])
-    zz = np.sum(z * z, axis=1)
-    gram = z @ z.T
-    gram *= 2.0
-    sq = zz[:, None] + zz[None, :]
-    sq -= gram
-    np.maximum(sq, 0.0, out=sq)
-    return sq
 
 
 def metric_report(decoded, source_batch, rng) -> MetricReport:

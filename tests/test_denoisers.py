@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import diffsemcom as dsc
-from diffsemcom.denoisers import gmm_log_density, gmm_marginal, gmm_score
+from diffsemcom.denoisers import _logsumexp, gmm_log_density, gmm_marginal, gmm_score
 from diffsemcom.errors import ParameterError
 
 
@@ -167,6 +167,21 @@ def test_score_matches_tensor_form(sched, j, d, t, seed, spread):
     # one row alone: the same score within the tolerance (BLAS may add a
     # single row's dot products in another order than a batch's)
     assert np.all(np.abs(gmm_score(model, sched, z[0], t) - ref[0]) <= 1e-10 * scale[0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(j=st.integers(1, 6), lead=st.sampled_from([(), (7,), (3, 5)]),
+       seed=st.integers(0, 2**32 - 1), spread=st.sampled_from([1.0, 50.0, 1e3]),
+       offset=st.sampled_from([0.0, -1e3, 1e3]))
+def test_logsumexp_matches_max_sum_form(j, lead, seed, spread, offset):
+    # the max/sum reduction is the reference; far-from-mode values near
+    # +-1e3 underflow exp unless the max shift is right
+    a = offset + spread * np.random.default_rng(seed).standard_normal(lead + (j,))
+    m = np.max(a, axis=-1, keepdims=True)
+    ref = np.squeeze(m, axis=-1) + np.log(np.sum(np.exp(a - m), axis=-1))
+    got = _logsumexp(a)
+    assert np.shape(got) == lead
+    assert np.array_equal(got, ref)
 
 
 def test_score_rejects_bad_input(sched):

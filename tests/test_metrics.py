@@ -5,7 +5,34 @@ from hypothesis import strategies as st
 
 import diffsemcom as dsc
 from diffsemcom.errors import ParameterError
-from diffsemcom.metrics import _median_distance, _pooled_sq_dists, median_bandwidth
+from diffsemcom.metrics import _block_sq_dists, _median_distance, median_bandwidth
+
+
+def _pooled_sq_dists(x, y):
+    """Squared distances between all rows of the stacked batch [x; y]: the
+    reference the blocked distances are checked against."""
+    z = np.vstack([x, y])
+    zz = np.sum(z * z, axis=1)
+    gram = z @ z.T
+    gram *= 2.0
+    sq = zz[:, None] + zz[None, :]
+    sq -= gram
+    np.maximum(sq, 0.0, out=sq)
+    return sq
+
+
+def _pooled_median_distance(sq):
+    med = float(np.median(np.sqrt(sq[np.triu_indices(sq.shape[0], k=1)])))
+    return med if med > 0.0 else 1.0
+
+
+def _pooled_mmd2(x, y, h):
+    n, m = len(x), len(y)
+    k = np.exp(_pooled_sq_dists(x, y) / (-2.0 * h * h))
+    kxx, kyy = k[:n, :n].copy(), k[n:, n:].copy()
+    np.fill_diagonal(kxx, 0.0)
+    np.fill_diagonal(kyy, 0.0)
+    return kxx.sum() / (n * (n - 1)) + kyy.sum() / (m * (m - 1)) - 2.0 * k[:n, n:].mean()
 
 
 def test_mse_trivial():
@@ -124,8 +151,26 @@ def test_mmd2_symmetry_and_validation():
     )
     with pytest.raises(ParameterError):
         dsc.mmd2_unbiased(x[:1], y, 1.0)
-    with pytest.raises(ParameterError):
-        dsc.mmd2_unbiased(x, y, -1.0)
+    for bad in (-1.0, np.nan, np.inf):
+        with pytest.raises(ParameterError, match="bandwidth"):
+            dsc.mmd2_unbiased(x, y, bad)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(2, 8), m=st.integers(2, 8), d=st.integers(1, 4),
+       bandwidth=st.one_of(st.none(), st.floats(0.2, 5.0)), seed=st.integers(0, 2**32 - 1))
+def test_mmd2_zero_mean_under_null(n, m, d, bandwidth, seed):
+    # Unbiased (Gretton et al. 2012): E[MMD^2] = 0 when x and y share a law.
+    # The median bandwidth depends on the pooled batch only, and over random
+    # splits of a fixed pooled batch into x and y the U-statistic averages
+    # to 0, so that bandwidth keeps the mean at 0 too.
+    rng = np.random.default_rng(seed)
+    draws = np.array([
+        dsc.mmd2_unbiased(rng.standard_normal((n, d)), rng.standard_normal((m, d)), bandwidth)
+        for _ in range(200)
+    ])
+    assert abs(draws.mean()) <= 4.0 * draws.std(ddof=1) / np.sqrt(draws.size)
+    assert draws.min() < 0.0
 
 
 def test_median_bandwidth_positive():
@@ -145,15 +190,34 @@ def test_median_distance_matches_np_median(n, d, seed, grid):
     z = rng.standard_normal((n, d)) * rng.uniform(0.1, 10.0)
     if grid:
         z = np.round(z)
-    sq = _pooled_sq_dists(z[: n // 2], z[n // 2:])
-    expected = float(np.median(np.sqrt(sq[np.triu_indices(n, k=1)])))
-    assert _median_distance(sq) == (expected if expected > 0.0 else 1.0)
+    x, y = z[: n // 2], z[n // 2:]
+    assert _median_distance(*_block_sq_dists(x, y)) == _pooled_median_distance(_pooled_sq_dists(x, y))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])  # 0, 1, 3, 6 and 10 pairs
 def test_median_distance_all_zero_is_one(n):
-    assert _median_distance(np.zeros((n, n))) == 1.0
+    k = n // 2
+    assert _median_distance(np.zeros((k, k)), np.zeros((n - k, n - k)),
+                            np.zeros((k, n - k))) == 1.0
     assert median_bandwidth(np.ones((n, 2)), np.ones((1, 2))) == 1.0
+
+
+@settings(max_examples=120, deadline=None)
+@given(n=st.integers(2, 40), m=st.integers(2, 40), d=st.integers(1, 8),
+       seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([0.1, 1.0, 10.0]),
+       grid=st.booleans())
+def test_blocked_distances_match_pooled_reference(n, m, d, seed, scale, grid):
+    # The blocks come from their own matmuls, so BLAS may add a dot product
+    # in another order than the pooled one: equal within 1e-12, not in bits.
+    # A rounded grid adds tied and zero distances.
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, d)) * scale
+    y = rng.standard_normal((m, d)) * scale + rng.uniform(-1.0, 1.0)
+    if grid:
+        x, y = np.round(x), np.round(y)
+    h = _pooled_median_distance(_pooled_sq_dists(x, y))
+    assert abs(median_bandwidth(x, y) - h) <= 1e-12
+    assert abs(dsc.mmd2_unbiased(x, y) - _pooled_mmd2(x, y, h)) <= 1e-12
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
