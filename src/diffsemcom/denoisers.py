@@ -137,13 +137,23 @@ class _ScoreTerms:
     The log of w_j N(z; mean_j, var_j) is
     (z*z) @ neg_half_ivar + z @ mean_ivar + const_j, so the log-density of
     every component is two (n, d) x (d, J) matmuls.
+
+    The score sum_j resp_j (mean_j - z) / var_j is combined around each
+    row's most responsible component k, as
+    sum_j resp_j (mean_j - mean_k) / var_j - (z - mean_k) * (resp @ ivar):
+    one (n, J*J) x (J*J, d) matmul with ``anchor_diff``, whose block k holds
+    (mean_j - mean_k) / var_j, and one (n, J) x (J, d) matmul with ``ivar``.
+    Forming z - mean_k first keeps the error relative to
+    sum_j resp_j |mean_j - z| / var_j, so a probe next to a mode does not
+    cancel mean_k / var_k against z / var_k.
     """
 
-    means: np.ndarray         # (J, d)
-    variances: np.ndarray     # (J, d)
     neg_half_ivar: np.ndarray  # (d, J): -1 / (2 var_j)
     mean_ivar: np.ndarray     # (d, J): mean_j / var_j
     const: np.ndarray         # (J,): log w_j - (sum mean^2/var + log var + log 2 pi) / 2
+    means: np.ndarray         # (J, d): the anchors mean_k
+    anchor_diff: np.ndarray   # (J*J, d): row k*J + j is (mean_j - mean_k) / var_j
+    ivar: np.ndarray          # (J, d): 1 / var_j
 
     @classmethod
     def at(cls, model, schedule, t):
@@ -151,16 +161,19 @@ class _ScoreTerms:
         m, v = mt.means, mt.variances
         ivar = 1.0 / v
         const = np.log(mt.weights) - 0.5 * np.sum(m * m * ivar + np.log(v) + _LOG_2PI, axis=-1)
-        return cls(m, v, np.ascontiguousarray(-0.5 * ivar.T),
-                   np.ascontiguousarray((m * ivar).T), const)
+        anchor_diff = ((m[None, :, :] - m[:, None, :]) / v).reshape(-1, m.shape[1])
+        return cls(np.ascontiguousarray(-0.5 * ivar.T), np.ascontiguousarray((m * ivar).T),
+                   const, m, anchor_diff, ivar)
 
 
 def gmm_score(model, schedule, z, t, cache=None):
     """Gradient of log p_t at z for the diffused mixture.
 
     Responsibilities are computed in log space so far-from-mode probes at
-    large t do not underflow.  ``cache`` (a dict owned by one model and
-    schedule) keeps the per-t terms across calls.
+    large t do not underflow.  They weight the anchored combine matrices of
+    ``_ScoreTerms`` in two matmuls, with no per-component pass over z.
+    ``cache`` (a dict owned by one model and schedule) keeps the per-t
+    terms across calls.
     """
     z = np.asarray(z, dtype=float)
     if z.shape[-1] != model.d:
@@ -172,19 +185,25 @@ def gmm_score(model, schedule, z, t, cache=None):
         terms = _ScoreTerms.at(model, schedule, t)
         if cache is not None:
             cache[t] = terms
-    means, variances = terms.means, terms.variances
     logp = (z * z) @ terms.neg_half_ivar + z @ terms.mean_ivar + terms.const
     logz = _logsumexp(logp)
     resp = np.exp(logp - logz[..., None])  # (..., J)
-    # sum_j resp_j (mean_j - z) / var_j, added in component order
-    score = (means[0] - z) / variances[0]
-    score *= resp[..., 0, None]
-    term = np.empty_like(score)
-    for j in range(1, means.shape[0]):
-        np.subtract(means[j], z, out=term)
-        term /= variances[j]
-        term *= resp[..., j, None]
-        score += term
+    # Anchor each row at its most responsible component k; offset is
+    # (z - mean_k) * (resp @ ivar).  It is finished before score exists, so
+    # at most two (n, d) temporaries are live at once: with a third, glibc
+    # trimmed the heap and faulted the pages back on every call.
+    j_count = resp.shape[-1]
+    rows = resp.reshape(-1, j_count)
+    k = rows.argmax(axis=1)
+    offset = np.take(terms.means, k, axis=0).reshape(z.shape)
+    np.subtract(z, offset, out=offset)
+    offset *= resp @ terms.ivar
+    # pick[k', j, r] is resp_j on the rows r whose anchor is k', else 0;
+    # rows run along the last axis, so the products make long passes
+    anchor_mask = (np.arange(j_count)[:, None] == k).astype(float)
+    pick = anchor_mask[:, None, :] * np.ascontiguousarray(rows.T)
+    score = (pick.reshape(j_count * j_count, -1).T @ terms.anchor_diff).reshape(z.shape)
+    score -= offset
     return score
 
 

@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import diffsemcom as dsc
-from diffsemcom.denoisers import _logsumexp, gmm_log_density, gmm_marginal, gmm_score
+from diffsemcom.denoisers import (
+    _logsumexp, _ScoreTerms, gmm_log_density, gmm_marginal, gmm_score,
+)
 from diffsemcom.errors import ParameterError
 
 
@@ -169,6 +171,61 @@ def test_score_matches_tensor_form(sched, j, d, t, seed, spread):
     assert np.all(np.abs(gmm_score(model, sched, z[0], t) - ref[0]) <= 1e-10 * scale[0])
 
 
+def loop_form_score(model, sched, z, t):
+    """Score through one pass per component over z, with gmm_score's own
+    responsibilities: sum_j resp_j (mean_j - z) / var_j, added in component
+    order.  Also returns sum_j resp_j (|mean_j| + |z|) / var_j, the size of
+    the terms that a form splitting mean_j / var_j from z / var_j adds up."""
+    terms = _ScoreTerms.at(model, sched, t)
+    logp = (z * z) @ terms.neg_half_ivar + z @ terms.mean_ivar + terms.const
+    resp = np.exp(logp - _logsumexp(logp)[..., None])
+    mt = gmm_marginal(model, sched, t)
+    score = np.zeros_like(z)
+    scale = np.zeros_like(z)
+    for j in range(model.n_components):
+        score += (mt.means[j] - z) / mt.variances[j] * resp[..., j, None]
+        scale += (np.abs(mt.means[j]) + np.abs(z)) / mt.variances[j] * resp[..., j, None]
+    return score, scale
+
+
+@settings(max_examples=80, deadline=None)
+@given(j=st.integers(1, 5), d=st.integers(1, 16), t=st.integers(0, 1000),
+       seed=st.integers(0, 2**32 - 1), spread=st.sampled_from([1.0, 10.0, 1e2]))
+def test_score_matches_loop_form(sched, j, d, t, seed, spread):
+    # far-from-mode probes make the responsibilities nearly one-hot, so one
+    # component's terms dominate every row
+    rng = np.random.default_rng(seed)
+    model = dsc.GaussianMixtureModel(
+        rng.dirichlet(np.ones(j)) if j > 1 else np.ones(1),
+        rng.normal(0.0, 1.5, (j, d)), rng.uniform(0.3, 2.0, (j, d)),
+    )
+    z = spread * rng.standard_normal((16, d))
+    ref, scale = loop_form_score(model, sched, z, t)
+    assert np.all(np.abs(gmm_score(model, sched, z, t) - ref) <= 1e-12 * scale)
+    ref0, scale0 = loop_form_score(model, sched, z[0], t)
+    assert np.all(np.abs(gmm_score(model, sched, z[0], t) - ref0) <= 1e-12 * scale0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(j=st.integers(1, 4), d=st.integers(1, 16), t=st.integers(0, 1000),
+       seed=st.integers(0, 2**32 - 1), gap=st.sampled_from([1e-9, 1e-7, 1e-5]))
+def test_score_next_to_a_mode_keeps_relative_accuracy(sched, j, d, t, seed, gap):
+    # Probes a relative gap away from a component's mean, where the score is
+    # small: forming mean/var and z/var separately and subtracting them
+    # would leave an error of order eps * |mean| / var, far above the
+    # tensor form's bound.
+    rng = np.random.default_rng(seed)
+    model = dsc.GaussianMixtureModel(
+        rng.dirichlet(np.ones(j)) if j > 1 else np.ones(1),
+        rng.normal(0.0, 1.5, (j, d)), rng.uniform(0.3, 2.0, (j, d)),
+    )
+    mt = gmm_marginal(model, sched, t)
+    at = mt.means[rng.integers(0, j, 8)]
+    z = at * (1.0 + gap * rng.standard_normal((8, d)))
+    ref, scale = tensor_form_score(model, sched, z, t)
+    assert np.all(np.abs(gmm_score(model, sched, z, t) - ref) <= 1e-10 * scale)
+
+
 @settings(max_examples=100, deadline=None)
 @given(j=st.integers(1, 6), lead=st.sampled_from([(), (7,), (3, 5)]),
        seed=st.integers(0, 2**32 - 1), spread=st.sampled_from([1.0, 50.0, 1e3]),
@@ -239,9 +296,9 @@ class CountingDenoiser(dsc.ConstantDenoiser):
         return super().predict(z, t)
 
 
-def test_zero_guidance_scale_skips_conditional_prediction(sched, plan50):
+def test_one_predict_call_per_ddim_step(sched, plan50):
     # Every DDIM step is unconditional: one predict call per plan step, in
-    # both folds, and no second (conditional) prediction.
+    # both folds.
     z0 = dsc.Latent(np.linspace(-1.0, 1.0, 8), 0)
     den = CountingDenoiser(np.full(8, 0.3))
     z = dsc.run_ddim_invert(sched, z0, plan50.ascending_steps(0, 5), den)

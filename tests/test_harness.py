@@ -6,8 +6,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import tight_wide_source
 from diffsemcom import cli, harness, svgplot
-from diffsemcom.config import ComponentSpec, ExperimentConfig
+from diffsemcom.config import ComponentSpec, ExperimentConfig, SourceSpec
 from diffsemcom.errors import ConfigError, ParameterError
 from diffsemcom.harness import RESULT_HEADER, ResultRow
 from diffsemcom.mlp import load_checkpoint
@@ -70,6 +71,21 @@ def test_sweep_parallel_matches_serial(tmp_path):
     cfg = small_cfg()
     _, p1 = harness.cmd_sweep(cfg, tmp_path / "serial")
     _, p2 = harness.cmd_sweep(with_jobs(cfg, 2), tmp_path / "parallel")
+    assert open(p1, "rb").read() == open(p2, "rb").read()
+
+
+@pytest.mark.parametrize("command", [harness.cmd_sweep, harness.cmd_ablate])
+def test_two_component_parallel_matches_serial(tmp_path, command):
+    # J = 2 runs the score's anchored matmuls, whose bits must not
+    # depend on the process that runs a cell
+    model = tight_wide_source(8)
+    source = SourceSpec(dimension=8, components=tuple(
+        ComponentSpec(weight=float(w), mean=tuple(m), var=tuple(v))
+        for w, m, v in zip(model.weights, model.means, model.variances)
+    ))
+    cfg = small_cfg(source=source)
+    _, p1 = command(cfg, tmp_path / "serial")
+    _, p2 = command(with_jobs(cfg, 2), tmp_path / "parallel")
     assert open(p1, "rb").read() == open(p2, "rb").read()
 
 

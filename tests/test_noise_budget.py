@@ -28,24 +28,22 @@ def test_budget_gamma_one_any_split(sched, plan50):
         assert b.sigma_eps2 == pytest.approx(1 - sched.alpha_bars[tf], rel=1e-12)
 
 
-def test_budget_identity_random_tuples():
-    rng = np.random.default_rng(70)
-    for _ in range(200):
-        t_train = int(rng.integers(10, 300))
-        kind = str(rng.choice(["linear", "scaled_linear"]))
-        b0 = float(rng.uniform(1e-4, 5e-3))
-        b1 = float(rng.uniform(b0, 0.05))
-        sch = dsc.build_schedule(kind, t_train, b0, b1)
-        k = int(rng.integers(1, t_train + 1))
-        plan = dsc.make_stride_plan(sch, k)
-        f1 = int(rng.integers(0, k + 1))
-        f2 = int(rng.integers(0, k - f1 + 1))
-        gamma = float(rng.uniform(0.5, 1.5))
-        b = dsc.compute_noise_budget(sch, plan, SplitConfig(f1, f2), gamma,
-                                     float(rng.uniform(0, 1)))
-        t1 = plan.training_step(f1)
-        alt = (1 - b.r) + gamma**2 * b.r * (1 - sch.alpha_bars[t1])
-        assert abs(b.sigma_eps2 - alt) <= 1e-12
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(SCHEDULE_KINDS), t_train=st.integers(10, 299),
+       beta_start=st.floats(1e-4, 5e-3), gamma=st.floats(0.5, 1.5),
+       sigma_eff2=st.floats(0.0, 1.0), data=st.data())
+def test_budget_identity_random_tuples(kind, t_train, beta_start, gamma, sigma_eff2, data):
+    # sigma_eps^2 from the budget equals (1 - r) + gamma^2 r (1 - ab_F1)
+    beta_end = data.draw(st.floats(beta_start, 0.05))
+    sch = dsc.build_schedule(kind, t_train, beta_start, beta_end)
+    k = data.draw(st.integers(1, t_train))
+    plan = dsc.make_stride_plan(sch, k)
+    f1 = data.draw(st.integers(0, k))
+    f2 = data.draw(st.integers(0, k - f1))
+    b = dsc.compute_noise_budget(sch, plan, SplitConfig(f1, f2), gamma, sigma_eff2)
+    t1 = plan.training_step(f1)
+    alt = (1 - b.r) + gamma**2 * b.r * (1 - sch.alpha_bars[t1])
+    assert abs(b.sigma_eps2 - alt) <= 1e-12
 
 
 def test_budget_validation(sched, plan50):
