@@ -15,23 +15,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateInputError, ParameterError
+from .errors import CheckedFields, DegenerateInputError, ParameterError
 
 CHANNEL_MODELS = ("complex_paper", "real_simplified")
 
 
 @dataclass(frozen=True)
-class ChannelConfig:
+class ChannelConfig(CheckedFields):
     snr_db: float = 5.0
     model: str = field(default="complex_paper", metadata={"choices": CHANNEL_MODELS})
-
-    def __post_init__(self):
-        if self.model not in CHANNEL_MODELS:
-            raise ParameterError(
-                f"unknown channel model {self.model!r}; expected one of {CHANNEL_MODELS}"
-            )
-        if not math.isfinite(self.snr_db):
-            raise ParameterError(f"snr_db must be finite, got {self.snr_db!r}")
 
 
 @dataclass(frozen=True)

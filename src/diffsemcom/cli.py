@@ -14,7 +14,7 @@ import sys
 from dataclasses import replace
 
 from .config import parse_config
-from .errors import ConfigError
+from .errors import ConfigError, FieldError
 from . import harness
 
 OUT_ENV_VAR = "DIFFSEMCOM_OUT"
@@ -66,7 +66,7 @@ def main(argv=None) -> int:
                  if getattr(args, key, None) is not None}
         cfg = replace(cfg, run=replace(cfg.run, **run), sweep=replace(cfg.sweep, **sweep))
         out_dir = _resolve_out(args, cfg)
-    except ConfigError as exc:
+    except (ConfigError, FieldError) as exc:  # FieldError: a bad --seed or --jobs
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -5,13 +5,15 @@ sections or keys are hard errors with the offending line number, so typos
 cannot silently change an experiment.  ``serialize_config`` emits a
 canonical file that reparses to an equal configuration.
 
-The section dataclasses are the schema: a key's name, default and allowed
-values are its field's, and its parser is chosen by the field's annotation.
-``[channel]``, ``[pipeline]`` and ``[train]`` are the runtime classes
-``ChannelConfig``, ``PipelineConfig`` and ``TrainConfig``; a range error of
-their constructors is reported at the section header's line.  Only
-``[source]`` is read by hand, for its numbered ``weight_j`` / ``mean_j`` /
-``var_j`` keys.
+The section dataclasses, the runtime ``ChannelConfig``, ``PipelineConfig``
+and ``TrainConfig`` among them, are the schema: a key's name, default and
+single-key rule (``choices`` or ``min`` metadata, which ``check_fields``
+applies whenever the class is built) are its field's, and its parser is
+chosen by the field's annotation.  A rule's error names the key's line; a
+constructor's hand-written check (split counts, ``t_b``, ``time_embed``, the
+Adam betas) names the section header's.  Only ``[source]``'s numbered
+``weight_j`` / ``mean_j`` / ``var_j`` keys are read by hand.  Rules that
+span two keys are checked by ``harness.build_objects``.
 """
 
 from __future__ import annotations
@@ -23,9 +25,9 @@ import re
 from dataclasses import dataclass, field, fields
 
 from .channel import ChannelConfig
-from .errors import ConfigError, ParameterError
+from .errors import CheckedFields, ConfigError, FieldError, ParameterError
 from .mlp import TrainConfig
-from .noise_budget import GAMMA_MODES
+from .noise_budget import GAMMA_MODES, MIN_PROP1_SAMPLES
 from .pipeline import TRANSMITTER_MODES, PipelineConfig
 from .schedule import SCHEDULE_KINDS
 
@@ -40,7 +42,7 @@ class ComponentSpec:
 
 
 @dataclass(frozen=True)
-class ScheduleSpec:
+class ScheduleSpec(CheckedFields):
     kind: str = field(default="scaled_linear", metadata={"choices": SCHEDULE_KINDS})
     t_train: int = 1000
     beta_start: float = 8.5e-4
@@ -49,36 +51,36 @@ class ScheduleSpec:
 
 
 @dataclass(frozen=True)
-class SourceSpec:
-    dimension: int = 16
+class SourceSpec(CheckedFields):
+    dimension: int = field(default=16, metadata={"min": 1})
     components: tuple[ComponentSpec, ...] = (ComponentSpec(),)
 
 
 @dataclass(frozen=True)
-class DenoiserSpec:
+class DenoiserSpec(CheckedFields):
     kind: str = field(default="analytic", metadata={"choices": ("analytic", "mlp")})
     checkpoint: str = ""
 
 
 @dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(CheckedFields):
     snr_db: tuple[float, ...] = (0.0, 5.0, 10.0, 15.0, 20.0)
-    seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
-    n_per_cell: int = 256
+    seeds: tuple[int, ...] = field(default=(0, 1, 2, 3, 4), metadata={"min": 0})
+    n_per_cell: int = field(default=256, metadata={"min": 2})  # the MMD needs two samples
     baseline: bool = True
     plot: bool = False
 
 
 @dataclass(frozen=True)
-class AblateSpec:
+class AblateSpec(CheckedFields):
     snr_db: float = 5.0
-    seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
-    n_per_cell: int = 256
+    seeds: tuple[int, ...] = field(default=(0, 1, 2, 3, 4), metadata={"min": 0})
+    n_per_cell: int = field(default=256, metadata={"min": 2})
 
 
 @dataclass(frozen=True)
-class Prop1Spec:
-    n_samples: int = 20000
+class Prop1Spec(CheckedFields):
+    n_samples: int = field(default=20000, metadata={"min": MIN_PROP1_SAMPLES})
     gamma_mode: str = field(default="per_sample", metadata={"choices": GAMMA_MODES})
     transmitter_mode: str = field(default="stochastic", metadata={"choices": TRANSMITTER_MODES})
 
@@ -90,9 +92,9 @@ class OutputSpec:
 
 
 @dataclass(frozen=True)
-class RunSpec:
-    seed: int = 0
-    jobs: int = 1
+class RunSpec(CheckedFields):
+    seed: int = field(default=0, metadata={"min": 0})
+    jobs: int = field(default=1, metadata={"min": 1})
 
 
 @dataclass(frozen=True)
@@ -158,8 +160,10 @@ def _to_ints(raw: str) -> tuple[int, ...]:
     out: list[int] = []
     for part in raw.replace(",", " ").split():
         if ".." in part:
-            lo, hi = part.split("..", 1)
-            out.extend(range(int(lo), int(hi) + 1))
+            lo, hi = (int(end) for end in part.split("..", 1))
+            if hi < lo:
+                raise ValueError(f"descending range {part!r}")
+            out.extend(range(lo, hi + 1))
         else:
             out.append(int(part))
     if not out:
@@ -205,17 +209,15 @@ class _SectionReader:
         except ValueError as exc:
             self._fail(key, f"invalid {kind} {raw!r} ({exc})")
 
-    def spec(self, cls):
-        """Section dataclass ``cls`` with every field read from this section."""
-        values = {}
+    def spec(self, cls, **values):
+        """Section dataclass ``cls`` from ``values`` and this section's other keys."""
         for f in fields(cls):
-            value = self.typed(f.name, f.type, f.default)
-            choices = f.metadata.get("choices")
-            if choices is not None and value not in choices:
-                self._fail(f.name, f"expected one of {', '.join(choices)}, got {value!r}")
-            values[f.name] = value
+            if f.name not in values:
+                values[f.name] = self.typed(f.name, f.type, f.default)
         try:
             return cls(**values)
+        except FieldError as exc:
+            self._fail(exc.field, exc.reason)
         except (ParameterError, ConfigError) as exc:
             line = _line_of(self.text, self.section)
             raise ConfigError(f"{self.path}:{line}: [{self.section}]: {exc}") from exc
@@ -255,7 +257,6 @@ def parse_config(path) -> ExperimentConfig:
              for name, cls in _SECTIONS.items() if name != "source"}
 
     src = _SectionReader(parser, text, path, "source")
-    dimension = src.typed("dimension", "int", SourceSpec.dimension)
     n_comp = src.typed("components", "int", 1)
     if n_comp < 1:
         src._fail("components", "must be >= 1")
@@ -271,7 +272,7 @@ def parse_config(path) -> ExperimentConfig:
         m = _SOURCE_DYNAMIC.match(key)
         if m and not (1 <= int(m.group(2)) <= n_comp):
             src._fail(key, f"component index outside 1..{n_comp}")
-    return ExperimentConfig(source=SourceSpec(dimension, components), **specs)
+    return ExperimentConfig(source=src.spec(SourceSpec, components=components), **specs)
 
 
 def _fmt(value) -> str:

@@ -1,8 +1,43 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the field-rule check."""
+
+from dataclasses import fields
 
 
 class ParameterError(ValueError):
     """An argument violates an operation's precondition."""
+
+
+class FieldError(ParameterError):
+    """A dataclass field's value breaks the rule its metadata declares."""
+
+    def __init__(self, name, reason):
+        super().__init__(f"{name}: {reason}")
+        self.field, self.reason = name, reason
+
+
+def check_fields(obj):
+    """Raise FieldError for the first field of dataclass ``obj`` that breaks its rule.
+
+    A field's metadata may declare ``choices``, the values it may take, and
+    ``min``, a lower bound on a number or on every element of a tuple.
+    """
+    for f in fields(obj):
+        value, choices, low = getattr(obj, f.name), f.metadata.get("choices"), f.metadata.get("min")
+        if choices is not None and value not in choices:
+            raise FieldError(f.name, f"expected one of {', '.join(choices)}, got {value!r}")
+        if low is None:
+            continue
+        below = [v for v in (value if isinstance(value, tuple) else (value,)) if v < low]
+        if below:
+            raise FieldError(f.name, f"{below[0]} is below the minimum {low}")
+
+
+class CheckedFields:
+    """Base of a section dataclass: its fields' rules are checked at construction,
+    so a parsed file, ``dataclasses.replace`` and a direct call all go through them."""
+
+    def __post_init__(self):
+        check_fields(self)
 
 
 class DegenerateInputError(ParameterError):

@@ -8,13 +8,14 @@ little-endian float64 blobs with a versioned header.
 
 from __future__ import annotations
 
+import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .denoisers import Denoiser, gmm_sample
-from .errors import ParameterError, TrainingDivergedError
+from .errors import ParameterError, TrainingDivergedError, check_fields
 
 CHECKPOINT_MAGIC = b"MLPD"
 CHECKPOINT_VERSION = 1
@@ -50,10 +51,10 @@ class MlpParams:
 class TrainConfig:
     """The ``[train]`` section: network size, Adam settings and output names."""
 
-    learning_rate: float = 2e-3
-    batch_size: int = 256
-    iterations: int = 6000
-    hidden: int = 64
+    learning_rate: float = field(default=2e-3, metadata={"min": 0})
+    batch_size: int = field(default=256, metadata={"min": 1})
+    iterations: int = field(default=6000, metadata={"min": 1})
+    hidden: int = field(default=64, metadata={"min": 1})
     time_embed: int = 16
     beta1: float = 0.9
     beta2: float = 0.999
@@ -62,11 +63,7 @@ class TrainConfig:
     loss_csv: str = "train_loss.csv"
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ParameterError(f"learning_rate = {self.learning_rate} is negative")
-        for key in ("hidden", "batch_size", "iterations"):
-            if getattr(self, key) < 1:
-                raise ParameterError(f"{key} = {getattr(self, key)} must be >= 1")
+        check_fields(self)
         if self.time_embed < 2 or self.time_embed % 2:
             raise ParameterError(f"time_embed = {self.time_embed} must be an even number >= 2")
         for key in ("beta1", "beta2"):  # Adam divides by 1 - beta**step
@@ -76,10 +73,6 @@ class TrainConfig:
 
 def init_mlp(d, hidden, label_count, rng, t_emb=16) -> MlpParams:
     """Glorot-uniform weights, zero biases; deterministic given the stream."""
-    if d < 1 or hidden < 1:
-        raise ParameterError(f"d and hidden must be >= 1, got d={d}, hidden={hidden}")
-    if label_count < 0 or t_emb < 2 or t_emb % 2 != 0:
-        raise ParameterError(f"bad label_count={label_count} or t_emb={t_emb}")
     n_in = d + t_emb + label_count
 
     def glorot(fan_in, fan_out):
@@ -246,15 +239,15 @@ def load_checkpoint(path) -> MlpParams:
         raise ParameterError(f"unsupported checkpoint version {version}")
     n_in = d + t_emb + label_count
     shapes = [(n_in, hidden), (hidden,), (hidden, hidden), (hidden,), (hidden, d), (d,)]
+    if len(blob) != head_size + 8 * sum(math.prod(shape) for shape in shapes):
+        raise ParameterError(f"checkpoint {path} has trailing or missing bytes")
     arrays = []
     offset = head_size
     for shape in shapes:
-        count = int(np.prod(shape))
+        count = math.prod(shape)
         arrays.append(
             np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
             .astype(float).reshape(shape)
         )
         offset += count * 8
-    if offset != len(blob):
-        raise ParameterError(f"checkpoint {path} has trailing or missing bytes")
     return MlpParams(d, hidden, label_count, t_emb, *arrays)

@@ -35,7 +35,7 @@ from .channel import (
 )
 from .denoisers import gmm_sample
 from .diffusion import Latent, forward_reparam, run_ddim_invert, run_ddim_sample
-from .errors import ConfigError, ParameterError
+from .errors import ConfigError, check_fields
 from .metrics import MetricReport, metric_report
 from .noise_budget import NoiseBudget, SplitConfig, compute_noise_budget, select_denoise_steps
 
@@ -60,12 +60,7 @@ class PipelineConfig:
         default="ddim_inversion", metadata={"choices": RECEIVER_FORWARD_MODES})
 
     def __post_init__(self):
-        if self.transmitter_mode not in TRANSMITTER_MODES:
-            raise ParameterError(f"unknown transmitter_mode {self.transmitter_mode!r}")
-        if self.receiver_forward_mode not in RECEIVER_FORWARD_MODES:
-            raise ParameterError(
-                f"unknown receiver_forward_mode {self.receiver_forward_mode!r}"
-            )
+        check_fields(self)
         if self.t_b != "auto" and (isinstance(self.t_b, str) or self.t_b < 0):
             raise ConfigError(f"t_b must be 'auto' or an integer >= 0, got {self.t_b!r}")
         # Built here so that its range checks run at construction.

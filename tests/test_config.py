@@ -1,5 +1,5 @@
 import string
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -12,7 +12,7 @@ from diffsemcom.config import (
     parse_config,
     serialize_config,
 )
-from diffsemcom.errors import ConfigError
+from diffsemcom.errors import ConfigError, FieldError
 from diffsemcom.mlp import TrainConfig
 from diffsemcom.pipeline import PipelineConfig
 
@@ -108,6 +108,27 @@ def test_section_range_error_reported_at_section_line(tmp_path):
         parse_config(path)
 
 
+# (section, class, field) of every field that declares a rule.
+_RULED = [(s.name, s.default_factory, f) for s in fields(ExperimentConfig)
+          for f in fields(s.default_factory) if {"choices", "min"} & f.metadata.keys()]
+
+
+@pytest.mark.parametrize("section,cls,f", _RULED, ids=[f"{s}.{f.name}" for s, _, f in _RULED])
+def test_field_rule_rejected_in_file_construction_and_replace(tmp_path, section, cls, f):
+    if "choices" in f.metadata:
+        text = value = "bogus"
+    else:
+        low = f.metadata["min"] - 1
+        text, value = str(low), (low,) if f.type.startswith("tuple") else low
+    path = write(tmp_path, f"[{section}]\n\n{f.name} = {text}\n")
+    with pytest.raises(ConfigError, match=rf"exp\.ini:3: {section}\.{f.name}: "):
+        parse_config(path)
+    with pytest.raises(FieldError, match=rf"^{f.name}: "):
+        cls(**{f.name: value})
+    with pytest.raises(FieldError, match=rf"^{f.name}: "):
+        replace(cls(), **{f.name: value})
+
+
 def test_syntax_error_reported(tmp_path):
     path = write(tmp_path, "[channel\nsnr_db = 5\n")
     with pytest.raises(ConfigError, match="syntax error"):
@@ -117,6 +138,11 @@ def test_syntax_error_reported(tmp_path):
 def test_seed_range_shorthand(tmp_path):
     cfg = parse_config(write(tmp_path, "[sweep]\nseeds = 0..3 10\n"))
     assert cfg.sweep.seeds == (0, 1, 2, 3, 10)
+    assert parse_config(write(tmp_path, "[sweep]\nseeds = 2..2\n", "one.ini")).sweep.seeds == (2,)
+    path = write(tmp_path, "[sweep]\nsnr_db = 5\nseeds = 0 3..1\n", "down.ini")
+    with pytest.raises(ConfigError, match=r"down\.ini:3: sweep\.seeds: invalid integer list "
+                                          r"'0 3\.\.1' \(descending range '3\.\.1'\)"):
+        parse_config(path)
 
 
 def test_t_b_forms(tmp_path):
@@ -211,19 +237,16 @@ def test_shipped_configs_parse():
         assert cfg.schedule.k_steps == 50
 
 
-# Values from each field annotation's parser domain; a field with choices
-# draws from them, and a field its class range-checks from _DOMAINS.  A field
-# whose annotation is missing here fails the test.
+# Values from each field annotation's parser domain.  A field with a rule
+# draws from its ``choices`` or from its ``min`` upward; a field that its
+# class checks by hand draws from _DOMAINS.  A field whose annotation is
+# missing here fails the test.
 _INTS = st.integers(-10**6, 10**6)
 _FLOATS = st.floats(allow_nan=False, allow_infinity=False)
-_NON_NEGATIVE = st.floats(min_value=0.0, allow_infinity=False)
-_POSITIVE_INTS = st.integers(1, 10**6)
 _ADAM_BETAS = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
 _DOMAINS = {
     PipelineConfig: {"t_f1": st.integers(0, 10**6), "t_f2": st.integers(0, 10**6)},
-    TrainConfig: {"learning_rate": _NON_NEGATIVE, "batch_size": _POSITIVE_INTS,
-                  "iterations": _POSITIVE_INTS, "hidden": _POSITIVE_INTS,
-                  "time_embed": st.integers(1, 10**5).map(lambda k: 2 * k),
+    TrainConfig: {"time_embed": st.integers(1, 10**5).map(lambda k: 2 * k),
                   "beta1": _ADAM_BETAS, "beta2": _ADAM_BETAS},
 }
 _VALUES = {
@@ -235,20 +258,30 @@ _VALUES = {
     "tuple[int, ...]": st.lists(_INTS, min_size=1, max_size=4).map(tuple),
     "int | str": st.one_of(st.just("auto"), st.integers(0, 10**6)),
 }
+_AT_LEAST = {
+    "int": lambda low: st.integers(low, 10**6),
+    "float": lambda low: st.floats(min_value=low, allow_infinity=False),
+    "tuple[int, ...]": lambda low: st.lists(st.integers(low, 10**6),
+                                            min_size=1, max_size=4).map(tuple),
+}
 
 
-def _specs(cls):
-    domains = _DOMAINS.get(cls, {})
-    return st.builds(cls, **{
-        f.name: st.sampled_from(f.metadata["choices"]) if "choices" in f.metadata
-        else domains[f.name] if f.name in domains
-        else _VALUES[f.type]
-        for f in fields(cls)
-    })
+def _domain(cls, f):
+    if "choices" in f.metadata:
+        return st.sampled_from(f.metadata["choices"])
+    if "min" in f.metadata:
+        return _AT_LEAST[f.type](f.metadata["min"])
+    hand_checked = _DOMAINS.get(cls, {})
+    return hand_checked[f.name] if f.name in hand_checked else _VALUES[f.type]
 
 
-_SOURCES = st.builds(SourceSpec, dimension=_INTS,
-                     components=st.lists(_specs(ComponentSpec), min_size=1, max_size=3).map(tuple))
+def _specs(cls, **given):
+    return st.builds(cls, **{f.name: given[f.name] if f.name in given else _domain(cls, f)
+                             for f in fields(cls)})
+
+
+_SOURCES = _specs(SourceSpec, components=st.lists(_specs(ComponentSpec),
+                                                   min_size=1, max_size=3).map(tuple))
 _CONFIGS = st.builds(ExperimentConfig, source=_SOURCES, **{
     f.name: _specs(f.default_factory) for f in fields(ExperimentConfig) if f.name != "source"
 })

@@ -11,7 +11,7 @@ from diffsemcom import cli, harness, svgplot
 from diffsemcom.config import ComponentSpec, ExperimentConfig, SourceSpec
 from diffsemcom.errors import ConfigError, ParameterError
 from diffsemcom.harness import RESULT_HEADER, ResultRow
-from diffsemcom.mlp import load_checkpoint
+from diffsemcom.mlp import init_mlp, load_checkpoint, save_checkpoint
 
 
 def small_cfg(**kw):
@@ -358,6 +358,18 @@ def test_train_then_sweep_on_one_mlp_config(tmp_path):
     assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 0
     assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
     assert len((out / "sweep.csv").read_text().splitlines()) == 2
+
+
+def test_checkpoint_of_other_dimension_exits_2_before_output(tmp_path, capsys):
+    ckpt = tmp_path / "d8.ckpt"
+    save_checkpoint(init_mlp(8, 8, 1, np.random.default_rng(0)), ckpt)
+    cfg = tmp_path / "d16.ini"
+    cfg.write_text(f"[source]\ndimension = 16\n[denoiser]\nkind = mlp\ncheckpoint = {ckpt}\n"
+                   "[sweep]\nsnr_db = 5\nseeds = 0\nn_per_cell = 8\nbaseline = false\n")
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not (out / "sweep.csv").exists()
+    assert "has dimension 8, source.dimension = 16" in capsys.readouterr().err
 
 
 def test_stochastic_verify_prop1_loads_no_denoiser(tmp_path):

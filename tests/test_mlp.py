@@ -159,9 +159,12 @@ def test_checkpoint_round_trip(tmp_path):
 
 def test_checkpoint_rejects_garbage(tmp_path):
     path = tmp_path / "bad.ckpt"
-    path.write_bytes(b"NOPE" + b"\x00" * 40)
-    with pytest.raises(ParameterError):
-        load_checkpoint(path)
+    save_checkpoint(init_mlp(3, 8, 2, dsc.stream(4, 10)), path)
+    whole = path.read_bytes()
+    for blob in (b"NOPE" + b"\x00" * 40, whole[:-16], whole + b"\x00" * 8):
+        path.write_bytes(blob)
+        with pytest.raises(ParameterError, match="bad checkpoint magic|bad\\.ckpt"):
+            load_checkpoint(path)
 
 
 def test_denoiser_contract(sched):
