@@ -10,8 +10,8 @@ and ``TrainConfig`` among them, are the schema: a key's name, default and
 single-key rule (``choices`` or ``min`` metadata, which ``check_fields``
 applies whenever the class is built) are its field's, and its parser is
 chosen by the field's annotation.  A rule's error names the key's line; a
-constructor's hand-written check (split counts, ``t_b``, ``time_embed``, the
-Adam betas) names the section header's.  Only ``[source]``'s numbered
+constructor's hand-written check (split counts, ``t_b``, ``time_embed``)
+names the section header's.  Only ``[source]``'s numbered
 ``weight_j`` / ``mean_j`` / ``var_j`` keys are read by hand.  Rules that
 span two keys are checked by ``harness.build_objects``.
 """
@@ -88,7 +88,6 @@ class Prop1Spec(CheckedFields):
 @dataclass(frozen=True)
 class OutputSpec:
     directory: str = "out"
-    dump_records: bool = False
 
 
 @dataclass(frozen=True)

@@ -153,7 +153,6 @@ class Cell:
     t_b: int | str
     t_b_mode: str
     n: int
-    records_csv: str | None = None  # per-sample dump path, written by run_cell
 
 
 # (cfg, build_objects(cfg)) of the command whose cells run in this context:
@@ -175,11 +174,6 @@ def run_cell(cfg: ExperimentConfig, cell: Cell) -> ResultRow:
     channel = replace(cfg.channel, snr_db=float(cell.snr_db))
     rng = stream(cfg.run.seed, _SALT_CELL, cell.seed)
     result = run_trial(pipe_cfg, channel, source, schedule, plan, denoiser, cell.n, rng)
-    if cell.records_csv is not None:
-        with open(cell.records_csv, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("sample,gamma,sq_err\n")
-            for i, gamma, err in result.per_sample_rows():
-                fh.write(f"{i},{gamma:.12g},{err:.12g}\n")
     return ResultRow(
         snr_db=float(cell.snr_db),
         t_f1=cell.t_f1,
@@ -236,16 +230,15 @@ def _init_worker(cfg, objects):
     _command_objects.set((cfg, objects))
 
 
-def _execute_cells(cfg, cells, csv_path):
+def _execute_cells(cfg, objects, cells, csv_path):
     """Run cells (on a pool of up to cfg.run.jobs workers), writing rows in cell order.
 
-    The objects are built once per command; pool workers receive them
-    through their initializer (a forked worker shares them without a copy).
+    ``objects`` is the command's ``build_objects(cfg)``; pool workers receive
+    it through their initializer (a forked worker shares it without a copy).
     Both paths map run_cell over the cells in order: each row is flushed as
     it arrives, and a failed cell stops the loop (the pool's map cancels the
     cells that have not started).
     """
-    objects = build_objects(cfg)
     workers = min(cfg.run.jobs, len(cells))
     rows: list[ResultRow] = []
     token = _command_objects.set((cfg, objects))
@@ -265,20 +258,19 @@ def _execute_cells(cfg, cells, csv_path):
 
 def cmd_sweep(cfg: ExperimentConfig, out_dir):
     """Full factorial over (snr_db x seeds), proposed plus optional baseline."""
+    objects = build_objects(cfg)
     os.makedirs(out_dir, exist_ok=True)
     systems = ["proposed"] + (["random_noise"] if cfg.sweep.baseline else [])
     p = cfg.pipeline
     t_b_mode = "auto" if p.t_b == "auto" else "fixed"
     cells = [
-        Cell(snr, seed, system, p.t_f1, p.t_f2, p.t_b, t_b_mode, cfg.sweep.n_per_cell,
-             os.path.join(out_dir, f"records_snr{snr:g}_seed{seed}_{system}.csv")
-             if cfg.output.dump_records else None)
+        Cell(snr, seed, system, p.t_f1, p.t_f2, p.t_b, t_b_mode, cfg.sweep.n_per_cell)
         for snr in cfg.sweep.snr_db
         for seed in cfg.sweep.seeds
         for system in systems
     ]
     csv_path = os.path.join(out_dir, "sweep.csv")
-    rows = _execute_cells(cfg, cells, csv_path)
+    rows = _execute_cells(cfg, objects, cells, csv_path)
     if cfg.sweep.plot:
         for metric in ("mse", "sw2"):
             svg = svgplot.emit_svg_plot(rows, metric)
@@ -293,6 +285,7 @@ ABLATION_SPLITS = ((10, 0), (5, 5), (0, 10))
 
 def cmd_ablate(cfg: ExperimentConfig, out_dir):
     """Split/depth ablation grid plus the inversion-vs-random-noise comparison."""
+    objects = build_objects(cfg)
     os.makedirs(out_dir, exist_ok=True)
     snr = cfg.ablate.snr_db
     n = cfg.ablate.n_per_cell
@@ -304,15 +297,15 @@ def cmd_ablate(cfg: ExperimentConfig, out_dir):
             cells.append(Cell(snr, seed, "proposed", t_f1, t_f2, "auto", "auto", n))
         cells.append(Cell(snr, seed, "random_noise", 5, 5, "auto", "auto", n))
     csv_path = os.path.join(out_dir, "ablate.csv")
-    rows = _execute_cells(cfg, cells, csv_path)
+    rows = _execute_cells(cfg, objects, cells, csv_path)
     return rows, csv_path
 
 
 def cmd_verify_prop1(cfg: ExperimentConfig, out_dir):
     """Run the noise-budget validator; exit 0 iff it meets its tolerances."""
-    os.makedirs(out_dir, exist_ok=True)
     schedule, plan, source, denoiser = build_objects(
         cfg, with_denoiser=cfg.prop1.transmitter_mode == "ddim_inversion")
+    os.makedirs(out_dir, exist_ok=True)
     report = validate_prop1(
         schedule, plan, cfg.pipeline.split, cfg.channel, source,
         cfg.prop1.n_samples, cfg.prop1.gamma_mode,
@@ -333,8 +326,8 @@ def cmd_verify_prop1(cfg: ExperimentConfig, out_dir):
 
 def cmd_train(cfg: ExperimentConfig, out_dir):
     """Train the MLP denoiser; write checkpoint and loss-trace CSV."""
-    os.makedirs(out_dir, exist_ok=True)
     schedule, _plan, source, _denoiser = build_objects(cfg, with_denoiser=False)
+    os.makedirs(out_dir, exist_ok=True)
     t = cfg.train
     params = init_mlp(
         source.d, t.hidden, source.n_components,

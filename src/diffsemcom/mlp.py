@@ -49,16 +49,13 @@ class MlpParams:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """The ``[train]`` section: network size, Adam settings and output names."""
+    """The ``[train]`` section: network size, Adam learning rate, batches and output names."""
 
     learning_rate: float = field(default=2e-3, metadata={"min": 0})
     batch_size: int = field(default=256, metadata={"min": 1})
     iterations: int = field(default=6000, metadata={"min": 1})
     hidden: int = field(default=64, metadata={"min": 1})
     time_embed: int = 16
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     checkpoint: str = "denoiser.ckpt"
     loss_csv: str = "train_loss.csv"
 
@@ -66,9 +63,6 @@ class TrainConfig:
         check_fields(self)
         if self.time_embed < 2 or self.time_embed % 2:
             raise ParameterError(f"time_embed = {self.time_embed} must be an even number >= 2")
-        for key in ("beta1", "beta2"):  # Adam divides by 1 - beta**step
-            if not 0 <= getattr(self, key) < 1:
-                raise ParameterError(f"{key} = {getattr(self, key)} must be in [0, 1)")
 
 
 def init_mlp(d, hidden, label_count, rng, t_emb=16) -> MlpParams:
@@ -150,23 +144,24 @@ def loss_and_grads(params, z_t, t, cond, eps_target):
 
 
 class _Adam:
-    def __init__(self, cfg, shapes):
-        self.cfg = cfg
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, learning_rate, shapes):
+        self.learning_rate = learning_rate
         self.m = [np.zeros(s) for s in shapes]
         self.v = [np.zeros(s) for s in shapes]
         self.step_count = 0
 
     def step(self, arrays, grads):
-        c = self.cfg
         self.step_count += 1
-        bc1 = 1.0 - c.beta1 ** self.step_count
-        bc2 = 1.0 - c.beta2 ** self.step_count
+        bc1 = 1.0 - self.BETA1 ** self.step_count
+        bc2 = 1.0 - self.BETA2 ** self.step_count
         for arr, g, m, v in zip(arrays, grads, self.m, self.v):
-            m *= c.beta1
-            m += (1.0 - c.beta1) * g
-            v *= c.beta2
-            v += (1.0 - c.beta2) * g * g
-            arr -= c.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + c.eps)
+            m *= self.BETA1
+            m += (1.0 - self.BETA1) * g
+            v *= self.BETA2
+            v += (1.0 - self.BETA2) * g * g
+            arr -= self.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + self.EPS)
 
 
 def train_denoiser(params, source, schedule, cfg: TrainConfig, seed: int):
@@ -182,7 +177,7 @@ def train_denoiser(params, source, schedule, cfg: TrainConfig, seed: int):
         raise ParameterError(f"source dimension {source.d} != network dimension {params.d}")
     params = params.copy()
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    adam = _Adam(cfg, [a.shape for a in params.arrays()])
+    adam = _Adam(cfg.learning_rate, [a.shape for a in params.arrays()])
     ab = schedule.alpha_bars
     trace = np.empty(cfg.iterations)
     for i in range(cfg.iterations):

@@ -84,11 +84,6 @@ class TrialResult:
     saturated: bool
     gamma_mean: float
 
-    def per_sample_rows(self):
-        """(sample, gamma, squared error) rows for optional CSV dumps."""
-        err = np.mean((self.z_tilde0 - self.z0) ** 2, axis=-1)
-        return [(i, float(self.gamma[i]), float(err[i])) for i in range(len(self.gamma))]
-
 
 def random_noise_config(cfg: PipelineConfig) -> PipelineConfig:
     """The random-noise baseline of cfg: every forward step at the receiver.

@@ -111,19 +111,20 @@ def test_sweep_builds_objects_once_per_command(tmp_path, monkeypatch):
     real_build = harness.build_objects
     calls = []
 
-    def counting(cfg):
-        calls.append(cfg)
-        return real_build(cfg)
+    def counting(cfg, **kwargs):
+        # the output directories present when the objects are built
+        calls.append((cfg, sorted(os.listdir(tmp_path))))
+        return real_build(cfg, **kwargs)
 
     monkeypatch.setattr(harness, "build_objects", counting)
     cfg = small_cfg()
     rows, _ = harness.cmd_sweep(cfg, tmp_path / "a")
-    assert len(rows) == 8 and calls == [cfg]
+    assert len(rows) == 8 and calls == [(cfg, [])]
     harness.cmd_sweep(cfg, tmp_path / "b")
-    assert calls == [cfg, cfg]
+    assert calls == [(cfg, []), (cfg, ["a"])]
     # a pool's workers take the parent's objects
     harness.cmd_sweep(with_jobs(cfg, 2), tmp_path / "c")
-    assert calls == [cfg, cfg, with_jobs(cfg, 2)]
+    assert calls == [(cfg, []), (cfg, ["a"]), (with_jobs(cfg, 2), ["a", "b"])]
     # outside a command, run_cell builds its own objects
     harness.run_cell(cfg, harness.Cell(5.0, 0, "proposed", 5, 5, "auto", "auto", 16))
     assert len(calls) == 4
@@ -178,11 +179,9 @@ def test_sweep_emits_svg(tmp_path):
     assert (tmp_path / "sweep_sw2.svg").exists()
 
 
-def test_sweep_dump_records(tmp_path, monkeypatch):
+def test_sweep_runs_one_trial_per_cell(tmp_path, monkeypatch):
     cfg = small_cfg()
-    cfg = replace(cfg, output=replace(cfg.output, dump_records=True),
-                  sweep=replace(cfg.sweep, snr_db=(5.0,), seeds=(0,)))
-    harness.cmd_sweep(with_jobs(cfg, 2), tmp_path / "jobs2")
+    cfg = replace(cfg, sweep=replace(cfg.sweep, snr_db=(5.0,), seeds=(0,)))
     real_run_trial = harness.run_trial
     calls = []
 
@@ -191,24 +190,12 @@ def test_sweep_dump_records(tmp_path, monkeypatch):
         return real_run_trial(pipe_cfg, *args)
 
     monkeypatch.setattr(harness, "run_trial", counting)
-    rows, _ = harness.cmd_sweep(cfg, tmp_path / "serial")
-    # one run per cell, the baseline's on split (0, T_F): the dump comes from
-    # the row's own run
+    rows, _ = harness.cmd_sweep(cfg, tmp_path)
+    # one run per cell, the baseline's on split (0, T_F)
+    assert len(rows) == 2  # proposed + baseline
     assert sorted(calls) == sorted(
         (r.t_f1, r.t_f2) if r.system == "proposed" else (0, r.t_f1 + r.t_f2) for r in rows
     )
-    dumps = sorted(p for p in os.listdir(tmp_path / "serial") if p.startswith("records_"))
-    assert len(dumps) == 2  # proposed + baseline
-    lines = (tmp_path / "serial" / dumps[0]).read_text().splitlines()
-    assert lines[0] == "sample,gamma,sq_err"
-    assert len(lines) == 1 + 32
-    for row in rows:
-        name = f"records_snr{row.snr_db:g}_seed{row.seed}_{row.system}.csv"
-        sq_err = [float(line.split(",")[2])
-                  for line in (tmp_path / "serial" / name).read_text().splitlines()[1:]]
-        assert np.mean(sq_err) == pytest.approx(row.mse, rel=1e-12)
-    for name in dumps:
-        assert (tmp_path / "serial" / name).read_bytes() == (tmp_path / "jobs2" / name).read_bytes()
 
 
 def test_random_noise_rows_report_cell_split_and_config_modes(tmp_path):
@@ -425,7 +412,7 @@ def test_cli_config_error_exit_code(tmp_path):
     bogus = tmp_path / "bogus.ini"
     bogus.write_text("[channel]\nmodel = bogus\n")
     assert cli.main(["sweep", "--config", str(bogus), "--out", str(tmp_path / "o")]) == 2
-    assert not (tmp_path / "o" / "sweep.csv").exists()
+    assert not (tmp_path / "o").exists()
 
     small = "[source]\ndimension = 8\n[sweep]\nsnr_db = 5\nseeds = 0\nn_per_cell = 16\n"
     for i, text in enumerate([
@@ -452,18 +439,23 @@ def test_cli_config_error_exit_code(tmp_path):
         path.write_text(text)
         out = tmp_path / f"o{i}"
         assert cli.main(["sweep", "--config", str(path), "--out", str(out)]) == 2, text
-        assert not (out / "sweep.csv").exists(), text
+        assert not out.exists(), text
+    cross_key = tmp_path / "cross_key.ini"
+    cross_key.write_text(small + "[pipeline]\nt_f1 = 40\nt_f2 = 20\n")
+    for command in ("ablate", "verify-prop1", "train"):
+        out = tmp_path / f"cross_key_{command}"
+        assert cli.main([command, "--config", str(cross_key), "--out", str(out)]) == 2, command
+        assert not out.exists(), command
     good = tmp_path / "good.ini"
     good.write_text(small)
-    for command, written in (("sweep", "sweep.csv"), ("verify-prop1", "prop1_report.csv"),
-                             ("train", "denoiser.ckpt")):
+    for command in ("sweep", "verify-prop1", "train"):
         out = tmp_path / f"neg_seed_{command}"
         assert cli.main([command, "--config", str(good), "--out", str(out), "--seed", "-1"]) == 2
-        assert not (out / written).exists()
+        assert not out.exists()
     for jobs in ("0", "-3"):
         out = tmp_path / f"jobs{jobs}"
         assert cli.main(["sweep", "--config", str(good), "--out", str(out), "--jobs", jobs]) == 2
-        assert not (out / "sweep.csv").exists()
+        assert not out.exists()
     for i, text in enumerate([
         "[train]\nhidden = 0\n",
         "[train]\ntime_embed = 7\n",
@@ -479,17 +471,17 @@ def test_cli_config_error_exit_code(tmp_path):
         path.write_text(small + text)
         out = tmp_path / f"t{i}"
         assert cli.main(["train", "--config", str(path), "--out", str(out)]) == 2, text
-        assert not (out / "denoiser.ckpt").exists(), text
+        assert not out.exists(), text
     nan_snr = tmp_path / "nan_snr.ini"
     nan_snr.write_text("[channel]\nsnr_db = nan\n")
     out = tmp_path / "p"
     assert cli.main(["verify-prop1", "--config", str(nan_snr), "--out", str(out)]) == 2
-    assert not (out / "prop1_report.csv").exists()
+    assert not out.exists()
     few = tmp_path / "few.ini"
     few.write_text("[prop1]\nn_samples = 500\n")
     out = tmp_path / "q"
     assert cli.main(["verify-prop1", "--config", str(few), "--out", str(out)]) == 2
-    assert not (out / "prop1_report.csv").exists()
+    assert not out.exists()
 
 
 def test_python_m_runs_cli(tmp_path):

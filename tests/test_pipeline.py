@@ -215,12 +215,3 @@ def test_baseline_shares_source_draws_with_proposed(sched, plan50, bimodal_64):
     a = run_trial(cfg, AT5, bimodal_64, sched, plan50, den, 32, dsc.stream(1, 18))
     b = run_baseline_random_noise(cfg, AT5, bimodal_64, sched, plan50, den, 32, dsc.stream(1, 18))
     assert np.array_equal(a.z0, b.z0)
-
-
-def test_record_per_sample_rows(sched, plan50, bimodal_64):
-    den = dsc.GmmDenoiser(bimodal_64, sched)
-    cfg = PipelineConfig(t_f1=5, t_f2=5, t_b="auto")
-    res = run_trial(cfg, AT5, bimodal_64, sched, plan50, den, 8, dsc.stream(1, 19))
-    rows = res.per_sample_rows()
-    assert len(rows) == 8
-    assert all(len(r) == 3 and r[1] > 0 and r[2] >= 0 for r in rows)
