@@ -10,7 +10,6 @@ harness for sweeps and ablations.
 
 from .channel import (
     ChannelConfig,
-    NormalizedSignal,
     awgn_apply,
     effective_noise_var,
     measure_snr,

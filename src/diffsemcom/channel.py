@@ -5,7 +5,8 @@ Under ``complex_paper`` the circularly-symmetric complex noise of variance
 sigma_ch^2 per symbol lands as variance sigma_ch^2 / 2 on each real
 component; ``real_simplified`` puts sigma_ch^2 on each real component
 directly.  Both readings are kept so the noise-budget analysis can be
-validated against either.
+validated against either.  ``power_normalize`` returns the pair
+(values, gamma) and ``awgn_apply`` takes and returns plain arrays.
 """
 
 from __future__ import annotations
@@ -26,14 +27,6 @@ class ChannelConfig(CheckedFields):
     model: str = field(default="complex_paper", metadata={"choices": CHANNEL_MODELS})
 
 
-@dataclass(frozen=True)
-class NormalizedSignal:
-    """Unit-average-power signal and the scaling gamma that produced it."""
-
-    values: np.ndarray
-    gamma: np.ndarray | float
-
-
 def snr_to_noise_var(snr_db: float) -> float:
     """Channel noise variance at unit signal power: 10^(-snr_db / 10)."""
     if not math.isfinite(snr_db):
@@ -48,12 +41,13 @@ def effective_noise_var(sigma_ch2: float, model: str) -> float:
     return sigma_ch2 / 2.0 if model == "complex_paper" else float(sigma_ch2)
 
 
-def power_normalize(z) -> NormalizedSignal:
-    """Scale z to unit average power per component.
+def power_normalize(z):
+    """Scale z to unit average power per component: (values, gamma).
 
-    gamma = 1 / sqrt(mean(z^2)) along the last axis; for a batch the scaling
-    is per row.  A zero signal has no defined scaling, and neither has a
-    signal with a non-finite entry or whose power overflows.
+    gamma = 1 / sqrt(mean(z^2)) along the last axis, so it has shape
+    z.shape[:-1]; for a batch the scaling is per row.  A zero signal has no
+    defined scaling, and neither has a signal with a non-finite entry or
+    whose power overflows.
     """
     z = np.asarray(z, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -63,22 +57,21 @@ def power_normalize(z) -> NormalizedSignal:
     if not np.all(np.isfinite(power)):
         raise DegenerateInputError("cannot power-normalize a signal of non-finite power")
     gamma = 1.0 / np.sqrt(power)
-    values = z * gamma[..., None] if z.ndim > 1 else gamma * z
-    return NormalizedSignal(values=values, gamma=gamma if z.ndim > 1 else float(gamma))
+    return z * gamma[..., None], gamma
 
 
 def awgn_apply(signal, sigma_ch2: float, rng, model: str = "complex_paper") -> np.ndarray:
-    """Add white Gaussian channel noise to a (normalized) signal."""
+    """Add white Gaussian channel noise to a (normalized) signal array."""
     if sigma_ch2 < 0:
         raise ParameterError(f"sigma_ch2 must be >= 0, got {sigma_ch2}")
-    values = signal.values if isinstance(signal, NormalizedSignal) else np.asarray(signal, dtype=float)
+    signal = np.asarray(signal, dtype=float)
     var = effective_noise_var(sigma_ch2, model)
-    if model == "complex_paper" and values.shape[-1] % 2 != 0:
+    if model == "complex_paper" and signal.shape[-1] % 2 != 0:
         raise ParameterError(
-            f"complex channel needs an even dimension, got {values.shape[-1]}"
+            f"complex channel needs an even dimension, got {signal.shape[-1]}"
         )
-    noise = rng.standard_normal(values.shape)
-    return values + np.sqrt(var) * noise
+    noise = rng.standard_normal(signal.shape)
+    return signal + np.sqrt(var) * noise
 
 
 def measure_snr(sent, received) -> float:

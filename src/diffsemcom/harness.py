@@ -5,19 +5,21 @@ Every cell of a grid derives its RNG stream from (master_seed, seed) only,
 so paired arms (proposed vs baseline, auto vs forced depth, split variants)
 and different SNR points share source draws and channel noise direction.
 Rows are written in cell order; parallel and serial execution produce
-byte-identical CSV files.
+byte-identical CSV files.  A cell is the plain call ``run_cell(cfg, objects,
+cell)`` on the objects its command built once.  A pool worker keeps the
+``(cfg, objects)`` its initializer receives (a forked worker shares them
+without a copy), so each task sends only its Cell.
 """
 
 from __future__ import annotations
 
-import contextvars
 import ctypes
+import functools
 import glob
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, fields, replace
-from itertools import repeat
 
 import numpy as np
 
@@ -155,19 +157,9 @@ class Cell:
     n: int
 
 
-# (cfg, build_objects(cfg)) of the command whose cells run in this context:
-# set by _execute_cells for the length of the command and by each pool
-# worker's initializer, so that run_cell(cfg, cell) builds nothing per cell.
-# Never kept past the command: an mlp checkpoint may change between commands.
-_command_objects = contextvars.ContextVar("command_objects", default=None)
-
-
-def run_cell(cfg: ExperimentConfig, cell: Cell) -> ResultRow:
-    current = _command_objects.get()
-    if current is not None and current[0] == cfg:
-        schedule, plan, source, denoiser = current[1]
-    else:
-        schedule, plan, source, denoiser = build_objects(cfg)
+def run_cell(cfg: ExperimentConfig, objects, cell: Cell) -> ResultRow:
+    """One grid cell on ``objects``, the command's ``build_objects(cfg)``."""
+    schedule, plan, source, denoiser = objects
     pipe_cfg = replace(cfg.pipeline, t_f1=cell.t_f1, t_f2=cell.t_f2, t_b=cell.t_b)
     if cell.system == "random_noise":
         pipe_cfg = random_noise_config(pipe_cfg)
@@ -225,41 +217,54 @@ def _single_thread_blas():
                 return
 
 
+# (cfg, objects) of the grid that this pool worker runs; set by the pool's
+# initializer, so only in worker processes.
+_worker_args = None
+
+
 def _init_worker(cfg, objects):
+    global _worker_args
     _single_thread_blas()
-    _command_objects.set((cfg, objects))
+    _worker_args = (cfg, objects)
 
 
-def _execute_cells(cfg, objects, cells, csv_path):
+def _run_worker_cell(cell: Cell) -> ResultRow:
+    return run_cell(*_worker_args, cell)
+
+
+def _run_grid(cfg: ExperimentConfig, cells, out_dir, csv_name):
     """Run cells (on a pool of up to cfg.run.jobs workers), writing rows in cell order.
 
-    ``objects`` is the command's ``build_objects(cfg)``; pool workers receive
-    it through their initializer (a forked worker shares it without a copy).
-    Both paths map run_cell over the cells in order: each row is flushed as
-    it arrives, and a failed cell stops the loop (the pool's map cancels the
-    cells that have not started).
+    Builds the objects and checks every cell's split against the plan before
+    it creates out_dir.  Each row is flushed as it arrives, and a failed cell
+    stops the loop (the pool's map cancels the cells that have not started).
     """
+    objects = build_objects(cfg)
+    k = objects[1].k
+    for cell in cells:
+        if cell.t_f1 + cell.t_f2 > k:
+            raise ConfigError(f"a cell's split ({cell.t_f1}, {cell.t_f2}) needs "
+                              f"schedule.k_steps >= {cell.t_f1 + cell.t_f2}, got {k}")
+    os.makedirs(out_dir, exist_ok=True)
+    csv_path = os.path.join(out_dir, csv_name)
     workers = min(cfg.run.jobs, len(cells))
     rows: list[ResultRow] = []
-    token = _command_objects.set((cfg, objects))
-    try:
-        with open(csv_path, "w", encoding="utf-8", newline="\n") as fh, ExitStack() as stack:
-            fh.write(RESULT_HEADER + "\n")
-            mapper = map if workers <= 1 else stack.enter_context(ProcessPoolExecutor(
-                max_workers=workers, initializer=_init_worker, initargs=(cfg, objects))).map
-            for row in mapper(run_cell, repeat(cfg), cells):
-                fh.write(row_to_csv(row) + "\n")
-                fh.flush()
-                rows.append(row)
-    finally:
-        _command_objects.reset(token)
-    return rows
+    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh, ExitStack() as stack:
+        fh.write(RESULT_HEADER + "\n")
+        mapper, task = map, functools.partial(run_cell, cfg, objects)
+        if workers > 1:
+            mapper, task = stack.enter_context(ProcessPoolExecutor(
+                max_workers=workers, initializer=_init_worker,
+                initargs=(cfg, objects))).map, _run_worker_cell
+        for row in mapper(task, cells):
+            fh.write(row_to_csv(row) + "\n")
+            fh.flush()
+            rows.append(row)
+    return rows, csv_path
 
 
 def cmd_sweep(cfg: ExperimentConfig, out_dir):
     """Full factorial over (snr_db x seeds), proposed plus optional baseline."""
-    objects = build_objects(cfg)
-    os.makedirs(out_dir, exist_ok=True)
     systems = ["proposed"] + (["random_noise"] if cfg.sweep.baseline else [])
     p = cfg.pipeline
     t_b_mode = "auto" if p.t_b == "auto" else "fixed"
@@ -269,8 +274,7 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir):
         for seed in cfg.sweep.seeds
         for system in systems
     ]
-    csv_path = os.path.join(out_dir, "sweep.csv")
-    rows = _execute_cells(cfg, objects, cells, csv_path)
+    rows, csv_path = _run_grid(cfg, cells, out_dir, "sweep.csv")
     if cfg.sweep.plot:
         for metric in ("mse", "sw2"):
             svg = svgplot.emit_svg_plot(rows, metric)
@@ -285,8 +289,6 @@ ABLATION_SPLITS = ((10, 0), (5, 5), (0, 10))
 
 def cmd_ablate(cfg: ExperimentConfig, out_dir):
     """Split/depth ablation grid plus the inversion-vs-random-noise comparison."""
-    objects = build_objects(cfg)
-    os.makedirs(out_dir, exist_ok=True)
     snr = cfg.ablate.snr_db
     n = cfg.ablate.n_per_cell
     cells = []
@@ -296,9 +298,7 @@ def cmd_ablate(cfg: ExperimentConfig, out_dir):
                               t_f1 + t_f2, "t_f", n))
             cells.append(Cell(snr, seed, "proposed", t_f1, t_f2, "auto", "auto", n))
         cells.append(Cell(snr, seed, "random_noise", 5, 5, "auto", "auto", n))
-    csv_path = os.path.join(out_dir, "ablate.csv")
-    rows = _execute_cells(cfg, objects, cells, csv_path)
-    return rows, csv_path
+    return _run_grid(cfg, cells, out_dir, "ablate.csv")
 
 
 def cmd_verify_prop1(cfg: ExperimentConfig, out_dir):

@@ -19,6 +19,8 @@ from .errors import ParameterError, TrainingDivergedError, check_fields
 
 CHECKPOINT_MAGIC = b"MLPD"
 CHECKPOINT_VERSION = 1
+# Magic, version, d, hidden, label_count, t_emb.
+_CHECKPOINT_HEADER = struct.Struct("<4sIIIII")
 
 # Weight arrays in declaration (= checkpoint) order.
 _PARAM_NAMES = ("w1", "b1", "w2", "b2", "w3", "b3")
@@ -209,8 +211,8 @@ class MlpDenoiser(Denoiser):
 
 def save_checkpoint(params: MlpParams, path):
     """Write magic, version, layer sizes, then float64-LE weights in order."""
-    header = struct.pack(
-        "<4sIIIII", CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+    header = _CHECKPOINT_HEADER.pack(
+        CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
         params.d, params.hidden, params.label_count, params.t_emb,
     )
     with open(path, "wb") as fh:
@@ -222,12 +224,10 @@ def save_checkpoint(params: MlpParams, path):
 def load_checkpoint(path) -> MlpParams:
     with open(path, "rb") as fh:
         blob = fh.read()
-    head_size = struct.calcsize("<4sIIIII")
+    head_size = _CHECKPOINT_HEADER.size
     if len(blob) < head_size:
         raise ParameterError(f"checkpoint {path} is truncated")
-    magic, version, d, hidden, label_count, t_emb = struct.unpack(
-        "<4sIIIII", blob[:head_size]
-    )
+    magic, version, d, hidden, label_count, t_emb = _CHECKPOINT_HEADER.unpack_from(blob)
     if magic != CHECKPOINT_MAGIC:
         raise ParameterError(f"bad checkpoint magic {magic!r}")
     if version != CHECKPOINT_VERSION:

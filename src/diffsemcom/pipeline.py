@@ -1,7 +1,8 @@
 """End-to-end transmission pipeline and the random-noise baseline.
 
 Encoder: deterministic inversion (or stochastic forward, for validation
-runs) over the first T_F1 scheduler steps, then power normalization.
+runs) over the first T_F1 scheduler steps, then power normalization; it
+returns the unit-power rows and their per-row gamma as a pair.
 Channel: AWGN.  Decoder: the received signal is taken as the latent at
 T_F1 as-is (no de-normalization), forwarded T_F2 further steps, retagged at
 the resolved denoising depth T_B, and sampled back to 0.  T_B > T_F means
@@ -103,11 +104,10 @@ def _forward_leg(z, s_from, s_to, mode, schedule, plan, denoiser, rng) -> Latent
 
 
 def encode_transmit(z0, cfg: PipelineConfig, schedule, plan, denoiser, rng):
-    """Transmitter: forward over the first T_F1 plan steps, then normalize."""
+    """Transmitter: forward over the first T_F1 plan steps, then power_normalize's pair."""
     z = _forward_leg(Latent(z0, 0), 0, cfg.split.t_f1, cfg.transmitter_mode,
                      schedule, plan, denoiser, rng)
-    sig = power_normalize(z.values)
-    return sig, sig.gamma
+    return power_normalize(z.values)
 
 
 def receiver_forward(y, cfg: PipelineConfig, schedule, plan, denoiser, rng) -> Latent:
@@ -150,19 +150,18 @@ def run_trial(cfg: PipelineConfig, channel: ChannelConfig, source, schedule, pla
     k_src, k_tx, k_ch, k_rx = rng.spawn(4)
     z0 = gmm_sample(source, n, k_src)
 
-    sig, gamma = encode_transmit(z0, cfg, schedule, plan, denoiser, k_tx)
+    x, gamma = encode_transmit(z0, cfg, schedule, plan, denoiser, k_tx)
     sigma_ch2 = snr_to_noise_var(channel.snr_db)
-    y = awgn_apply(sig, sigma_ch2, k_ch, channel.model)
+    y = awgn_apply(x, sigma_ch2, k_ch, channel.model)
 
-    gamma_arr = np.atleast_1d(np.asarray(gamma, dtype=float))
-    gamma_mean = float(np.mean(gamma_arr))
+    gamma_mean = float(np.mean(gamma))
     sigma_eff2 = effective_noise_var(sigma_ch2, channel.model)
     t_b, saturated, budget = resolve_t_b(cfg, schedule, plan, gamma_mean, sigma_eff2)
     z_tilde0 = receive_decode(y, cfg, schedule, plan, denoiser, k_rx, t_b)
 
     metrics = metric_report(z_tilde0, z0, np.random.default_rng(METRIC_SEED))
     return TrialResult(
-        z0=z0, gamma=gamma_arr, z_tilde0=z_tilde0, budget=budget, metrics=metrics,
+        z0=z0, gamma=gamma, z_tilde0=z_tilde0, budget=budget, metrics=metrics,
         t_b_resolved=t_b, saturated=saturated, gamma_mean=gamma_mean,
     )
 

@@ -267,15 +267,15 @@ def test_criterion_10_channel_calibration():
     # SNR formula reads exactly 10*log10(2) high, which is the documented
     # per-symbol vs per-dimension accounting gap; assert that too.
     rng = dsc.stream(10, 0)
-    sig = dsc.power_normalize(rng.standard_normal((200, 512)))  # 102400 comps
+    values, _ = dsc.power_normalize(rng.standard_normal((200, 512)))  # 102400 comps
     sigma_ch2 = dsc.snr_to_noise_var(7.0)
-    y_real = dsc.awgn_apply(sig, sigma_ch2, dsc.stream(10, 1), model="real_simplified")
-    measured = dsc.measure_snr(sig.values, y_real)
+    y_real = dsc.awgn_apply(values, sigma_ch2, dsc.stream(10, 1), model="real_simplified")
+    measured = dsc.measure_snr(values, y_real)
     snr_ok = abs(measured - 7.0) < 0.2
-    y_cx = dsc.awgn_apply(sig, sigma_ch2, dsc.stream(10, 2), model="complex_paper")
-    noise_var = float(np.var(y_cx - sig.values))
+    y_cx = dsc.awgn_apply(values, sigma_ch2, dsc.stream(10, 2), model="complex_paper")
+    noise_var = float(np.var(y_cx - values))
     var_ok = abs(noise_var - sigma_ch2 / 2) / (sigma_ch2 / 2) < 0.03
-    measured_cx = dsc.measure_snr(sig.values, y_cx)
+    measured_cx = dsc.measure_snr(values, y_cx)
     offset_ok = abs(measured_cx - (7.0 + 10 * math.log10(2.0))) < 0.2
     _report(10, "measured SNR within 0.2 dB; complex noise variance within 3% of half",
             snr_ok and var_ok and offset_ok,

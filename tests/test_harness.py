@@ -2,6 +2,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -60,9 +61,8 @@ def test_sweep_cardinality_and_determinism(tmp_path):
     rows2, path2 = harness.cmd_sweep(cfg, tmp_path / "b")
     # 2 snr x 2 seeds x (proposed + baseline)
     assert len(rows1) == 8
-    with open(path1, "rb") as f1, open(path2, "rb") as f2:
-        assert f1.read() == f2.read()
-    text = open(path1).read().splitlines()
+    assert Path(path1).read_bytes() == Path(path2).read_bytes()
+    text = Path(path1).read_text().splitlines()
     assert text[0] == RESULT_HEADER
     assert len(text) == 9
 
@@ -71,7 +71,7 @@ def test_sweep_parallel_matches_serial(tmp_path):
     cfg = small_cfg()
     _, p1 = harness.cmd_sweep(cfg, tmp_path / "serial")
     _, p2 = harness.cmd_sweep(with_jobs(cfg, 2), tmp_path / "parallel")
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
 @pytest.mark.parametrize("command", [harness.cmd_sweep, harness.cmd_ablate])
@@ -86,7 +86,7 @@ def test_two_component_parallel_matches_serial(tmp_path, command):
     cfg = small_cfg(source=source)
     _, p1 = command(cfg, tmp_path / "serial")
     _, p2 = command(with_jobs(cfg, 2), tmp_path / "parallel")
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
 def test_pool_capped_at_cell_count(tmp_path, monkeypatch):
@@ -104,7 +104,18 @@ def test_pool_capped_at_cell_count(tmp_path, monkeypatch):
     _, serial = harness.cmd_sweep(cfg, tmp_path / "serial")
     _, pooled = harness.cmd_sweep(with_jobs(cfg, 4), tmp_path / "jobs4")
     assert sizes == [2]
-    assert open(pooled, "rb").read() == open(serial, "rb").read()
+    assert Path(pooled).read_bytes() == Path(serial).read_bytes()
+
+
+_build_log = None  # the file _build_objects_logged appends each caller's pid to
+_real_build_objects = harness.build_objects
+
+
+def _build_objects_logged(cfg, **kwargs):
+    # logs to a file, so that a call in a forked pool worker is seen too
+    with open(_build_log, "a") as fh:
+        fh.write(f"{os.getpid()}\n")
+    return _real_build_objects(cfg, **kwargs)
 
 
 def test_sweep_builds_objects_once_per_command(tmp_path, monkeypatch):
@@ -125,9 +136,11 @@ def test_sweep_builds_objects_once_per_command(tmp_path, monkeypatch):
     # a pool's workers take the parent's objects
     harness.cmd_sweep(with_jobs(cfg, 2), tmp_path / "c")
     assert calls == [(cfg, []), (cfg, ["a"]), (with_jobs(cfg, 2), ["a", "b"])]
-    # outside a command, run_cell builds its own objects
-    harness.run_cell(cfg, harness.Cell(5.0, 0, "proposed", 5, 5, "auto", "auto", 16))
-    assert len(calls) == 4
+    # the workers of a --jobs 2 grid call build_objects zero times
+    monkeypatch.setitem(globals(), "_build_log", str(tmp_path / "builds.log"))
+    monkeypatch.setattr(harness, "build_objects", _build_objects_logged)
+    harness.cmd_sweep(with_jobs(cfg, 2), tmp_path / "d")
+    assert (tmp_path / "builds.log").read_text().split() == [str(os.getpid())]
 
 
 def _blas_threads_in_pool_worker():
@@ -219,11 +232,11 @@ def test_partial_rows_flushed_on_abort(tmp_path, monkeypatch):
     real_run_cell = harness.run_cell
     calls = {"n": 0}
 
-    def exploding(cfg_, cell):
+    def exploding(cfg_, objects, cell):
         calls["n"] += 1
         if calls["n"] > 3:
             raise RuntimeError("boom")
-        return real_run_cell(cfg_, cell)
+        return real_run_cell(cfg_, objects, cell)
 
     monkeypatch.setattr(harness, "run_cell", exploding)
     with pytest.raises(RuntimeError):
@@ -237,15 +250,15 @@ _started_log = None  # the file _run_cell_failing_at_seed_1 appends each started
 _real_run_cell = harness.run_cell
 
 
-def _run_cell_failing_at_seed_1(cfg, cell):
-    # module level, so that the pool can pickle it by name
+def _run_cell_failing_at_seed_1(cfg, objects, cell):
+    # logs to a file, so that the cells that forked pool workers start are seen too
     with open(_started_log, "a") as fh:
         fh.write(f"{cell.seed}\n")
     if cell.seed == 1:
         raise RuntimeError("cell failed")
     if cell.seed > 1:
         time.sleep(0.1)  # later cells outlast the report of the failure
-    return _real_run_cell(cfg, cell)
+    return _real_run_cell(cfg, objects, cell)
 
 
 def test_failed_cell_under_jobs_cancels_the_rest(tmp_path, monkeypatch):
@@ -325,12 +338,12 @@ def test_train_command_and_reload(tmp_path):
     ckpt, loss_csv = harness.cmd_train(cfg, tmp_path / "r1")
     params = load_checkpoint(ckpt)
     assert params.d == 8
-    lines = open(loss_csv).read().splitlines()
+    lines = Path(loss_csv).read_text().splitlines()
     assert lines[0] == "iteration,loss"
     assert len(lines) == 1 + 120
     ckpt2, loss2 = harness.cmd_train(cfg, tmp_path / "r2")
-    assert open(ckpt, "rb").read() == open(ckpt2, "rb").read()
-    assert open(loss_csv).read() == open(loss2).read()
+    assert Path(ckpt).read_bytes() == Path(ckpt2).read_bytes()
+    assert Path(loss_csv).read_text() == Path(loss2).read_text()
 
 
 def test_train_then_sweep_on_one_mlp_config(tmp_path):
@@ -434,6 +447,11 @@ def test_cli_config_error_exit_code(tmp_path):
         small.replace("seeds = 0", "seeds = 0 -1"),
         small + "[ablate]\nseeds = -1\n",
         small.replace("dimension = 8", "dimension = 0"),
+        small + "[schedule]\nt_train = 0\n",
+        small + "[schedule]\nbeta_start = 0\n",
+        small + "[schedule]\nbeta_end = 1\n",
+        small + "[schedule]\nk_steps = 0\n",
+        small + "[schedule]\nt_train = 40\nk_steps = 50\n",
     ]):
         path = tmp_path / f"bad{i}.ini"
         path.write_text(text)
@@ -446,6 +464,12 @@ def test_cli_config_error_exit_code(tmp_path):
         out = tmp_path / f"cross_key_{command}"
         assert cli.main([command, "--config", str(cross_key), "--out", str(out)]) == 2, command
         assert not out.exists(), command
+    # ablate's fixed splits (10, 0), (5, 5) and (0, 10) need k_steps >= 10
+    short_plan = tmp_path / "short_plan.ini"
+    short_plan.write_text(small + "[pipeline]\nt_f1 = 2\nt_f2 = 2\n[schedule]\nk_steps = 8\n")
+    out = tmp_path / "short_plan"
+    assert cli.main(["ablate", "--config", str(short_plan), "--out", str(out)]) == 2
+    assert not out.exists()
     good = tmp_path / "good.ini"
     good.write_text(small)
     for command in ("sweep", "verify-prop1", "train"):

@@ -24,10 +24,10 @@ def test_encode_tf1_zero_is_normalized_source(sched, plan50, std_normal_8):
     cfg = PipelineConfig(t_f1=0, t_f2=5)
     den = dsc.GmmDenoiser(std_normal_8, sched)
     z0 = dsc.gmm_sample(std_normal_8, 4, dsc.stream(1, 0))
-    sig, gamma = encode_transmit(z0, cfg, sched, plan50, den, dsc.stream(1, 1))
-    ref = dsc.power_normalize(z0)
-    assert np.array_equal(sig.values, ref.values)
-    assert np.array_equal(gamma, ref.gamma)
+    values, gamma = encode_transmit(z0, cfg, sched, plan50, den, dsc.stream(1, 1))
+    ref_values, ref_gamma = dsc.power_normalize(z0)
+    assert np.array_equal(values, ref_values)
+    assert np.array_equal(gamma, ref_gamma)
 
 
 def test_encode_zero_denoiser_matches_normalized_source(sched, plan50, std_normal_8):
@@ -35,9 +35,10 @@ def test_encode_zero_denoiser_matches_normalized_source(sched, plan50, std_norma
     # absorbs: transmitted values equal the normalized source
     cfg = PipelineConfig(t_f1=5, t_f2=0)
     z0 = dsc.gmm_sample(std_normal_8, 4, dsc.stream(1, 2))
-    sig, _ = encode_transmit(z0, cfg, sched, plan50, dsc.ConstantDenoiser(0.0),
-                             dsc.stream(1, 3))
-    assert np.allclose(sig.values, dsc.power_normalize(z0).values, rtol=1e-12)
+    values, _ = encode_transmit(z0, cfg, sched, plan50, dsc.ConstantDenoiser(0.0),
+                                dsc.stream(1, 3))
+    ref_values, _ = dsc.power_normalize(z0)
+    assert np.allclose(values, ref_values, rtol=1e-12)
 
 
 def test_encode_power_matches_forward_monte_carlo(sched, plan50):
@@ -80,8 +81,8 @@ def test_receive_decode_gamma_consistent_round_trip(sched, plan50):
     den = dsc.GmmDenoiser(src, sched)
     cfg = PipelineConfig(t_f1=5, t_f2=0, t_b=5)
     z0 = dsc.gmm_sample(src, 8, dsc.stream(1, 7))
-    sig, gamma = encode_transmit(z0, cfg, sched, plan50, den, dsc.stream(1, 8))
-    out = receive_decode(sig.values, cfg, sched, plan50, den, dsc.stream(1, 9), 5)
+    values, gamma = encode_transmit(z0, cfg, sched, plan50, den, dsc.stream(1, 8))
+    out = receive_decode(values, cfg, sched, plan50, den, dsc.stream(1, 9), 5)
     ref = gamma[:, None] * z0
     rel = np.sum((out - ref) ** 2, axis=-1) / np.sum(ref**2, axis=-1)
     assert np.max(rel) < 1e-2
@@ -119,9 +120,9 @@ def test_run_trial_decodes_through_receive_decode(sched, plan50, bimodal_8, t_f1
 
     k_src, k_tx, k_ch, k_rx = dsc.stream(2, seed).spawn(4)
     z0 = dsc.gmm_sample(bimodal_8, 4, k_src)
-    sig, gamma = encode_transmit(z0, cfg, sched, plan50, den, k_tx)
+    values, gamma = encode_transmit(z0, cfg, sched, plan50, den, k_tx)
     sigma_ch2 = dsc.snr_to_noise_var(AT5.snr_db)
-    y = dsc.awgn_apply(sig, sigma_ch2, k_ch, AT5.model)
+    y = dsc.awgn_apply(values, sigma_ch2, k_ch, AT5.model)
     if t_b == "auto":
         budget = dsc.compute_noise_budget(sched, plan50, cfg.split, float(np.mean(gamma)),
                                           dsc.effective_noise_var(sigma_ch2, AT5.model))
