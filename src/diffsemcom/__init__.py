@@ -12,17 +12,14 @@ from .channel import (
     ChannelConfig,
     awgn_apply,
     effective_noise_var,
-    measure_snr,
     power_normalize,
     snr_to_noise_var,
 )
 from .denoisers import (
-    ConstantDenoiser,
     Denoiser,
     GaussianMixtureModel,
     GmmDenoiser,
     eps_from_score,
-    gmm_log_density,
     gmm_marginal,
     gmm_sample,
     gmm_score,

@@ -1,4 +1,4 @@
-"""Power normalization, AWGN channel, and SNR bookkeeping.
+"""Power normalization, AWGN channel, and SNR-to-noise conversion.
 
 The latent of dimension d is mapped onto k = d/2 complex channel symbols.
 Under ``complex_paper`` the circularly-symmetric complex noise of variance
@@ -72,19 +72,3 @@ def awgn_apply(signal, sigma_ch2: float, rng, model: str = "complex_paper") -> n
         )
     noise = rng.standard_normal(signal.shape)
     return signal + np.sqrt(var) * noise
-
-
-def measure_snr(sent, received) -> float:
-    """Empirical SNR in dB over a batch; +inf when the noise power is zero,
-    -inf when the signal power is zero."""
-    sent = np.asarray(sent, dtype=float)
-    received = np.asarray(received, dtype=float)
-    if sent.shape != received.shape:
-        raise ParameterError(f"shape mismatch: {sent.shape} vs {received.shape}")
-    noise_power = float(np.sum((received - sent) ** 2))
-    if noise_power == 0.0:
-        return math.inf
-    signal_power = float(np.sum(sent * sent))
-    if signal_power == 0.0:
-        return -math.inf
-    return 10.0 * math.log10(signal_power / noise_power)

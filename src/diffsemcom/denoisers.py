@@ -21,7 +21,11 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 
 
 class Denoiser(abc.ABC):
-    """Anything that predicts the injected noise from (z, t)."""
+    """Anything that predicts the injected noise from (z, t).
+
+    Inputs are finite: every operator passes the values of a ``Latent``,
+    which rejects non-finite entries, so a predictor does not check them.
+    """
 
     @abc.abstractmethod
     def predict(self, z: np.ndarray, t: int) -> np.ndarray:
@@ -34,6 +38,8 @@ class GaussianMixtureModel:
 
     weights: (J,), positive, summing to 1 within 1e-12.
     means: (J, d).  variances: (J, d), strictly positive (per-dimension).
+    Each component's second moment, the sum over d of mean^2 + variance,
+    must be finite, so that the power of a sample is too.
     """
 
     weights: np.ndarray
@@ -56,6 +62,10 @@ class GaussianMixtureModel:
             )
         if np.any(v <= 0.0):
             raise ParameterError("all variances must be positive")
+        with np.errstate(over="ignore"):
+            second_moment = np.sum(m * m + v, axis=-1)
+        if not np.all(np.isfinite(second_moment)):
+            raise ParameterError("a component's second moment sum(mean^2 + var) is not finite")
         for arr in (w, m, v):
             arr.setflags(write=False)
         object.__setattr__(self, "weights", w)
@@ -69,10 +79,6 @@ class GaussianMixtureModel:
     @property
     def n_components(self) -> int:
         return self.weights.size
-
-    @classmethod
-    def standard_normal(cls, d: int) -> "GaussianMixtureModel":
-        return cls(np.ones(1), np.zeros((1, d)), np.ones((1, d)))
 
 
 def gmm_sample(model, n, rng):
@@ -96,19 +102,6 @@ def gmm_marginal(model, schedule: NoiseSchedule, t: int) -> GaussianMixtureModel
     return GaussianMixtureModel(
         model.weights, np.sqrt(ab) * model.means, ab * model.variances + (1.0 - ab)
     )
-
-
-def gmm_log_density(model, z):
-    """log p(z) for z of shape (..., d), via log-sum-exp over components."""
-    z = np.asarray(z, dtype=float)
-    logp = _component_log_density(model, z)
-    return _logsumexp(logp + np.log(model.weights))
-
-
-def _component_log_density(model, z):
-    diff = z[..., None, :] - model.means  # (..., J, d)
-    v = model.variances
-    return -0.5 * np.sum(diff * diff / v + np.log(v) + _LOG_2PI, axis=-1)
 
 
 def _logsumexp(a):
@@ -178,8 +171,6 @@ def gmm_score(model, schedule, z, t, cache=None):
     z = np.asarray(z, dtype=float)
     if z.shape[-1] != model.d:
         raise ParameterError(f"z has dimension {z.shape[-1]}, model has {model.d}")
-    if not np.all(np.isfinite(z)):
-        raise ParameterError("z contains non-finite values")
     terms = None if cache is None else cache.get(t)
     if terms is None:
         terms = _ScoreTerms.at(model, schedule, t)
@@ -229,14 +220,3 @@ class GmmDenoiser(Denoiser):
     def predict(self, z, t):
         score = gmm_score(self.model, self.schedule, z, t, self._terms)
         return eps_from_score(score, self.schedule, t)
-
-
-class ConstantDenoiser(Denoiser):
-    """Predicts a state-independent constant; the DDIM steps become affine."""
-
-    def __init__(self, value):
-        self.value = np.asarray(value, dtype=float)
-
-    def predict(self, z, t):
-        z = np.asarray(z, dtype=float)
-        return np.broadcast_to(self.value, z.shape).copy()

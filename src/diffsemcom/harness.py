@@ -137,7 +137,10 @@ def build_objects(cfg: ExperimentConfig, with_denoiser=True):
     else:
         if not cfg.denoiser.checkpoint:
             raise ConfigError("denoiser.kind = mlp requires denoiser.checkpoint")
-        params = load_checkpoint(cfg.denoiser.checkpoint)
+        try:
+            params = load_checkpoint(cfg.denoiser.checkpoint)
+        except (OSError, ParameterError) as exc:
+            raise ConfigError(f"denoiser.checkpoint: {exc}") from exc
         if params.d != source.d:
             raise ConfigError(f"denoiser.checkpoint {cfg.denoiser.checkpoint} has dimension "
                               f"{params.d}, source.dimension = {source.d}")
@@ -183,7 +186,7 @@ def run_cell(cfg: ExperimentConfig, objects, cell: Cell) -> ResultRow:
         sigma_eps2=result.budget.sigma_eps2,
         sigma_n2=result.budget.sigma_n2,
         sigma_tot2=result.budget.sigma_tot2,
-        gamma_mean=result.gamma_mean,
+        gamma_mean=result.budget.gamma_used,
         saturated=result.saturated,
     )
 

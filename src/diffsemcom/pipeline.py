@@ -83,7 +83,6 @@ class TrialResult:
     metrics: MetricReport
     t_b_resolved: int
     saturated: bool
-    gamma_mean: float
 
 
 def random_noise_config(cfg: PipelineConfig) -> PipelineConfig:
@@ -133,8 +132,6 @@ def receive_decode(y, cfg: PipelineConfig, schedule, plan, denoiser, rng, t_b) -
         if cfg.split.t_f != 0:
             raise ConfigError("resolved t_b = 0 is only valid for an empty split")
         return z_hat.values
-    if not (1 <= t_b <= plan.k):
-        raise ConfigError(f"resolved t_b={t_b} outside 1..{plan.k}")
     z = Latent(z_hat.values, plan.training_step(t_b))
     return run_ddim_sample(schedule, z, plan.descending_plan(t_b), denoiser).values
 
@@ -154,15 +151,14 @@ def run_trial(cfg: PipelineConfig, channel: ChannelConfig, source, schedule, pla
     sigma_ch2 = snr_to_noise_var(channel.snr_db)
     y = awgn_apply(x, sigma_ch2, k_ch, channel.model)
 
-    gamma_mean = float(np.mean(gamma))
     sigma_eff2 = effective_noise_var(sigma_ch2, channel.model)
-    t_b, saturated, budget = resolve_t_b(cfg, schedule, plan, gamma_mean, sigma_eff2)
+    t_b, saturated, budget = resolve_t_b(cfg, schedule, plan, float(np.mean(gamma)), sigma_eff2)
     z_tilde0 = receive_decode(y, cfg, schedule, plan, denoiser, k_rx, t_b)
 
     metrics = metric_report(z_tilde0, z0, np.random.default_rng(METRIC_SEED))
     return TrialResult(
         z0=z0, gamma=gamma, z_tilde0=z_tilde0, budget=budget, metrics=metrics,
-        t_b_resolved=t_b, saturated=saturated, gamma_mean=gamma_mean,
+        t_b_resolved=t_b, saturated=saturated,
     )
 
 

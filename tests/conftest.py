@@ -3,6 +3,7 @@ import pytest
 
 import diffsemcom as dsc
 from diffsemcom import noise_budget
+from instruments import standard_normal_mixture
 
 
 @pytest.fixture(scope="session")
@@ -17,7 +18,7 @@ def plan50(sched):
 
 @pytest.fixture(scope="session")
 def std_normal_8():
-    return dsc.GaussianMixtureModel.standard_normal(8)
+    return standard_normal_mixture(8)
 
 
 def tight_wide_source(d):

@@ -14,12 +14,13 @@ import diffsemcom as dsc
 from diffsemcom import cli
 from diffsemcom.channel import ChannelConfig
 from diffsemcom.config import parse_config
-from diffsemcom.denoisers import gmm_log_density, gmm_marginal, gmm_score
+from diffsemcom.denoisers import gmm_marginal, gmm_score
 from diffsemcom.errors import ParameterError
 from diffsemcom.harness import cmd_verify_prop1
 from diffsemcom.mlp import TrainConfig, init_mlp, loss_and_grads, mlp_predict, train_denoiser
 from diffsemcom.noise_budget import SplitConfig
 from diffsemcom.pipeline import PipelineConfig, run_baseline_random_noise, run_trial
+from instruments import ConstantDenoiser, gmm_log_density, measure_snr, standard_normal_mixture
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 CONFIGS = os.path.join(os.path.dirname(HERE), "configs")
@@ -109,7 +110,7 @@ def test_criterion_04_exact_inverse_composition(sched):
     worst = 0.0
     for _ in range(100):
         d = int(rng.integers(1, 8))
-        den = dsc.ConstantDenoiser(rng.standard_normal(d))
+        den = ConstantDenoiser(rng.standard_normal(d))
         z0 = rng.standard_normal(d)
         n_steps = int(rng.integers(1, 14))
         steps = np.sort(rng.choice(np.arange(1, 1001), size=n_steps, replace=False))
@@ -144,7 +145,7 @@ def test_criterion_05_analytic_denoiser(sched):
             fd[i] = (gmm_log_density(mt, zp) - gmm_log_density(mt, zm)) / (2 * h)
         worst = max(worst, float(np.linalg.norm(fd - analytic)
                                  / max(np.linalg.norm(analytic), 1e-12)))
-    std = dsc.GaussianMixtureModel.standard_normal(6)
+    std = standard_normal_mixture(6)
     den = dsc.GmmDenoiser(std, sched)
     z = rng.standard_normal(6)
     exact = max(
@@ -270,12 +271,12 @@ def test_criterion_10_channel_calibration():
     values, _ = dsc.power_normalize(rng.standard_normal((200, 512)))  # 102400 comps
     sigma_ch2 = dsc.snr_to_noise_var(7.0)
     y_real = dsc.awgn_apply(values, sigma_ch2, dsc.stream(10, 1), model="real_simplified")
-    measured = dsc.measure_snr(values, y_real)
+    measured = measure_snr(values, y_real)
     snr_ok = abs(measured - 7.0) < 0.2
     y_cx = dsc.awgn_apply(values, sigma_ch2, dsc.stream(10, 2), model="complex_paper")
     noise_var = float(np.var(y_cx - values))
     var_ok = abs(noise_var - sigma_ch2 / 2) / (sigma_ch2 / 2) < 0.03
-    measured_cx = dsc.measure_snr(values, y_cx)
+    measured_cx = measure_snr(values, y_cx)
     offset_ok = abs(measured_cx - (7.0 + 10 * math.log10(2.0))) < 0.2
     _report(10, "measured SNR within 0.2 dB; complex noise variance within 3% of half",
             snr_ok and var_ok and offset_ok,
@@ -304,7 +305,7 @@ def test_criterion_11_mlp_denoiser(sched):
             fd = (lp - lm) / (2 * h)
             worst = max(worst, abs(fd - gflat[i]) / max(abs(fd), abs(gflat[i]), 1e-8))
 
-    src = dsc.GaussianMixtureModel.standard_normal(2)
+    src = standard_normal_mixture(2)
     trained, _ = train_denoiser(
         init_mlp(2, 64, 1, dsc.stream(11, 1)), src, sched,
         TrainConfig(learning_rate=2e-3, batch_size=256, iterations=6000), 123,

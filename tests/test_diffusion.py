@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import diffsemcom as dsc
 from diffsemcom.diffusion import _ddim_step
 from diffsemcom.errors import ParameterError
+from instruments import ConstantDenoiser, standard_normal_mixture
 
 
 class _ZeroRng:
@@ -50,7 +51,7 @@ def test_forward_reparam_moments(sched):
 
 def test_sample_step_zero_prediction_scaling(sched):
     rng = np.random.default_rng(23)
-    zero = dsc.ConstantDenoiser(0.0)
+    zero = ConstantDenoiser(0.0)
     for _ in range(20):
         t = int(rng.integers(2, 1001))
         t_prev = int(rng.integers(0, t))
@@ -63,7 +64,7 @@ def test_sample_step_zero_prediction_scaling(sched):
 
 def test_invert_step_zero_prediction_scaling(sched):
     rng = np.random.default_rng(24)
-    zero = dsc.ConstantDenoiser(0.0)
+    zero = ConstantDenoiser(0.0)
     for _ in range(20):
         t = int(rng.integers(0, 999))
         t_next = int(rng.integers(t + 1, 1001))
@@ -84,7 +85,7 @@ def test_degenerate_equal_step_is_exact_identity(sched):
 
 
 def test_step_direction_errors(sched):
-    zero = dsc.ConstantDenoiser(0.0)
+    zero = ConstantDenoiser(0.0)
     z = dsc.Latent(np.zeros(2), 100)
     with pytest.raises(ParameterError):
         dsc.ddim_sample_step(sched, z, 100, zero)
@@ -98,7 +99,7 @@ def test_step_direction_errors(sched):
 
 def test_constant_denoiser_single_pair_inverse(sched):
     rng = np.random.default_rng(26)
-    den = dsc.ConstantDenoiser(rng.standard_normal(5))
+    den = ConstantDenoiser(rng.standard_normal(5))
     z = dsc.Latent(rng.standard_normal(5), 120)
     up = dsc.ddim_invert_step(sched, z, 480, den)
     back = dsc.ddim_sample_step(sched, up, 120, den)
@@ -106,20 +107,20 @@ def test_constant_denoiser_single_pair_inverse(sched):
 
 
 def test_run_plans_empty_and_fold(sched):
-    zero = dsc.ConstantDenoiser(0.0)
+    zero = ConstantDenoiser(0.0)
     z = dsc.Latent(np.array([1.0, 2.0]), 500)
     assert dsc.run_ddim_sample(sched, z, [], zero) is z
     assert dsc.run_ddim_invert(sched, z, [], zero) is z
 
     # a 2-step plan equals composing the single steps
-    den = dsc.ConstantDenoiser(np.array([0.4, -0.2]))
+    den = ConstantDenoiser(np.array([0.4, -0.2]))
     two = dsc.run_ddim_sample(sched, z, [300, 100], den)
     one = dsc.ddim_sample_step(sched, dsc.ddim_sample_step(sched, z, 300, den), 100, den)
     assert np.array_equal(two.values, one.values)
 
 
 def test_run_plan_single_scaled_copy(sched):
-    zero = dsc.ConstantDenoiser(0.0)
+    zero = ConstantDenoiser(0.0)
     z = dsc.Latent(np.array([3.0, -1.0]), 800)
     out = dsc.run_ddim_sample(sched, z, [200], zero)
     assert out.t == 200
@@ -131,7 +132,7 @@ def test_run_plan_single_scaled_copy(sched):
 
 
 def test_run_plan_validation(sched):
-    zero = dsc.ConstantDenoiser(0.0)
+    zero = ConstantDenoiser(0.0)
     z = dsc.Latent(np.zeros(2), 500)
     with pytest.raises(ParameterError):
         dsc.run_ddim_sample(sched, z, [300, 300], zero)
@@ -154,7 +155,7 @@ def _plans(min_size):
 @given(steps=_plans(1), d=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
 def test_invert_then_sample_round_trip_property(sched, steps, d, seed):
     rng = np.random.default_rng(seed)
-    den = dsc.ConstantDenoiser(rng.standard_normal(d))
+    den = ConstantDenoiser(rng.standard_normal(d))
     z0 = rng.standard_normal(d)
     up = dsc.run_ddim_invert(sched, dsc.Latent(z0, 0), steps, den)
     down = dsc.run_ddim_sample(sched, up, steps[-2::-1] + [0], den)
@@ -167,7 +168,7 @@ def test_invert_then_sample_round_trip_property(sched, steps, d, seed):
        data=st.data())
 def test_bad_plan_raises_property(sched, steps, d, fault, data):
     # the folds check nothing themselves: every bad plan fails in a step
-    den = dsc.ConstantDenoiser(0.5)
+    den = ConstantDenoiser(0.5)
     up, down = list(steps), steps[-2::-1] + [0]
     if fault == "range":
         up.append(sched.t_train + data.draw(st.integers(1, 50)))
@@ -190,7 +191,7 @@ def test_constant_denoiser_multi_step_round_trip(sched):
     rng = np.random.default_rng(27)
     for _ in range(25):
         d = int(rng.integers(1, 6))
-        den = dsc.ConstantDenoiser(rng.standard_normal(d))
+        den = ConstantDenoiser(rng.standard_normal(d))
         z0 = rng.standard_normal(d)
         steps = np.sort(rng.choice(np.arange(1, 1001), size=rng.integers(1, 12), replace=False))
         up = dsc.run_ddim_invert(sched, dsc.Latent(z0, 0), list(steps), den)
@@ -234,7 +235,7 @@ def test_stride_refinement_monotonicity(sched):
 
 def test_norm_growth_toward_unit(sched):
     # inverting a standard-normal source to t_train keeps ||z||^2/d near 1
-    model = dsc.GaussianMixtureModel.standard_normal(16)
+    model = standard_normal_mixture(16)
     den = dsc.GmmDenoiser(model, sched)
     z0 = dsc.gmm_sample(model, 256, dsc.stream(0, 30))
     plan = dsc.make_stride_plan(sched, 50)
@@ -254,7 +255,7 @@ def test_sampling_from_pure_noise_distribution(sched, plan50):
         np.full((2, 8), 0.5),
     )
     for model, against_raw, tol in [
-        (dsc.GaussianMixtureModel.standard_normal(8), False, 0.1),
+        (standard_normal_mixture(8), False, 0.1),
         (bimodal, True, None),
     ]:
         den = dsc.GmmDenoiser(model, sched)
@@ -278,7 +279,7 @@ def test_latent_validation():
 
 
 def test_operators_pure(sched):
-    den = dsc.GmmDenoiser(dsc.GaussianMixtureModel.standard_normal(3), sched)
+    den = dsc.GmmDenoiser(standard_normal_mixture(3), sched)
     z = dsc.Latent(np.array([0.5, -0.5, 1.0]), 400)
     a = dsc.ddim_sample_step(sched, z, 100, den)
     b = dsc.ddim_sample_step(sched, z, 100, den)

@@ -381,7 +381,8 @@ def test_stochastic_verify_prop1_loads_no_denoiser(tmp_path):
     assert cli.main(["verify-prop1", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
     # the deterministic transmitter inverts with the denoiser, so it loads it
     cfg.write_text(text + "transmitter_mode = ddim_inversion\n")
-    assert cli.main(["verify-prop1", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 3
+    assert cli.main(["verify-prop1", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 2
+    assert not (tmp_path / "b").exists()
 
 
 def _rows_for_plot():
@@ -452,6 +453,8 @@ def test_cli_config_error_exit_code(tmp_path):
         small + "[schedule]\nbeta_end = 1\n",
         small + "[schedule]\nk_steps = 0\n",
         small + "[schedule]\nt_train = 40\nk_steps = 50\n",
+        small.replace("dimension = 8", "dimension = 8\nmean_1 = 1e154"),
+        small.replace("dimension = 8", "dimension = 8\nmean_1 = 1e200"),
     ]):
         path = tmp_path / f"bad{i}.ini"
         path.write_text(text)
@@ -496,6 +499,22 @@ def test_cli_config_error_exit_code(tmp_path):
         out = tmp_path / f"t{i}"
         assert cli.main(["train", "--config", str(path), "--out", str(out)]) == 2, text
         assert not out.exists(), text
+    # an mlp checkpoint that cannot be loaded
+    ckpt = tmp_path / "net.ckpt"
+    save_checkpoint(init_mlp(8, 8, 1, np.random.default_rng(0)), ckpt)
+    whole = ckpt.read_bytes()
+    unloadable = {"missing": tmp_path / "missing.ckpt", "directory": tmp_path}
+    for name, blob in (("truncated", whole[:10]), ("magic", b"NOPE" + whole[4:]),
+                       ("version", whole[:4] + (99).to_bytes(4, "little") + whole[8:])):
+        unloadable[name] = tmp_path / f"{name}.ckpt"
+        unloadable[name].write_bytes(blob)
+    for name, target in unloadable.items():
+        path = tmp_path / f"ckpt_{name}.ini"
+        path.write_text(small + f"[denoiser]\nkind = mlp\ncheckpoint = {target}\n")
+        for command in ("sweep", "ablate"):
+            out = tmp_path / f"ckpt_{name}_{command}"
+            assert cli.main([command, "--config", str(path), "--out", str(out)]) == 2, name
+            assert not out.exists(), name
     nan_snr = tmp_path / "nan_snr.ini"
     nan_snr.write_text("[channel]\nsnr_db = nan\n")
     out = tmp_path / "p"
@@ -506,6 +525,14 @@ def test_cli_config_error_exit_code(tmp_path):
     out = tmp_path / "q"
     assert cli.main(["verify-prop1", "--config", str(few), "--out", str(out)]) == 2
     assert not out.exists()
+
+
+def test_source_of_large_finite_second_moment_runs(tmp_path):
+    # at d = 8, sum(mean^2) is 8e300 for a mean of 1e150 (from 1e154 it overflows)
+    path = tmp_path / "mean_1e150.ini"
+    path.write_text("[source]\ndimension = 8\nmean_1 = 1e150\n"
+                    "[sweep]\nsnr_db = 5\nseeds = 0\nn_per_cell = 4\nbaseline = false\n")
+    assert cli.main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
 
 
 def test_python_m_runs_cli(tmp_path):
@@ -523,11 +550,18 @@ def test_python_m_runs_cli(tmp_path):
     assert (tmp_path / "out" / "sweep.csv").exists()
 
 
-def test_cli_runtime_error_exit_code(tmp_path):
+def test_cli_runtime_error_exit_code(tmp_path, capsys):
+    # the checkpoint loads, but its network predicts NaN at the first step
+    params = init_mlp(8, 8, 1, np.random.default_rng(0))
+    params.w3[0, 0] = np.nan
+    save_checkpoint(params, tmp_path / "nan.ckpt")
     cfg = tmp_path / "cfg.ini"
-    cfg.write_text("[denoiser]\nkind = mlp\ncheckpoint = /missing/net.ckpt\n")
-    code = cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path)])
+    cfg.write_text(f"[source]\ndimension = 8\n[denoiser]\nkind = mlp\n"
+                   f"checkpoint = {tmp_path / 'nan.ckpt'}\n"
+                   "[sweep]\nsnr_db = 5\nseeds = 0\nn_per_cell = 8\nbaseline = false\n")
+    code = cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert code == 3
+    assert "latent values must be finite" in capsys.readouterr().err
 
 
 def test_cli_out_dir_resolution(tmp_path, monkeypatch):

@@ -13,6 +13,7 @@ from diffsemcom.mlp import (
     save_checkpoint,
     train_denoiser,
 )
+from instruments import standard_normal_mixture
 
 
 def glorot_bound(fan_in: int, fan_out: int) -> float:
@@ -90,7 +91,7 @@ def test_sgd_step_moves_downhill():
 
 
 def test_training_loss_halves(sched):
-    src = dsc.GaussianMixtureModel.standard_normal(2)
+    src = standard_normal_mixture(2)
     params = init_mlp(2, 64, 1, dsc.stream(4, 6))
     # initial smoothed loss: the untrained network on 10 fresh batches
     eval_rng = np.random.default_rng(77)
@@ -111,7 +112,7 @@ def test_training_loss_halves(sched):
 
 
 def test_zero_learning_rate_keeps_params(sched):
-    src = dsc.GaussianMixtureModel.standard_normal(2)
+    src = standard_normal_mixture(2)
     params = init_mlp(2, 8, 1, dsc.stream(4, 7))
     trained, _ = train_denoiser(
         params, src, sched,
@@ -123,7 +124,7 @@ def test_zero_learning_rate_keeps_params(sched):
 
 def test_training_divergence_raises(sched):
     # the guard fires as soon as the loss goes non-finite
-    src = dsc.GaussianMixtureModel.standard_normal(2)
+    src = standard_normal_mixture(2)
     params = init_mlp(2, 8, 1, dsc.stream(4, 8))
     params.w3[0, 0] = np.nan
     with pytest.raises(TrainingDivergedError) as err:
@@ -136,7 +137,7 @@ def test_training_divergence_raises(sched):
 
 
 def test_training_bit_reproducible(sched):
-    src = dsc.GaussianMixtureModel.standard_normal(2)
+    src = standard_normal_mixture(2)
     cfg = TrainConfig(learning_rate=1e-3, batch_size=32, iterations=50)
     p1, t1 = train_denoiser(init_mlp(2, 8, 1, dsc.stream(4, 9)), src, sched, cfg, 9)
     p2, t2 = train_denoiser(init_mlp(2, 8, 1, dsc.stream(4, 9)), src, sched, cfg, 9)
@@ -181,7 +182,7 @@ def test_trained_pipeline_mse_within_factor_two(sched):
     from diffsemcom.channel import ChannelConfig
     from diffsemcom.pipeline import PipelineConfig, run_trial
 
-    src = dsc.GaussianMixtureModel.standard_normal(2)
+    src = standard_normal_mixture(2)
     trained, _ = train_denoiser(
         init_mlp(2, 64, 1, dsc.stream(4, 12)), src, sched,
         TrainConfig(learning_rate=2e-3, batch_size=256, iterations=2500), 5,

@@ -10,6 +10,7 @@ from diffsemcom.channel import ChannelConfig, effective_noise_var, snr_to_noise_
 from diffsemcom.errors import ParameterError
 from diffsemcom.noise_budget import SplitConfig, validate_prop1
 from diffsemcom.schedule import SCHEDULE_KINDS
+from instruments import standard_normal_mixture
 
 
 def test_budget_no_receiver_leg(sched, plan50):
@@ -168,7 +169,7 @@ def test_remark1_gamma_approaches_one(sched, plan50):
 
 def test_validator_reduction_no_channel(sched, plan50):
     # sigma_eff^2 = 0, T_F2 = 0, forced-unit gamma: variance is 1 - ab_F1
-    src = dsc.GaussianMixtureModel.standard_normal(16)
+    src = standard_normal_mixture(16)
     rep = validate_prop1(
         sched, plan50, SplitConfig(5, 0), ChannelConfig(400.0, "real_simplified"),
         src, 20_000, "forced_unit", dsc.stream(0, 74),
@@ -180,7 +181,7 @@ def test_validator_reduction_no_channel(sched, plan50):
 
 
 def test_validator_full_pipeline_passes(sched, plan50):
-    src = dsc.GaussianMixtureModel.standard_normal(64)
+    src = standard_normal_mixture(64)
     rep = validate_prop1(
         sched, plan50, SplitConfig(5, 5), ChannelConfig(5.0, "complex_paper"),
         src, 20_000, "per_sample", dsc.stream(0, 75),
@@ -192,7 +193,7 @@ def test_validator_full_pipeline_passes(sched, plan50):
 
 def test_validator_negative_control(sched, plan50, mis_index_budget):
     mis_index_budget()
-    src = dsc.GaussianMixtureModel.standard_normal(64)
+    src = standard_normal_mixture(64)
     rep = validate_prop1(
         sched, plan50, SplitConfig(5, 5), ChannelConfig(5.0, "complex_paper"),
         src, 20_000, "per_sample", dsc.stream(0, 75),
@@ -203,7 +204,7 @@ def test_validator_negative_control(sched, plan50, mis_index_budget):
 def test_validator_ddim_transmitter_reports_deviation(sched, plan50):
     # deterministic transmitter: the run reports its deviation from the
     # stochastic-forward budget (informational, larger than MC error)
-    src = dsc.GaussianMixtureModel.standard_normal(32)
+    src = standard_normal_mixture(32)
     den = dsc.GmmDenoiser(src, sched)
     rep = validate_prop1(
         sched, plan50, SplitConfig(5, 5), ChannelConfig(5.0, "complex_paper"),
@@ -216,7 +217,7 @@ def test_validator_ddim_transmitter_reports_deviation(sched, plan50):
 
 
 def test_validator_enforces_sample_floor(sched, plan50):
-    src = dsc.GaussianMixtureModel.standard_normal(8)
+    src = standard_normal_mixture(8)
     with pytest.raises(ParameterError):
         validate_prop1(
             sched, plan50, SplitConfig(5, 5), ChannelConfig(5.0, "complex_paper"),
@@ -225,7 +226,7 @@ def test_validator_enforces_sample_floor(sched, plan50):
 
 
 def test_validator_csv_shape(sched, plan50):
-    src = dsc.GaussianMixtureModel.standard_normal(8)
+    src = standard_normal_mixture(8)
     rep = validate_prop1(
         sched, plan50, SplitConfig(2, 2), ChannelConfig(10.0, "complex_paper"),
         src, 10_000, "per_sample", dsc.stream(0, 78),

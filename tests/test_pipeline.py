@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import diffsemcom as dsc
 from diffsemcom.channel import ChannelConfig
-from diffsemcom.errors import ConfigError
+from diffsemcom.errors import ConfigError, ParameterError
 from diffsemcom.pipeline import (
     RECEIVER_FORWARD_MODES,
     TRANSMITTER_MODES,
@@ -15,6 +15,7 @@ from diffsemcom.pipeline import (
     run_baseline_random_noise,
     run_trial,
 )
+from instruments import ConstantDenoiser, standard_normal_mixture
 
 QUIET = ChannelConfig(400.0, "real_simplified")  # effectively noiseless
 AT5 = ChannelConfig(5.0, "real_simplified")
@@ -35,7 +36,7 @@ def test_encode_zero_denoiser_matches_normalized_source(sched, plan50, std_norma
     # absorbs: transmitted values equal the normalized source
     cfg = PipelineConfig(t_f1=5, t_f2=0)
     z0 = dsc.gmm_sample(std_normal_8, 4, dsc.stream(1, 2))
-    values, _ = encode_transmit(z0, cfg, sched, plan50, dsc.ConstantDenoiser(0.0),
+    values, _ = encode_transmit(z0, cfg, sched, plan50, ConstantDenoiser(0.0),
                                 dsc.stream(1, 3))
     ref_values, _ = dsc.power_normalize(z0)
     assert np.allclose(values, ref_values, rtol=1e-12)
@@ -44,7 +45,7 @@ def test_encode_zero_denoiser_matches_normalized_source(sched, plan50, std_norma
 def test_encode_power_matches_forward_monte_carlo(sched, plan50):
     # the inverted latent's average power tracks the stochastic-forward
     # power at the same step within 10%
-    model = dsc.GaussianMixtureModel.standard_normal(256)
+    model = standard_normal_mixture(256)
     den = dsc.GmmDenoiser(model, sched)
     z0 = dsc.gmm_sample(model, 128, dsc.stream(1, 4))
     inverted = dsc.run_ddim_invert(
@@ -62,7 +63,7 @@ def test_receive_decode_exact_inverse(sched, plan50):
     # constant denoiser, no channel noise, T_F2 = 0, T_B = T_F1
     rng = dsc.stream(1, 5)
     z0 = rng.standard_normal(8)
-    den = dsc.ConstantDenoiser(rng.standard_normal(8))
+    den = ConstantDenoiser(rng.standard_normal(8))
     y = dsc.run_ddim_invert(sched, dsc.Latent(z0, 0), plan50.ascending_steps(0, 5), den).values
     cfg = PipelineConfig(t_f1=5, t_f2=0, t_b=5)
     out = receive_decode(y, cfg, sched, plan50, den, dsc.stream(1, 6), 5)
@@ -96,6 +97,69 @@ def test_receive_decode_t_b_zero_only_for_empty_split(sched, plan50, std_normal_
     cfg_bad = PipelineConfig(t_f1=5, t_f2=0, t_b=0)
     with pytest.raises(ConfigError):
         receive_decode(y, cfg_bad, sched, plan50, den, dsc.stream(1, 11), 0)
+    # any other depth outside the plan is the plan's error
+    for t_b in (-1, plan50.k + 1):
+        with pytest.raises(ParameterError):
+            receive_decode(y, cfg0, sched, plan50, den, dsc.stream(1, 11), t_b)
+
+
+def _affine_ddim(sched, mu, v, steps):
+    """(a, b) with z -> a * z + b the DDIM fold through training steps[0] -> steps[-1].
+
+    For one diagonal component N(mu, v) the diffused score at t is
+    (m_t - z) / s_t with m_t = sqrt(ab_t) mu and s_t = ab_t v + 1 - ab_t, so
+    eps_hat = sqrt(1 - ab_t) (z - m_t) / s_t and every step is affine in z.
+    """
+    ab = sched.alpha_bars
+    a, b = np.ones_like(mu), np.zeros_like(mu)
+    for t_from, t_to in zip(steps, steps[1:]):
+        c = np.sqrt(ab[t_to] / ab[t_from])
+        coef = np.sqrt(1.0 - ab[t_to]) - c * np.sqrt(1.0 - ab[t_from])
+        s = ab[t_from] * v + 1.0 - ab[t_from]
+        e = np.sqrt(1.0 - ab[t_from]) / s
+        step_a, step_b = c + coef * e, -coef * e * np.sqrt(ab[t_from]) * mu
+        a, b = step_a * a, step_a * b + step_b
+    return a, b
+
+
+def _max_rel_err(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    mu=st.lists(st.floats(-2.0, 2.0), min_size=8, max_size=8),
+    v=st.lists(st.floats(0.05, 3.0), min_size=8, max_size=8),
+    t_f1=st.integers(0, 7), t_f2=st.integers(0, 7),
+    t_b_offset=st.integers(0, 50), seed=st.integers(0, 2**16),
+)
+def test_single_gaussian_encode_decode_match_closed_form(sched, plan50, mu, v, t_f1, t_f2,
+                                                         t_b_offset, seed):
+    # encode -> decode on one Gaussian component is a composition of affine
+    # maps, one per DDIM step; both forward legs invert deterministically
+    mu, v = np.asarray(mu), np.asarray(v)
+    src = dsc.GaussianMixtureModel(np.ones(1), mu[None, :], v[None, :])
+    den = dsc.GmmDenoiser(src, sched)
+    t_f = t_f1 + t_f2
+    t_b = max(t_f, 1) + t_b_offset % (51 - max(t_f, 1))  # max(t_f, 1)..50
+    cfg = PipelineConfig(t_f1=t_f1, t_f2=t_f2, t_b=t_b)
+    rng = dsc.stream(3, seed)
+    z0 = dsc.gmm_sample(src, 16, rng)
+
+    values, gamma = encode_transmit(z0, cfg, sched, plan50, den, rng)
+    a1, b1 = _affine_ddim(sched, mu, v, [0] + plan50.ascending_steps(0, t_f1))
+    z_t1 = a1 * z0 + b1
+    want_gamma = 1.0 / np.sqrt(np.mean(z_t1 * z_t1, axis=-1))
+    assert _max_rel_err(gamma, want_gamma) <= 1e-12
+    assert _max_rel_err(values, want_gamma[:, None] * z_t1) <= 1e-12
+
+    y = dsc.awgn_apply(values, 0.3, rng, "real_simplified")
+    out = receive_decode(y, cfg, sched, plan50, den, rng, t_b)
+    a2, b2 = _affine_ddim(sched, mu, v, [plan50.training_step(t_f1)]
+                          + plan50.ascending_steps(t_f1, t_f))
+    a3, b3 = _affine_ddim(sched, mu, v, [plan50.training_step(t_b)]
+                          + plan50.descending_plan(t_b))
+    assert _max_rel_err(out, a3 * (a2 * y + b2) + b3) <= 1e-12
 
 
 @settings(max_examples=40, deadline=None)
@@ -145,8 +209,8 @@ def test_run_trial_deterministic(sched, plan50, bimodal_64):
 def test_degenerate_channel_identity(sched, plan50):
     # sigma_ch^2 = 0, zero-constant denoiser, T_F2 = 0, T_B = T_F1: the
     # decoded latent equals gamma * z0 exactly (no de-normalization exists)
-    src = dsc.GaussianMixtureModel.standard_normal(16)
-    den = dsc.ConstantDenoiser(0.0)
+    src = standard_normal_mixture(16)
+    den = ConstantDenoiser(0.0)
     cfg = PipelineConfig(t_f1=5, t_f2=0, t_b=5, transmitter_mode="ddim_inversion")
     res = run_trial(cfg, QUIET, src, sched, plan50, den, 16, dsc.stream(1, 13))
     ref = res.gamma[:, None] * res.z0
@@ -167,7 +231,7 @@ def test_snr_ordering_median_mse(sched, plan50, bimodal_64):
 def test_sw2_median_decreases_along_snr_for_unit_power_source(sched, plan50):
     # for a unit-power source the decoded distribution approaches the
     # source as SNR grows
-    src = dsc.GaussianMixtureModel.standard_normal(64)
+    src = standard_normal_mixture(64)
     den = dsc.GmmDenoiser(src, sched)
     medians = []
     for snr in (0.0, 10.0, 20.0):
