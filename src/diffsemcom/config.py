@@ -25,10 +25,11 @@ import re
 from dataclasses import dataclass, field, fields
 
 from .channel import ChannelConfig
+from .diffusion import FORWARD_MODES
 from .errors import CheckedFields, ConfigError, FieldError, ParameterError
 from .mlp import TrainConfig
 from .noise_budget import GAMMA_MODES, MIN_PROP1_SAMPLES
-from .pipeline import TRANSMITTER_MODES, PipelineConfig
+from .pipeline import PipelineConfig
 from .schedule import SCHEDULE_KINDS
 
 _SOURCE_DYNAMIC = re.compile(r"^(weight|mean|var)_([0-9]+)$")
@@ -82,7 +83,7 @@ class AblateSpec(CheckedFields):
 class Prop1Spec(CheckedFields):
     n_samples: int = field(default=20000, metadata={"min": MIN_PROP1_SAMPLES})
     gamma_mode: str = field(default="per_sample", metadata={"choices": GAMMA_MODES})
-    transmitter_mode: str = field(default="stochastic", metadata={"choices": TRANSMITTER_MODES})
+    transmitter_mode: str = field(default="stochastic", metadata={"choices": FORWARD_MODES})
 
 
 @dataclass(frozen=True)

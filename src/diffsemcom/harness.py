@@ -175,7 +175,7 @@ def run_cell(cfg: ExperimentConfig, objects, cell: Cell) -> ResultRow:
         t_f2=cell.t_f2,
         t_b_resolved=result.t_b_resolved,
         system=cell.system,
-        transmitter_mode=pipe_cfg.transmitter_mode,
+        transmitter_mode="ddim_inversion",  # the transmitter always inverts
         receiver_forward_mode=pipe_cfg.receiver_forward_mode,
         t_b_mode=cell.t_b_mode,
         seed=cell.seed,

@@ -28,7 +28,7 @@ import numpy as np
 
 from .channel import ChannelConfig, effective_noise_var, snr_to_noise_var
 from .denoisers import gmm_sample
-from .diffusion import Latent, run_ddim_invert
+from .diffusion import FORWARD_MODES, Latent, run_ddim_invert
 from .errors import InternalConsistencyError, ParameterError
 
 GAMMA_MODES = ("per_sample", "forced_unit")
@@ -188,8 +188,9 @@ def validate_prop1(schedule, plan, split: SplitConfig, channel_cfg: ChannelConfi
             f"validator needs n_samples >= {MIN_PROP1_SAMPLES}, got {n_samples}")
     if gamma_mode not in GAMMA_MODES:
         raise ParameterError(f"unknown gamma_mode {gamma_mode!r}; expected {GAMMA_MODES}")
-    if transmitter_mode not in ("stochastic", "ddim_inversion"):
-        raise ParameterError(f"unknown transmitter_mode {transmitter_mode!r}")
+    if transmitter_mode not in FORWARD_MODES:
+        raise ParameterError(f"unknown transmitter_mode {transmitter_mode!r}; "
+                             f"expected {FORWARD_MODES}")
     if transmitter_mode == "ddim_inversion" and denoiser is None:
         raise ParameterError("ddim_inversion transmitter mode needs a denoiser")
 

@@ -1,18 +1,17 @@
 """End-to-end transmission pipeline and the random-noise baseline.
 
-Encoder: deterministic inversion (or stochastic forward, for validation
-runs) over the first T_F1 scheduler steps, then power normalization; it
-returns the unit-power rows and their per-row gamma as a pair.
-Channel: AWGN.  Decoder: the received signal is taken as the latent at
-T_F1 as-is (no de-normalization), forwarded T_F2 further steps, retagged at
-the resolved denoising depth T_B, and sampled back to 0.  T_B > T_F means
-the decoder deliberately starts from a higher nominal noise level than the
-latent's tag; that is the noise-level matching under channel noise.
-The transmitter (0 -> T_F1) and the receiver (T_F1 -> T_F) run the one
-forward leg, ``_forward_leg``.  There is one decode path, ``receive_decode``:
-``run_trial`` resolves T_B from the noise budget and passes the depth to it.
-Every DDIM step, in either leg or the decoder, makes one unconditional
-denoiser call.
+Encoder: deterministic inversion over the first T_F1 scheduler steps, then
+power normalization; it returns the unit-power rows and their per-row gamma
+as a pair.  Channel: AWGN.  Decoder: the received signal is taken as the
+latent at T_F1 as-is (no de-normalization), forwarded T_F2 further steps,
+retagged at the resolved denoising depth T_B, and sampled back to 0.
+T_B > T_F means the decoder deliberately starts from a higher nominal noise
+level than the latent's tag; that is the noise-level matching under channel
+noise.  The receiver's forward leg (T_F1 -> T_F) is the one leg with two
+modes: inversion, or fresh noise for the baseline.  There is one decode
+path, ``receive_decode``: ``run_trial`` resolves T_B from the noise budget
+and passes the depth to it.  Every DDIM step, in either leg or the decoder,
+makes one unconditional denoiser call.
 ``PipelineConfig`` is a config file's ``[pipeline]`` section; the channel is
 a separate argument.
 
@@ -35,13 +34,10 @@ from .channel import (
     snr_to_noise_var,
 )
 from .denoisers import gmm_sample
-from .diffusion import Latent, forward_reparam, run_ddim_invert, run_ddim_sample
+from .diffusion import FORWARD_MODES, Latent, forward_reparam, run_ddim_invert, run_ddim_sample
 from .errors import ConfigError, check_fields
 from .metrics import MetricReport, metric_report
 from .noise_budget import NoiseBudget, SplitConfig, compute_noise_budget, select_denoise_steps
-
-TRANSMITTER_MODES = ("ddim_inversion", "stochastic")
-RECEIVER_FORWARD_MODES = ("ddim_inversion", "stochastic")
 
 # Projection stream for reported sliced-Wasserstein numbers is fixed so that
 # identical runs report identical metrics.
@@ -50,15 +46,13 @@ METRIC_SEED = 20318
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """The ``[pipeline]`` section: split, depth and the two forward-leg modes."""
+    """The ``[pipeline]`` section: split, depth and the receiver's forward mode."""
 
     t_f1: int = 5
     t_f2: int = 5
     t_b: int | str = "auto"
-    transmitter_mode: str = field(
-        default="ddim_inversion", metadata={"choices": TRANSMITTER_MODES})
     receiver_forward_mode: str = field(
-        default="ddim_inversion", metadata={"choices": RECEIVER_FORWARD_MODES})
+        default="ddim_inversion", metadata={"choices": FORWARD_MODES})
 
     def __post_init__(self):
         check_fields(self)
@@ -86,34 +80,24 @@ class TrialResult:
 
 
 def random_noise_config(cfg: PipelineConfig) -> PipelineConfig:
-    """The random-noise baseline of cfg: every forward step at the receiver.
-
-    transmitter_mode is kept (with T_F1 = 0 it is never read).
-    """
+    """The random-noise baseline of cfg: every forward step at the receiver."""
     return replace(cfg, t_f1=0, t_f2=cfg.split.t_f, receiver_forward_mode="stochastic")
 
 
-def _forward_leg(z, s_from, s_to, mode, schedule, plan, denoiser, rng) -> Latent:
-    """Forward z from scheduler step s_from up to s_to (either leg of the split)."""
-    if s_to == s_from:
-        return z
-    if mode == "stochastic":
-        return forward_reparam(schedule, z, plan.training_step(s_to), rng)
-    return run_ddim_invert(schedule, z, plan.ascending_steps(s_from, s_to), denoiser)
-
-
-def encode_transmit(z0, cfg: PipelineConfig, schedule, plan, denoiser, rng):
-    """Transmitter: forward over the first T_F1 plan steps, then power_normalize's pair."""
-    z = _forward_leg(Latent(z0, 0), 0, cfg.split.t_f1, cfg.transmitter_mode,
-                     schedule, plan, denoiser, rng)
+def encode_transmit(z0, cfg: PipelineConfig, schedule, plan, denoiser):
+    """Transmitter: invert over the first T_F1 plan steps, then power_normalize's pair."""
+    z = run_ddim_invert(schedule, Latent(z0, 0), plan.ascending_steps(0, cfg.split.t_f1),
+                        denoiser)
     return power_normalize(z.values)
 
 
 def receiver_forward(y, cfg: PipelineConfig, schedule, plan, denoiser, rng) -> Latent:
-    """Receiver continues the forward process from the channel output."""
-    t_f1 = cfg.split.t_f1
-    return _forward_leg(Latent(y, plan.training_step(t_f1)), t_f1, cfg.split.t_f,
-                        cfg.receiver_forward_mode, schedule, plan, denoiser, rng)
+    """Receiver continues the forward process from the channel output to T_F."""
+    t_f1, t_f = cfg.split.t_f1, cfg.split.t_f
+    z = Latent(y, plan.training_step(t_f1))
+    if cfg.receiver_forward_mode == "stochastic" and t_f > t_f1:
+        return forward_reparam(schedule, z, plan.training_step(t_f), rng)
+    return run_ddim_invert(schedule, z, plan.ascending_steps(t_f1, t_f), denoiser)
 
 
 def resolve_t_b(cfg: PipelineConfig, schedule, plan, gamma, sigma_eff2):
@@ -128,10 +112,8 @@ def resolve_t_b(cfg: PipelineConfig, schedule, plan, gamma, sigma_eff2):
 def receive_decode(y, cfg: PipelineConfig, schedule, plan, denoiser, rng, t_b) -> np.ndarray:
     """Receiver: forward continuation, retag at the resolved depth t_b, DDIM sampling."""
     z_hat = receiver_forward(y, cfg, schedule, plan, denoiser, rng)
-    if t_b == 0:
-        if cfg.split.t_f != 0:
-            raise ConfigError("resolved t_b = 0 is only valid for an empty split")
-        return z_hat.values
+    if t_b == 0 and cfg.split.t_f != 0:
+        raise ConfigError("resolved t_b = 0 is only valid for an empty split")
     z = Latent(z_hat.values, plan.training_step(t_b))
     return run_ddim_sample(schedule, z, plan.descending_plan(t_b), denoiser).values
 
@@ -144,10 +126,12 @@ def run_trial(cfg: PipelineConfig, channel: ChannelConfig, source, schedule, pla
     noise, channel, receiver noise) so that two configurations driven by
     identically-keyed streams share their source draws and channel noise.
     """
-    k_src, k_tx, k_ch, k_rx = rng.spawn(4)
+    # The transmitter draws nothing since it always inverts; its stream is
+    # still spawned so that the channel and receiver streams keep their keys.
+    k_src, _k_tx, k_ch, k_rx = rng.spawn(4)
     z0 = gmm_sample(source, n, k_src)
 
-    x, gamma = encode_transmit(z0, cfg, schedule, plan, denoiser, k_tx)
+    x, gamma = encode_transmit(z0, cfg, schedule, plan, denoiser)
     sigma_ch2 = snr_to_noise_var(channel.snr_db)
     y = awgn_apply(x, sigma_ch2, k_ch, channel.model)
 

@@ -63,7 +63,6 @@ def test_invalid_value_diagnostics(tmp_path):
 @pytest.mark.parametrize("section,key", [
     ("schedule", "kind"),
     ("denoiser", "kind"),
-    ("pipeline", "transmitter_mode"),
     ("pipeline", "receiver_forward_mode"),
     ("channel", "model"),
     ("prop1", "gamma_mode"),
@@ -95,7 +94,8 @@ def test_non_finite_number_rejected(tmp_path, section, key, value, kind):
         parse_config(path)
 
 
-@pytest.mark.parametrize("key", ["guidance_scale", "guidance_label", "condition_receiver_forward"])
+@pytest.mark.parametrize("key", ["guidance_scale", "guidance_label", "condition_receiver_forward",
+                                 "transmitter_mode"])
 def test_removed_guidance_key_rejected_at_its_line(tmp_path, key):
     path = write(tmp_path, f"[pipeline]\nt_f1 = 5\n{key} = 0\n")
     with pytest.raises(ConfigError, match=rf"exp\.ini:3: unknown config key 'pipeline\.{key}'"):

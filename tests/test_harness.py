@@ -213,7 +213,7 @@ def test_sweep_runs_one_trial_per_cell(tmp_path, monkeypatch):
 
 def test_random_noise_rows_report_cell_split_and_config_modes(tmp_path):
     # the baseline runs on split (0, T_F) with a stochastic receiver leg, but
-    # its row reports the cell's split and the config's transmitter mode
+    # its row reports the cell's split and the inverting transmitter
     cfg = small_cfg()
     sweep_rows, _ = harness.cmd_sweep(cfg, tmp_path / "sweep")
     ablate_rows, _ = harness.cmd_ablate(cfg, tmp_path / "ablate")
@@ -223,7 +223,7 @@ def test_random_noise_rows_report_cell_split_and_config_modes(tmp_path):
         assert baseline
         for r in baseline:
             assert (r.t_f1, r.t_f2) == split
-            assert r.transmitter_mode == cfg.pipeline.transmitter_mode == "ddim_inversion"
+            assert r.transmitter_mode == "ddim_inversion"
             assert r.receiver_forward_mode == "stochastic"
 
 

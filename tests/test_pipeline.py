@@ -6,9 +6,8 @@ from hypothesis import strategies as st
 import diffsemcom as dsc
 from diffsemcom.channel import ChannelConfig
 from diffsemcom.errors import ConfigError, ParameterError
+from diffsemcom.diffusion import FORWARD_MODES
 from diffsemcom.pipeline import (
-    RECEIVER_FORWARD_MODES,
-    TRANSMITTER_MODES,
     PipelineConfig,
     encode_transmit,
     receive_decode,
@@ -25,7 +24,7 @@ def test_encode_tf1_zero_is_normalized_source(sched, plan50, std_normal_8):
     cfg = PipelineConfig(t_f1=0, t_f2=5)
     den = dsc.GmmDenoiser(std_normal_8, sched)
     z0 = dsc.gmm_sample(std_normal_8, 4, dsc.stream(1, 0))
-    values, gamma = encode_transmit(z0, cfg, sched, plan50, den, dsc.stream(1, 1))
+    values, gamma = encode_transmit(z0, cfg, sched, plan50, den)
     ref_values, ref_gamma = dsc.power_normalize(z0)
     assert np.array_equal(values, ref_values)
     assert np.array_equal(gamma, ref_gamma)
@@ -36,8 +35,7 @@ def test_encode_zero_denoiser_matches_normalized_source(sched, plan50, std_norma
     # absorbs: transmitted values equal the normalized source
     cfg = PipelineConfig(t_f1=5, t_f2=0)
     z0 = dsc.gmm_sample(std_normal_8, 4, dsc.stream(1, 2))
-    values, _ = encode_transmit(z0, cfg, sched, plan50, ConstantDenoiser(0.0),
-                                dsc.stream(1, 3))
+    values, _ = encode_transmit(z0, cfg, sched, plan50, ConstantDenoiser(0.0))
     ref_values, _ = dsc.power_normalize(z0)
     assert np.allclose(values, ref_values, rtol=1e-12)
 
@@ -82,7 +80,7 @@ def test_receive_decode_gamma_consistent_round_trip(sched, plan50):
     den = dsc.GmmDenoiser(src, sched)
     cfg = PipelineConfig(t_f1=5, t_f2=0, t_b=5)
     z0 = dsc.gmm_sample(src, 8, dsc.stream(1, 7))
-    values, gamma = encode_transmit(z0, cfg, sched, plan50, den, dsc.stream(1, 8))
+    values, gamma = encode_transmit(z0, cfg, sched, plan50, den)
     out = receive_decode(values, cfg, sched, plan50, den, dsc.stream(1, 9), 5)
     ref = gamma[:, None] * z0
     rel = np.sum((out - ref) ** 2, axis=-1) / np.sum(ref**2, axis=-1)
@@ -146,7 +144,7 @@ def test_single_gaussian_encode_decode_match_closed_form(sched, plan50, mu, v, t
     rng = dsc.stream(3, seed)
     z0 = dsc.gmm_sample(src, 16, rng)
 
-    values, gamma = encode_transmit(z0, cfg, sched, plan50, den, rng)
+    values, gamma = encode_transmit(z0, cfg, sched, plan50, den)
     a1, b1 = _affine_ddim(sched, mu, v, [0] + plan50.ascending_steps(0, t_f1))
     z_t1 = a1 * z0 + b1
     want_gamma = 1.0 / np.sqrt(np.mean(z_t1 * z_t1, axis=-1))
@@ -165,26 +163,24 @@ def test_single_gaussian_encode_decode_match_closed_form(sched, plan50, mu, v, t
 @settings(max_examples=40, deadline=None)
 @given(
     t_f1=st.integers(0, 10), t_f2=st.integers(0, 10),
-    receiver_forward_mode=st.sampled_from(RECEIVER_FORWARD_MODES),
-    transmitter_mode=st.sampled_from(TRANSMITTER_MODES),
+    receiver_forward_mode=st.sampled_from(FORWARD_MODES),
     t_b=st.one_of(st.just("auto"), st.integers(0, 50)),
     seed=st.integers(0, 2**16),
 )
 def test_run_trial_decodes_through_receive_decode(sched, plan50, bimodal_8, t_f1, t_f2,
-                                                  receiver_forward_mode, transmitter_mode,
-                                                  t_b, seed):
+                                                  receiver_forward_mode, t_b, seed):
     # run_trial has no decoder of its own: its output is the hand-wired chain
     # encode_transmit -> awgn_apply -> receive_decode on the four substreams
     if t_b == 0 and t_f1 + t_f2:
         t_b = t_f1 + t_f2  # t_b = 0 is valid only on the empty split
     den = dsc.GmmDenoiser(bimodal_8, sched)
-    cfg = PipelineConfig(t_f1=t_f1, t_f2=t_f2, t_b=t_b, transmitter_mode=transmitter_mode,
+    cfg = PipelineConfig(t_f1=t_f1, t_f2=t_f2, t_b=t_b,
                          receiver_forward_mode=receiver_forward_mode)
     res = run_trial(cfg, AT5, bimodal_8, sched, plan50, den, 4, dsc.stream(2, seed))
 
-    k_src, k_tx, k_ch, k_rx = dsc.stream(2, seed).spawn(4)
+    k_src, _k_tx, k_ch, k_rx = dsc.stream(2, seed).spawn(4)
     z0 = dsc.gmm_sample(bimodal_8, 4, k_src)
-    values, gamma = encode_transmit(z0, cfg, sched, plan50, den, k_tx)
+    values, gamma = encode_transmit(z0, cfg, sched, plan50, den)
     sigma_ch2 = dsc.snr_to_noise_var(AT5.snr_db)
     y = dsc.awgn_apply(values, sigma_ch2, k_ch, AT5.model)
     if t_b == "auto":
@@ -211,7 +207,7 @@ def test_degenerate_channel_identity(sched, plan50):
     # decoded latent equals gamma * z0 exactly (no de-normalization exists)
     src = standard_normal_mixture(16)
     den = ConstantDenoiser(0.0)
-    cfg = PipelineConfig(t_f1=5, t_f2=0, t_b=5, transmitter_mode="ddim_inversion")
+    cfg = PipelineConfig(t_f1=5, t_f2=0, t_b=5)
     res = run_trial(cfg, QUIET, src, sched, plan50, den, 16, dsc.stream(1, 13))
     ref = res.gamma[:, None] * res.z0
     assert np.max(np.abs(res.z_tilde0 - ref)) <= 1e-12
