@@ -49,7 +49,7 @@ class ConfigError(ValueError):
 
 
 class InternalConsistencyError(RuntimeError):
-    """A cross-checked algebraic identity failed; indicates an indexing bug."""
+    """Two algebraically equal forms of a quantity disagree beyond rounding."""
 
 
 class TrainingDivergedError(RuntimeError):

@@ -10,8 +10,10 @@ the received latent is Gaussian around gamma * sqrt(ab_F) * z0 with variance
     sigma_n^2   = r * sigma_eff^2                          (channel part)
 
 where r = ab_F / ab_F1 is the retention over the receiver-side leg.  The
-diffusion part is recomputed through the equivalent form
-(1 - r) + gamma^2 r (1 - ab_F1) as a guard against indexing bugs.
+diffusion part is evaluated through the equivalent form
+(1 - r) + gamma^2 r (1 - ab_F1), whose terms are all non-negative, so it
+does not cancel at a large gamma; the form above is checked against it
+within a bound scaled to its largest term, gamma^2 r.
 
 The matched denoising depth T_B is the smallest scheduler step whose nominal
 noise level 1 - ab reaches sigma_tot^2 = sigma_eps^2 + sigma_n^2.
@@ -76,15 +78,14 @@ def compute_noise_budget(schedule, plan, split: SplitConfig, gamma: float,
     tf = plan.training_step(split.t_f)
     r = float(ab[tf] / ab[t1])
     g2 = gamma * gamma
-    sigma_eps2 = 1.0 - r * (1.0 - g2) - g2 * ab[tf]
-    alt = (1.0 - r) + g2 * r * (1.0 - ab[t1])
-    if abs(sigma_eps2 - alt) > 1e-12 * max(1.0, abs(sigma_eps2), abs(alt)):
+    sigma_eps2 = float((1.0 - r) + g2 * r * (1.0 - ab[t1]))
+    primary = float(1.0 - r * (1.0 - g2) - g2 * ab[tf])
+    if abs(primary - sigma_eps2) > 1e-12 * max(1.0, g2 * r):
         raise InternalConsistencyError(
-            f"sigma_eps^2 identity violated: {sigma_eps2!r} vs {alt!r}"
-        )
+            f"sigma_eps^2 identity violated: {primary} vs {sigma_eps2}")
     sigma_n2 = r * sigma_eff2
     return NoiseBudget(
-        sigma_eps2=float(sigma_eps2),
+        sigma_eps2=sigma_eps2,
         sigma_n2=float(sigma_n2),
         sigma_tot2=float(sigma_eps2 + sigma_n2),
         r=r,

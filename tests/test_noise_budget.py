@@ -1,4 +1,5 @@
 import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -45,6 +46,24 @@ def test_budget_identity_random_tuples(kind, t_train, beta_start, gamma, sigma_e
     t1 = plan.training_step(f1)
     alt = (1 - b.r) + gamma**2 * b.r * (1 - sch.alpha_bars[t1])
     assert abs(b.sigma_eps2 - alt) <= 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(log_gamma=st.floats(-3.0, 6.0), split_kind=st.sampled_from(("baseline", "split")),
+       data=st.data())
+def test_budget_exact_over_gamma_range(sched, plan50, log_gamma, split_kind, data):
+    # sigma_eps^2 against its exact rational value, on the baseline's (0, T_F)
+    # and on a (T_F1, T_F2) split with T_F1 > 0: at a large gamma the form
+    # 1 - r (1 - gamma^2) - gamma^2 ab_F cancels, so no rounding may build up
+    gamma = 10.0**log_gamma
+    f1 = 0 if split_kind == "baseline" else data.draw(st.integers(1, plan50.k))
+    f2 = data.draw(st.integers(1 if f1 == 0 else 0, plan50.k - f1))
+    b = dsc.compute_noise_budget(sched, plan50, SplitConfig(f1, f2), gamma, 0.0)
+    ab1 = Fraction(float(sched.alpha_bars[plan50.training_step(f1)]))
+    ab_f = Fraction(float(sched.alpha_bars[plan50.training_step(f1 + f2)]))
+    g2 = Fraction(gamma) ** 2
+    exact = 1 - ab_f / ab1 * (1 - g2) - g2 * ab_f
+    assert abs(Fraction(b.sigma_eps2) - exact) <= Fraction(1e-14) * max(1, exact)
 
 
 def test_budget_validation(sched, plan50):
