@@ -19,11 +19,13 @@ import numpy as np
 from .errors import CheckedFields, DegenerateInputError, ParameterError
 
 CHANNEL_MODELS = ("complex_paper", "real_simplified")
+# Lowest SNR a config may set: its noise variance 10^300 is a finite float.
+MIN_SNR_DB = -3000.0
 
 
 @dataclass(frozen=True)
 class ChannelConfig(CheckedFields):
-    snr_db: float = 5.0
+    snr_db: float = field(default=5.0, metadata={"min": MIN_SNR_DB})
     model: str = field(default="complex_paper", metadata={"choices": CHANNEL_MODELS})
 
 

@@ -24,7 +24,7 @@ import os
 import re
 from dataclasses import dataclass, field, fields
 
-from .channel import ChannelConfig
+from .channel import MIN_SNR_DB, ChannelConfig
 from .diffusion import FORWARD_MODES
 from .errors import CheckedFields, ConfigError, FieldError, ParameterError
 from .mlp import TrainConfig
@@ -65,7 +65,8 @@ class DenoiserSpec(CheckedFields):
 
 @dataclass(frozen=True)
 class SweepSpec(CheckedFields):
-    snr_db: tuple[float, ...] = (0.0, 5.0, 10.0, 15.0, 20.0)
+    snr_db: tuple[float, ...] = field(default=(0.0, 5.0, 10.0, 15.0, 20.0),
+                                      metadata={"min": MIN_SNR_DB})
     seeds: tuple[int, ...] = field(default=(0, 1, 2, 3, 4), metadata={"min": 0})
     n_per_cell: int = field(default=256, metadata={"min": 2})  # the MMD needs two samples
     baseline: bool = True
@@ -74,7 +75,7 @@ class SweepSpec(CheckedFields):
 
 @dataclass(frozen=True)
 class AblateSpec(CheckedFields):
-    snr_db: float = 5.0
+    snr_db: float = field(default=5.0, metadata={"min": MIN_SNR_DB})
     seeds: tuple[int, ...] = field(default=(0, 1, 2, 3, 4), metadata={"min": 0})
     n_per_cell: int = field(default=256, metadata={"min": 2})
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import DegenerateInputError, ParameterError
 
 
 @dataclass(frozen=True)
@@ -164,13 +164,15 @@ def mmd2_unbiased(x, y, bandwidth=None) -> float:
 
 def metric_report(decoded, source_batch, rng) -> MetricReport:
     """Distortion + distribution metrics of a decoded batch against its source:
-    sw2 over 128 projections, MMD^2 at the median-heuristic bandwidth."""
-    m = mse(decoded, source_batch)
-    per_dim_var = float(np.mean(np.var(source_batch, axis=0)))
-    nmse = m / per_dim_var if per_dim_var > 0 else float("inf")
-    return MetricReport(
-        mse=m,
-        nmse=nmse,
-        sw2=sliced_w2(decoded, source_batch, 128, rng),
-        mmd2=mmd2_unbiased(decoded, source_batch),
-    )
+    sw2 over 128 projections, MMD^2 at the median-heuristic bandwidth.  A metric
+    that is not finite (an overflow, or an nmse over a source batch of zero
+    variance) raises DegenerateInputError, whatever the warnings filter."""
+    with np.errstate(all="ignore"):
+        m = mse(decoded, source_batch)
+        report = MetricReport(mse=m, nmse=float(m / np.mean(np.var(source_batch, axis=0))),
+                              sw2=sliced_w2(decoded, source_batch, 128, rng),
+                              mmd2=mmd2_unbiased(decoded, source_batch))
+    for name, value in vars(report).items():
+        if not np.isfinite(value):
+            raise DegenerateInputError(f"metric {name} is not finite ({value})")
+    return report

@@ -236,6 +236,8 @@ def load_checkpoint(path) -> MlpParams:
     shapes = [(n_in, hidden), (hidden,), (hidden, hidden), (hidden,), (hidden, d), (d,)]
     if len(blob) != head_size + 8 * sum(math.prod(shape) for shape in shapes):
         raise ParameterError(f"checkpoint {path} has trailing or missing bytes")
+    if not np.all(np.isfinite(np.frombuffer(blob, dtype="<f8", offset=head_size))):
+        raise ParameterError(f"checkpoint {path} holds non-finite weights")
     arrays = []
     offset = head_size
     for shape in shapes:

@@ -83,15 +83,9 @@ def compute_noise_budget(schedule, plan, split: SplitConfig, gamma: float,
     if abs(primary - sigma_eps2) > 1e-12 * max(1.0, g2 * r):
         raise InternalConsistencyError(
             f"sigma_eps^2 identity violated: {primary} vs {sigma_eps2}")
-    sigma_n2 = r * sigma_eff2
-    return NoiseBudget(
-        sigma_eps2=sigma_eps2,
-        sigma_n2=float(sigma_n2),
-        sigma_tot2=float(sigma_eps2 + sigma_n2),
-        r=r,
-        gamma_used=float(gamma),
-        mean_coeff=float(gamma * np.sqrt(ab[tf])),
-    )
+    sigma_n2 = float(r * sigma_eff2)
+    return NoiseBudget(sigma_eps2=sigma_eps2, sigma_n2=sigma_n2, sigma_tot2=sigma_eps2 + sigma_n2,
+                       r=r, gamma_used=float(gamma), mean_coeff=float(gamma * np.sqrt(ab[tf])))
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InternalConsistencyError, ParameterError
+from .errors import ParameterError
 
 SCHEDULE_KINDS = ("linear", "scaled_linear")
 
@@ -61,7 +61,8 @@ def build_schedule(
     alpha_bars = np.cumprod(alphas)
 
     if not np.all(np.diff(alpha_bars[1:]) < 0.0) or alpha_bars[1] >= alpha_bars[0]:
-        raise InternalConsistencyError("alpha_bar is not strictly decreasing")
+        raise ParameterError(
+            f"alpha_bar does not strictly decrease in float64 for betas {beta_start}..{beta_end}")
     for arr in (betas, alphas, alpha_bars):
         arr.setflags(write=False)
     return NoiseSchedule(kind=kind, t_train=int(t_train), betas=betas,

@@ -30,6 +30,14 @@ def _series_label(key):
     return f"{system} ({t_f1},{t_f2}) t_b={t_b_mode}"
 
 
+def _axis_range(values):
+    """(min, max) of values; a single value is widened by 1, or by 0.1% of it
+    where that is more, so that a float too large to absorb a 1 gets a span."""
+    lo, hi = min(values), max(values)
+    delta = 0.0 if hi > lo else max(1.0, abs(lo) * 1e-3)
+    return lo - delta, hi + delta
+
+
 def emit_svg_plot(rows, metric: str) -> str:
     """Render rows' `metric` as a 640x420 SVG line chart; returns the document text."""
     if metric not in _PLOTTABLE:
@@ -52,12 +60,8 @@ def emit_svg_plot(rows, metric: str) -> str:
 
     xs = [x for pts in points.values() for x, _ in pts]
     ys = [y for pts in points.values() for _, y in pts]
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys), max(ys)
-    if x_hi == x_lo:
-        x_lo, x_hi = x_lo - 1.0, x_hi + 1.0
-    if y_hi == y_lo:
-        y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
+    x_lo, x_hi = _axis_range(xs)
+    y_lo, y_hi = _axis_range(ys)
     pad = 0.05 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
 

@@ -259,6 +259,8 @@ _VALUES = {
 _AT_LEAST = {
     "int": lambda low: st.integers(low, 10**6),
     "float": lambda low: st.floats(min_value=low, allow_infinity=False),
+    "tuple[float, ...]": lambda low: st.lists(st.floats(min_value=low, allow_infinity=False),
+                                              min_size=1, max_size=4).map(tuple),
     "tuple[int, ...]": lambda low: st.lists(st.integers(low, 10**6),
                                             min_size=1, max_size=4).map(tuple),
 }

@@ -1,5 +1,7 @@
 import os
+import re
 import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -505,7 +507,8 @@ def test_cli_config_error_exit_code(tmp_path):
     whole = ckpt.read_bytes()
     unloadable = {"missing": tmp_path / "missing.ckpt", "directory": tmp_path}
     for name, blob in (("truncated", whole[:10]), ("magic", b"NOPE" + whole[4:]),
-                       ("version", whole[:4] + (99).to_bytes(4, "little") + whole[8:])):
+                       ("version", whole[:4] + (99).to_bytes(4, "little") + whole[8:]),
+                       ("nan", whole[:-8] + np.array([np.nan], "<f8").tobytes())):
         unloadable[name] = tmp_path / f"{name}.ckpt"
         unloadable[name].write_bytes(blob)
     for name, target in unloadable.items():
@@ -528,11 +531,28 @@ def test_cli_config_error_exit_code(tmp_path):
 
 
 def test_source_of_large_finite_second_moment_runs(tmp_path):
-    # at d = 8, sum(mean^2) is 8e300 for a mean of 1e150 (from 1e154 it overflows)
+    # at d = 8, sum(mean^2 + var) is 8e300 for a mean of 1e150 (from 1e154 it
+    # overflows); a var_1 of 1e296 keeps the float batch's variance, and so
+    # the nmse, above 0
     path = tmp_path / "mean_1e150.ini"
-    path.write_text("[source]\ndimension = 8\nmean_1 = 1e150\n"
+    path.write_text("[source]\ndimension = 8\nmean_1 = 1e150\nvar_1 = 1e296\n"
                     "[sweep]\nsnr_db = 5\nseeds = 0\nn_per_cell = 4\nbaseline = false\n")
     assert cli.main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+
+
+def test_source_whose_metrics_overflow_exits_3(tmp_path, capsys):
+    # mean_1 = 1e153 parses and builds (its second moment is finite), but the
+    # batch's squared projections overflow: a runtime failure, the same one
+    # under either warnings filter
+    path = tmp_path / "mean_1e153.ini"
+    path.write_text("[source]\ndimension = 8\nmean_1 = 1e153\n"
+                    "[sweep]\nsnr_db = 5\nseeds = 0\nn_per_cell = 4\n")
+    for action in ("error", "ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)
+            code = cli.main(["sweep", "--config", str(path), "--out", str(tmp_path / action)])
+        assert code == 3
+        assert capsys.readouterr().err == "error: metric nmse is not finite (inf)\n"
 
 
 def test_python_m_runs_cli(tmp_path):
@@ -551,17 +571,20 @@ def test_python_m_runs_cli(tmp_path):
 
 
 def test_cli_runtime_error_exit_code(tmp_path, capsys):
-    # the checkpoint loads, but its network predicts NaN at the first step
+    # the checkpoint's weights are finite, but its prediction overflows at
+    # the first step (numpy's overflow warning, or the non-finite latent)
     params = init_mlp(8, 8, 1, np.random.default_rng(0))
-    params.w3[0, 0] = np.nan
-    save_checkpoint(params, tmp_path / "nan.ckpt")
+    params.w3.fill(1e308)
+    params.b3.fill(1e308)
+    save_checkpoint(params, tmp_path / "big.ckpt")
     cfg = tmp_path / "cfg.ini"
     cfg.write_text(f"[source]\ndimension = 8\n[denoiser]\nkind = mlp\n"
-                   f"checkpoint = {tmp_path / 'nan.ckpt'}\n"
+                   f"checkpoint = {tmp_path / 'big.ckpt'}\n"
                    "[sweep]\nsnr_db = 5\nseeds = 0\nn_per_cell = 8\nbaseline = false\n")
     code = cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert code == 3
-    assert "latent values must be finite" in capsys.readouterr().err
+    assert re.match(r"error: (overflow encountered|latent values must be finite)",
+                    capsys.readouterr().err)
 
 
 def test_cli_out_dir_resolution(tmp_path, monkeypatch):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import diffsemcom as dsc
-from diffsemcom.errors import ParameterError
+from diffsemcom.errors import DegenerateInputError, ParameterError
 from diffsemcom.metrics import _block_sq_dists, _median_distance, median_bandwidth
 
 
@@ -249,3 +249,15 @@ def test_metric_report_fields():
     assert rep.mse == pytest.approx(0.01, rel=1e-10)
     assert rep.nmse == pytest.approx(rep.mse / np.mean(np.var(src, axis=0)), rel=1e-10)
     assert rep.sw2 >= 0.0
+
+
+def test_metric_report_rejects_non_finite_metric():
+    # an nmse over a source batch of zero variance, and squared projections
+    # that overflow, are errors that name the metric
+    src = np.ones((8, 4))
+    with pytest.raises(DegenerateInputError, match="metric nmse is not finite"):
+        dsc.metric_report(src + 0.1, src, dsc.stream(0, 94))
+    rng = np.random.default_rng(95)
+    far = 1e153 + 1e140 * rng.standard_normal((8, 4))
+    with pytest.raises(DegenerateInputError, match="metric sw2 is not finite"):
+        dsc.metric_report(rng.standard_normal((8, 4)), far, dsc.stream(0, 95))

@@ -166,6 +166,13 @@ def test_checkpoint_rejects_garbage(tmp_path):
         path.write_bytes(blob)
         with pytest.raises(ParameterError, match="bad checkpoint magic|bad\\.ckpt"):
             load_checkpoint(path)
+    # one non-finite weight, in the first or the last array
+    for name, value in (("w1", np.nan), ("b3", np.inf), ("b3", -np.inf)):
+        params = init_mlp(3, 8, 2, dsc.stream(4, 10))
+        getattr(params, name).flat[-1] = value
+        save_checkpoint(params, path)
+        with pytest.raises(ParameterError, match="non-finite weights"):
+            load_checkpoint(path)
 
 
 def test_denoiser_contract(sched):
