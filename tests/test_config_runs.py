@@ -49,13 +49,13 @@ def _edge_values(f):
     if "choices" in f.metadata:
         return st.sampled_from((*f.metadata["choices"], "bogus"))
     low = f.metadata.get("min")
+    edges = () if low is None else (low, low - 1)
+    if not isinstance(f.default, tuple):
+        edges += (f.default,)
     if f.type in ("int", "tuple[int, ...]"):
-        return st.sampled_from(sorted({0, -1, f.default if f.type == "int" else 0}
-                                      | ({low, low - 1} if low is not None else set())))
-    if f.type == "float":
-        return st.sampled_from(FLOAT_EDGES + (f.default,) + ((low,) if low is not None else ()))
-    if f.type == "tuple[float, ...]":
-        return st.sampled_from(FLOAT_EDGES + ((low,) if low is not None else ()))
+        return st.sampled_from((0, -1, *edges))
+    if f.type in ("float", "tuple[float, ...]"):
+        return st.sampled_from((*FLOAT_EDGES, *edges))
     return st.booleans() if f.type == "bool" else None
 
 
@@ -63,7 +63,7 @@ KEYS = {(section.name, f.name): SIZED.get((section.name, f.name), _edge_values(f
         for section in fields(ExperimentConfig) for f in fields(section.default_factory)
         if (section.name, f.name) not in SKIPPED and f.name != "components"}
 KEYS = {key: values for key, values in KEYS.items() if values is not None}
-SOURCE_KEYS = {(f"{name}_1"): st.sampled_from(FLOAT_EDGES + (1.0,))
+SOURCE_KEYS = {f"{name}_1": st.sampled_from(FLOAT_EDGES + (1.0,))
                for name in ("weight", "mean", "var")}
 
 BASE = {"source": {"dimension": 8},
@@ -82,7 +82,7 @@ def config_texts(draw):
     sections = {name: dict(keys) for name, keys in BASE.items()}
     for section, key in draw(st.lists(st.sampled_from(sorted(KEYS)), max_size=3, unique=True)):
         sections.setdefault(section, {})[key] = draw(KEYS[section, key])
-    for key in draw(st.lists(st.sampled_from(sorted(SOURCE_KEYS)), max_size=2, unique=True)):
+    for key in draw(st.lists(st.sampled_from(sorted(SOURCE_KEYS)), max_size=3, unique=True)):
         sections["source"][key] = draw(SOURCE_KEYS[key])
     return "".join(f"[{name}]\n" + "".join(f"{k} = {_render(v)}\n" for k, v in keys.items())
                    for name, keys in sections.items())

@@ -542,7 +542,8 @@ def test_source_of_large_finite_second_moment_runs(tmp_path):
 
 def test_source_whose_metrics_overflow_exits_3(tmp_path, capsys):
     # mean_1 = 1e153 parses and builds (its second moment is finite), but the
-    # batch's squared projections overflow: a runtime failure, the same one
+    # unit spread of its batch is lost in float64, so nmse is infinite (and
+    # sw2's squared projections overflow): a runtime failure, the same one
     # under either warnings filter
     path = tmp_path / "mean_1e153.ini"
     path.write_text("[source]\ndimension = 8\nmean_1 = 1e153\n"
