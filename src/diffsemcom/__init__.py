@@ -62,7 +62,6 @@ from .pipeline import (
     PipelineConfig,
     TrialResult,
     encode_transmit,
-    random_noise_config,
     receive_decode,
     run_baseline_random_noise,
     run_trial,

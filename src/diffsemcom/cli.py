@@ -2,22 +2,19 @@
 
 Subcommands: verify-prop1, sweep, ablate, train.
 Exit codes: 0 success, 1 tolerance failure, 2 configuration error,
-3 runtime error.  The default output directory comes from --out, then the
-DIFFSEMCOM_OUT environment variable, then the config file.
+3 runtime error.  The output directory is --out, else the config file's
+``[output] directory``.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import replace
 
 from .config import parse_config
 from .errors import ConfigError, FieldError
 from . import harness
-
-OUT_ENV_VAR = "DIFFSEMCOM_OUT"
 
 
 def _add_common(p):
@@ -37,23 +34,17 @@ def _build_parser():
     p = sub.add_parser("verify-prop1", help="Monte-Carlo check of the noise budget")
     _add_common(p)
 
-    p = sub.add_parser("sweep", help="SNR x seed grid of the pipeline (and baseline)")
+    p = sub.add_parser("sweep", help="SNR x seed grid of the pipeline and its baseline")
     _add_common(p)
-    p.add_argument("--baseline", choices=("on", "off"), default=None,
-                   help="also run the random-noise baseline")
     p.add_argument("--plot", choices=("on", "off"), default=None,
                    help="emit SVG line charts")
 
-    p = sub.add_parser("ablate", help="split/depth ablation grid at fixed SNR")
+    p = sub.add_parser("ablate", help="split/depth ablation grid at channel.snr_db")
     _add_common(p)
 
     p = sub.add_parser("train", help="train the MLP denoiser")
     _add_common(p)
     return parser
-
-
-def _resolve_out(args, cfg):
-    return args.out or os.environ.get(OUT_ENV_VAR) or cfg.output.directory
 
 
 def main(argv=None) -> int:
@@ -62,10 +53,9 @@ def main(argv=None) -> int:
         cfg = parse_config(args.config)
         run = {key: getattr(args, key) for key in ("seed", "jobs")
                if getattr(args, key) is not None}
-        sweep = {key: getattr(args, key) == "on" for key in ("baseline", "plot")
-                 if getattr(args, key, None) is not None}
+        sweep = {"plot": args.plot == "on"} if getattr(args, "plot", None) else {}
         cfg = replace(cfg, run=replace(cfg.run, **run), sweep=replace(cfg.sweep, **sweep))
-        out_dir = _resolve_out(args, cfg)
+        out_dir = args.out or cfg.output.directory
     except (ConfigError, FieldError) as exc:  # FieldError: a bad --seed or --jobs
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -69,15 +69,7 @@ class SweepSpec(CheckedFields):
                                       metadata={"min": MIN_SNR_DB})
     seeds: tuple[int, ...] = field(default=(0, 1, 2, 3, 4), metadata={"min": 0})
     n_per_cell: int = field(default=256, metadata={"min": 2})  # the MMD needs two samples
-    baseline: bool = True
     plot: bool = False
-
-
-@dataclass(frozen=True)
-class AblateSpec(CheckedFields):
-    snr_db: float = field(default=5.0, metadata={"min": MIN_SNR_DB})
-    seeds: tuple[int, ...] = field(default=(0, 1, 2, 3, 4), metadata={"min": 0})
-    n_per_cell: int = field(default=256, metadata={"min": 2})
 
 
 @dataclass(frozen=True)
@@ -107,7 +99,6 @@ class ExperimentConfig:
     pipeline: PipelineConfig = field(default_factory=PipelineConfig)
     channel: ChannelConfig = field(default_factory=ChannelConfig)
     sweep: SweepSpec = field(default_factory=SweepSpec)
-    ablate: AblateSpec = field(default_factory=AblateSpec)
     prop1: Prop1Spec = field(default_factory=Prop1Spec)
     train: TrainConfig = field(default_factory=TrainConfig)
     output: OutputSpec = field(default_factory=OutputSpec)
@@ -242,7 +233,7 @@ def parse_config(path) -> ExperimentConfig:
     for section in parser.sections():
         if section not in _SECTIONS:
             first = next(iter(parser[section]), "")
-            line = _line_of(text, section)
+            line = _line_of(text, section, first or None)
             shown = f"{section}.{first}" if first else f"[{section}]"
             raise ConfigError(f"{path}:{line}: unknown config key '{shown}'")
         allowed = {f.name for f in fields(_SECTIONS[section])}

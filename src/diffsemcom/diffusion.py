@@ -14,6 +14,9 @@ sampler is fixed at zero.  The plan folds ``run_ddim_sample`` and
 ``run_ddim_invert`` check nothing themselves: each step checks that its
 target lies strictly past the latent's step and within the schedule, so a
 repeated, out-of-order or out-of-range plan step raises ParameterError.
+The folds run with numpy's overflow and invalid-value warnings off, so a
+step that leaves the floats is reported by ``Latent`` alone, with the same
+message under any warnings filter.
 """
 
 from __future__ import annotations
@@ -96,13 +99,15 @@ def ddim_invert_step(schedule, z: Latent, t_next: int, denoiser) -> Latent:
 
 def run_ddim_sample(schedule, z: Latent, plan, denoiser) -> Latent:
     """Fold ddim_sample_step over a strictly descending list of target steps."""
-    for t_prev in plan:
-        z = ddim_sample_step(schedule, z, int(t_prev), denoiser)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t_prev in plan:
+            z = ddim_sample_step(schedule, z, int(t_prev), denoiser)
     return z
 
 
 def run_ddim_invert(schedule, z: Latent, plan, denoiser) -> Latent:
     """Fold ddim_invert_step over a strictly ascending list of target steps."""
-    for t_next in plan:
-        z = ddim_invert_step(schedule, z, int(t_next), denoiser)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t_next in plan:
+            z = ddim_invert_step(schedule, z, int(t_next), denoiser)
     return z

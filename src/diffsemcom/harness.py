@@ -29,7 +29,7 @@ from .denoisers import GaussianMixtureModel, GmmDenoiser
 from .errors import ConfigError, ParameterError
 from .mlp import MlpDenoiser, init_mlp, load_checkpoint, save_checkpoint, train_denoiser
 from .noise_budget import validate_prop1
-from .pipeline import random_noise_config, run_trial
+from .pipeline import run_baseline_random_noise, run_trial
 from .rng import stream
 from .schedule import build_schedule, make_stride_plan
 
@@ -164,11 +164,11 @@ def run_cell(cfg: ExperimentConfig, objects, cell: Cell) -> ResultRow:
     """One grid cell on ``objects``, the command's ``build_objects(cfg)``."""
     schedule, plan, source, denoiser = objects
     pipe_cfg = replace(cfg.pipeline, t_f1=cell.t_f1, t_f2=cell.t_f2, t_b=cell.t_b)
-    if cell.system == "random_noise":
-        pipe_cfg = random_noise_config(pipe_cfg)
+    baseline = cell.system == "random_noise"
+    run = run_baseline_random_noise if baseline else run_trial
     channel = replace(cfg.channel, snr_db=float(cell.snr_db))
     rng = stream(cfg.run.seed, _SALT_CELL, cell.seed)
-    result = run_trial(pipe_cfg, channel, source, schedule, plan, denoiser, cell.n, rng)
+    result = run(pipe_cfg, channel, source, schedule, plan, denoiser, cell.n, rng)
     return ResultRow(
         snr_db=float(cell.snr_db),
         t_f1=cell.t_f1,
@@ -176,7 +176,8 @@ def run_cell(cfg: ExperimentConfig, objects, cell: Cell) -> ResultRow:
         t_b_resolved=result.t_b_resolved,
         system=cell.system,
         transmitter_mode="ddim_inversion",  # the transmitter always inverts
-        receiver_forward_mode=pipe_cfg.receiver_forward_mode,
+        # the baseline's receiver leg adds fresh noise
+        receiver_forward_mode="stochastic" if baseline else pipe_cfg.receiver_forward_mode,
         t_b_mode=cell.t_b_mode,
         seed=cell.seed,
         mse=result.metrics.mse,
@@ -267,15 +268,14 @@ def _run_grid(cfg: ExperimentConfig, cells, out_dir, csv_name):
 
 
 def cmd_sweep(cfg: ExperimentConfig, out_dir):
-    """Full factorial over (snr_db x seeds), proposed plus optional baseline."""
-    systems = ["proposed"] + (["random_noise"] if cfg.sweep.baseline else [])
+    """Full factorial over (snr_db x seeds x (proposed, random-noise baseline))."""
     p = cfg.pipeline
     t_b_mode = "auto" if p.t_b == "auto" else "fixed"
     cells = [
         Cell(snr, seed, system, p.t_f1, p.t_f2, p.t_b, t_b_mode, cfg.sweep.n_per_cell)
         for snr in cfg.sweep.snr_db
         for seed in cfg.sweep.seeds
-        for system in systems
+        for system in ("proposed", "random_noise")
     ]
     rows, csv_path = _run_grid(cfg, cells, out_dir, "sweep.csv")
     if cfg.sweep.plot:
@@ -291,11 +291,11 @@ ABLATION_SPLITS = ((10, 0), (5, 5), (0, 10))
 
 
 def cmd_ablate(cfg: ExperimentConfig, out_dir):
-    """Split/depth ablation grid plus the inversion-vs-random-noise comparison."""
-    snr = cfg.ablate.snr_db
-    n = cfg.ablate.n_per_cell
+    """Split/depth grid plus the baseline at channel.snr_db, on the sweep's seeds and n."""
+    snr = cfg.channel.snr_db
+    n = cfg.sweep.n_per_cell
     cells = []
-    for seed in cfg.ablate.seeds:
+    for seed in cfg.sweep.seeds:
         for t_f1, t_f2 in ABLATION_SPLITS:
             cells.append(Cell(snr, seed, "proposed", t_f1, t_f2,
                               t_f1 + t_f2, "t_f", n))
@@ -328,7 +328,7 @@ def cmd_verify_prop1(cfg: ExperimentConfig, out_dir):
 
 
 def cmd_train(cfg: ExperimentConfig, out_dir):
-    """Train the MLP denoiser; write checkpoint and loss-trace CSV."""
+    """Train the MLP denoiser; write denoiser.ckpt and train_loss.csv in out_dir."""
     schedule, _plan, source, _denoiser = build_objects(cfg, with_denoiser=False)
     os.makedirs(out_dir, exist_ok=True)
     t = cfg.train
@@ -337,9 +337,9 @@ def cmd_train(cfg: ExperimentConfig, out_dir):
         stream(cfg.run.seed, _SALT_TRAIN), t_emb=t.time_embed,
     )
     trained, trace = train_denoiser(params, source, schedule, t, cfg.run.seed)
-    ckpt_path = os.path.join(out_dir, t.checkpoint)
+    ckpt_path = os.path.join(out_dir, "denoiser.ckpt")
     save_checkpoint(trained, ckpt_path)
-    loss_path = os.path.join(out_dir, t.loss_csv)
+    loss_path = os.path.join(out_dir, "train_loss.csv")
     with open(loss_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("iteration,loss\n")
         for i, loss in enumerate(trace):

@@ -51,15 +51,13 @@ class MlpParams:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """The ``[train]`` section: network size, Adam learning rate, batches and output names."""
+    """The ``[train]`` section: network size, Adam learning rate and batches."""
 
     learning_rate: float = field(default=2e-3, metadata={"min": 0})
     batch_size: int = field(default=256, metadata={"min": 1})
     iterations: int = field(default=6000, metadata={"min": 1})
     hidden: int = field(default=64, metadata={"min": 1})
     time_embed: int = 16
-    checkpoint: str = "denoiser.ckpt"
-    loss_csv: str = "train_loss.csv"
 
     def __post_init__(self):
         check_fields(self)

@@ -17,7 +17,7 @@ a separate argument.
 
 The random-noise baseline is the same pipeline on the split (0, T_F) with a
 stochastic receiver leg: the normalized source latent is transmitted as-is
-and the receiver adds the whole forward noise (``random_noise_config``).
+and the receiver adds the whole forward noise (``run_baseline_random_noise``).
 """
 
 from __future__ import annotations
@@ -77,11 +77,6 @@ class TrialResult:
     metrics: MetricReport
     t_b_resolved: int
     saturated: bool
-
-
-def random_noise_config(cfg: PipelineConfig) -> PipelineConfig:
-    """The random-noise baseline of cfg: every forward step at the receiver."""
-    return replace(cfg, t_f1=0, t_f2=cfg.split.t_f, receiver_forward_mode="stochastic")
 
 
 def encode_transmit(z0, cfg: PipelineConfig, schedule, plan, denoiser):
@@ -150,7 +145,9 @@ def run_baseline_random_noise(cfg: PipelineConfig, channel: ChannelConfig, sourc
                               schedule, plan, denoiser, n, rng) -> TrialResult:
     """Table-I style baseline: transmit z0, add the forward noise at the receiver.
 
-    run_trial on random_noise_config(cfg), so a baseline driven by an
-    identically-keyed stream is exactly paired with the proposed pipeline.
+    run_trial with every forward step of cfg's split at the receiver, so a
+    baseline driven by an identically-keyed stream is exactly paired with the
+    proposed pipeline.
     """
-    return run_trial(random_noise_config(cfg), channel, source, schedule, plan, denoiser, n, rng)
+    cfg = replace(cfg, t_f1=0, t_f2=cfg.split.t_f, receiver_forward_mode="stochastic")
+    return run_trial(cfg, channel, source, schedule, plan, denoiser, n, rng)

@@ -326,8 +326,7 @@ def test_criterion_12_cli_reproducibility(tmp_path):
     cfg_path.write_text(
         "[source]\ndimension = 32\n"
         "[prop1]\nn_samples = 10000\n"
-        "[sweep]\nsnr_db = 0 10\nseeds = 0 1\nn_per_cell = 32\nbaseline = true\nplot = true\n"
-        "[ablate]\nsnr_db = 5\nseeds = 0\nn_per_cell = 32\n"
+        "[sweep]\nsnr_db = 0 10\nseeds = 0 1\nn_per_cell = 32\nplot = true\n"
         "[train]\niterations = 150\nhidden = 16\nbatch_size = 64\n"
     )
     outputs = {

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from diffsemcom import cli
 from diffsemcom.config import (
     ComponentSpec,
     ExperimentConfig,
@@ -94,12 +95,26 @@ def test_non_finite_number_rejected(tmp_path, section, key, value, kind):
         parse_config(path)
 
 
-@pytest.mark.parametrize("key", ["guidance_scale", "guidance_label", "condition_receiver_forward",
-                                 "transmitter_mode"])
-def test_removed_guidance_key_rejected_at_its_line(tmp_path, key):
-    path = write(tmp_path, f"[pipeline]\nt_f1 = 5\n{key} = 0\n")
-    with pytest.raises(ConfigError, match=rf"exp\.ini:3: unknown config key 'pipeline\.{key}'"):
+# Every key that an earlier version read, the guidance keys first.  Each key
+# name is unique, so a case's id is its key.
+_REMOVED_KEYS = [
+    ("pipeline", "guidance_scale"), ("pipeline", "guidance_label"),
+    ("pipeline", "condition_receiver_forward"), ("pipeline", "transmitter_mode"),
+    ("output", "dump_records"), ("train", "beta1"), ("train", "beta2"), ("train", "eps"),
+    ("sweep", "baseline"), ("train", "checkpoint"), ("train", "loss_csv"),
+    ("ablate", "snr_db"), ("ablate", "seeds"), ("ablate", "n_per_cell"),
+]
+
+
+@pytest.mark.parametrize("section,key", _REMOVED_KEYS, ids=[key for _, key in _REMOVED_KEYS])
+def test_removed_guidance_key_rejected_at_its_line(tmp_path, capsys, section, key):
+    path = write(tmp_path, f"[run]\nseed = 1\n[{section}]\n\n{key} = 0\n")
+    with pytest.raises(ConfigError, match=rf"exp\.ini:5: unknown config key '{section}\.{key}'"):
         parse_config(path)
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert f"exp.ini:5: unknown config key '{section}.{key}'" in capsys.readouterr().err
 
 
 def test_section_range_error_reported_at_section_line(tmp_path):
@@ -219,7 +234,6 @@ model = real_simplified
 snr_db = 0 10
 seeds = 0..2
 n_per_cell = 32
-baseline = false
 plot = true
 """
     cfg = parse_config(write(tmp_path, text))

@@ -31,14 +31,11 @@ SIZED = {
     ("pipeline", "t_f2"): st.integers(-1, 12),
     ("pipeline", "t_b"): st.one_of(st.just("auto"), st.integers(-1, 12)),
     ("sweep", "seeds"): st.integers(-1, 3),
-    ("ablate", "seeds"): st.integers(-1, 3),
     ("sweep", "n_per_cell"): st.integers(1, 4),
-    ("ablate", "n_per_cell"): st.integers(1, 4),
     ("run", "jobs"): st.integers(0, 1),
 }
 # File names: no edge value of theirs reaches sweep or ablate.
-SKIPPED = {("denoiser", "checkpoint"), ("train", "checkpoint"), ("train", "loss_csv"),
-           ("output", "directory")}
+SKIPPED = {("denoiser", "checkpoint"), ("output", "directory")}
 # Runtime failures that are meant to exit 3: whether a batch overflows
 # depends on its draws, so no bound at parse time can be exact.
 RUNTIME_FAILURES = re.compile(r"error: metric (mse|nmse|sw2|mmd2) is not finite")
@@ -67,8 +64,7 @@ SOURCE_KEYS = {f"{name}_1": st.sampled_from(FLOAT_EDGES + (1.0,))
                for name in ("weight", "mean", "var")}
 
 BASE = {"source": {"dimension": 8},
-        "sweep": {"snr_db": 5, "seeds": 0, "n_per_cell": 4},
-        "ablate": {"seeds": 0, "n_per_cell": 4}}
+        "sweep": {"snr_db": 5, "seeds": 0, "n_per_cell": 4}}
 
 
 def _render(value):
@@ -91,8 +87,8 @@ def config_texts(draw):
 def _expected_rows(path, command):
     cfg = parse_config(path)
     if command == "sweep":
-        return len(cfg.sweep.snr_db) * len(cfg.sweep.seeds) * (1 + cfg.sweep.baseline)
-    return 7 * len(cfg.ablate.seeds)
+        return len(cfg.sweep.snr_db) * len(cfg.sweep.seeds) * 2  # proposed and baseline
+    return 7 * len(cfg.sweep.seeds)
 
 
 def _tiny(source):

@@ -1,5 +1,4 @@
 import os
-import re
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -10,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import tight_wide_source
-from diffsemcom import cli, harness, svgplot
+from diffsemcom import cli, harness, pipeline, svgplot
 from diffsemcom.config import ComponentSpec, ExperimentConfig, SourceSpec
 from diffsemcom.errors import ConfigError, ParameterError
 from diffsemcom.harness import RESULT_HEADER, ResultRow
@@ -23,7 +22,6 @@ def small_cfg(**kw):
         cfg,
         source=replace(cfg.source, dimension=8),
         sweep=replace(cfg.sweep, snr_db=(0.0, 10.0), seeds=(0, 1), n_per_cell=32),
-        ablate=replace(cfg.ablate, seeds=(0, 1), n_per_cell=32),
         prop1=replace(cfg.prop1, n_samples=10_000),
         train=replace(cfg.train, iterations=120, hidden=16, batch_size=64),
     )
@@ -170,21 +168,14 @@ def test_pool_workers_run_single_threaded_blas():
     assert threads == 1
 
 
-def test_sweep_baseline_off(tmp_path):
-    cfg = small_cfg()
-    rows, _ = harness.cmd_sweep(replace(cfg, sweep=replace(cfg.sweep, baseline=False)), tmp_path)
-    assert len(rows) == 4
-    assert all(r.system == "proposed" for r in rows)
-
-
 def test_sweep_auto_t_b_non_increasing_in_snr(tmp_path):
     cfg = small_cfg()
-    cfg = replace(cfg, sweep=replace(cfg.sweep, snr_db=(0.0, 5.0, 10.0, 15.0, 20.0),
-                                     baseline=False))
+    cfg = replace(cfg, sweep=replace(cfg.sweep, snr_db=(0.0, 5.0, 10.0, 15.0, 20.0)))
     rows, _ = harness.cmd_sweep(cfg, tmp_path)
-    for seed in (0, 1):
-        tbs = [r.t_b_resolved for r in rows if r.seed == seed]
-        assert all(a >= b for a, b in zip(tbs, tbs[1:]))
+    for system in ("proposed", "random_noise"):
+        for seed in (0, 1):
+            tbs = [r.t_b_resolved for r in rows if (r.system, r.seed) == (system, seed)]
+            assert len(tbs) == 5 and all(a >= b for a, b in zip(tbs, tbs[1:]))
 
 
 def test_sweep_emits_svg(tmp_path):
@@ -197,14 +188,16 @@ def test_sweep_emits_svg(tmp_path):
 def test_sweep_runs_one_trial_per_cell(tmp_path, monkeypatch):
     cfg = small_cfg()
     cfg = replace(cfg, sweep=replace(cfg.sweep, snr_db=(5.0,), seeds=(0,)))
-    real_run_trial = harness.run_trial
+    real_run_trial = pipeline.run_trial
     calls = []
 
     def counting(pipe_cfg, *args):
         calls.append((pipe_cfg.t_f1, pipe_cfg.t_f2))
         return real_run_trial(pipe_cfg, *args)
 
+    # the proposed cell calls harness's run_trial, the baseline's runner pipeline's
     monkeypatch.setattr(harness, "run_trial", counting)
+    monkeypatch.setattr(pipeline, "run_trial", counting)
     rows, _ = harness.cmd_sweep(cfg, tmp_path)
     # one run per cell, the baseline's on split (0, T_F)
     assert len(rows) == 2  # proposed + baseline
@@ -242,7 +235,7 @@ def test_partial_rows_flushed_on_abort(tmp_path, monkeypatch):
 
     monkeypatch.setattr(harness, "run_cell", exploding)
     with pytest.raises(RuntimeError):
-        harness.cmd_sweep(replace(cfg, sweep=replace(cfg.sweep, baseline=False)), tmp_path)
+        harness.cmd_sweep(cfg, tmp_path)
     lines = (tmp_path / "sweep.csv").read_text().splitlines()
     assert lines[0] == RESULT_HEADER
     assert len(lines) == 1 + 3  # completed prefix was flushed
@@ -291,6 +284,26 @@ def test_ablate_grid(tmp_path):
     assert all(np.isfinite(r.sw2) and np.isfinite(r.mse) for r in rows)
 
 
+def test_ablate_rows_at_pipeline_split_match_sweep_rows(tmp_path):
+    # ablate runs at channel.snr_db on the sweep's seeds and cell size, so its
+    # rows at [pipeline]'s split and auto depth are the sweep's rows at that
+    # SNR, proposed and baseline alike
+    cfg = small_cfg()
+    cfg = replace(cfg, sweep=replace(cfg.sweep, snr_db=(0.0, cfg.channel.snr_db)))
+    _, sweep_csv = harness.cmd_sweep(cfg, tmp_path / "sweep")
+    _, ablate_csv = harness.cmd_ablate(cfg, tmp_path / "ablate")
+
+    def lines(path, keep):
+        header, *rows = Path(path).read_text().splitlines()
+        return [line for line in rows if keep(dict(zip(header.split(","), line.split(","))))]
+
+    split = (str(cfg.pipeline.t_f1), str(cfg.pipeline.t_f2), "auto")
+    sweep = lines(sweep_csv, lambda r: float(r["snr_db"]) == cfg.channel.snr_db)
+    ablate = lines(ablate_csv, lambda r: (r["t_f1"], r["t_f2"], r["t_b_mode"]) == split)
+    assert len(sweep) == 2 * len(cfg.sweep.seeds)
+    assert ablate == sweep
+
+
 def test_ablate_directions_on_structured_source(tmp_path):
     # through the command surface: forced depth hurts sw2 and the random-noise
     # baseline loses to inversion on the tight/wide source
@@ -304,7 +317,7 @@ def test_ablate_directions_on_structured_source(tmp_path):
             ),
         ),
         channel=replace(cfg.channel, model="real_simplified"),
-        ablate=replace(cfg.ablate, seeds=tuple(range(6)), n_per_cell=128),
+        sweep=replace(cfg.sweep, seeds=tuple(range(6)), n_per_cell=128),
     )
     rows, _ = harness.cmd_ablate(cfg, tmp_path)
     by = {}
@@ -356,10 +369,10 @@ def test_train_then_sweep_on_one_mlp_config(tmp_path):
         "[source]\ndimension = 8\n"
         f"[denoiser]\nkind = mlp\ncheckpoint = {out / 'denoiser.ckpt'}\n"
         "[train]\niterations = 20\nhidden = 8\nbatch_size = 16\n"
-        "[sweep]\nsnr_db = 5\nseeds = 0\nn_per_cell = 8\nbaseline = false\n")
+        "[sweep]\nsnr_db = 5\nseeds = 0\nn_per_cell = 8\n")
     assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 0
     assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
-    assert len((out / "sweep.csv").read_text().splitlines()) == 2
+    assert len((out / "sweep.csv").read_text().splitlines()) == 3  # proposed and baseline
 
 
 def test_checkpoint_of_other_dimension_exits_2_before_output(tmp_path, capsys):
@@ -367,7 +380,7 @@ def test_checkpoint_of_other_dimension_exits_2_before_output(tmp_path, capsys):
     save_checkpoint(init_mlp(8, 8, 1, np.random.default_rng(0)), ckpt)
     cfg = tmp_path / "d16.ini"
     cfg.write_text(f"[source]\ndimension = 16\n[denoiser]\nkind = mlp\ncheckpoint = {ckpt}\n"
-                   "[sweep]\nsnr_db = 5\nseeds = 0\nn_per_cell = 8\nbaseline = false\n")
+                   "[sweep]\nsnr_db = 5\nseeds = 0\nn_per_cell = 8\n")
     out = tmp_path / "out"
     assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
     assert not (out / "sweep.csv").exists()
@@ -437,7 +450,7 @@ def test_cli_config_error_exit_code(tmp_path):
         small + "[pipeline]\nt_f1 = 40\nt_f2 = 20\n",
         small + "[schedule]\nk_steps = 5\n",
         small.replace("n_per_cell = 16", "n_per_cell = 1"),
-        small + "[ablate]\nn_per_cell = 1\n",
+        small + "[ablate]\nseeds = 0\n",
         small.replace("dimension = 8", "dimension = 7"),
         small + "[pipeline]\nt_f1 = -1\n",
         small + "[pipeline]\nt_f2 = -1\n",
@@ -448,7 +461,7 @@ def test_cli_config_error_exit_code(tmp_path):
         small + "[prop1]\nn_samples = 500\n",
         small + "[run]\nseed = -1\n",
         small.replace("seeds = 0", "seeds = 0 -1"),
-        small + "[ablate]\nseeds = -1\n",
+        small.replace("n_per_cell = 16", "n_per_cell = 16\nbaseline = false"),
         small.replace("dimension = 8", "dimension = 0"),
         small + "[schedule]\nt_train = 0\n",
         small + "[schedule]\nbeta_start = 0\n",
@@ -536,7 +549,7 @@ def test_source_of_large_finite_second_moment_runs(tmp_path):
     # the nmse, above 0
     path = tmp_path / "mean_1e150.ini"
     path.write_text("[source]\ndimension = 8\nmean_1 = 1e150\nvar_1 = 1e296\n"
-                    "[sweep]\nsnr_db = 5\nseeds = 0\nn_per_cell = 4\nbaseline = false\n")
+                    "[sweep]\nsnr_db = 5\nseeds = 0\nn_per_cell = 4\n")
     assert cli.main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
 
 
@@ -573,7 +586,8 @@ def test_python_m_runs_cli(tmp_path):
 
 def test_cli_runtime_error_exit_code(tmp_path, capsys):
     # the checkpoint's weights are finite, but its prediction overflows at
-    # the first step (numpy's overflow warning, or the non-finite latent)
+    # the first step: the non-finite latent is reported under either
+    # warnings filter
     params = init_mlp(8, 8, 1, np.random.default_rng(0))
     params.w3.fill(1e308)
     params.b3.fill(1e308)
@@ -581,23 +595,27 @@ def test_cli_runtime_error_exit_code(tmp_path, capsys):
     cfg = tmp_path / "cfg.ini"
     cfg.write_text(f"[source]\ndimension = 8\n[denoiser]\nkind = mlp\n"
                    f"checkpoint = {tmp_path / 'big.ckpt'}\n"
-                   "[sweep]\nsnr_db = 5\nseeds = 0\nn_per_cell = 8\nbaseline = false\n")
-    code = cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")])
-    assert code == 3
-    assert re.match(r"error: (overflow encountered|latent values must be finite)",
-                    capsys.readouterr().err)
+                   "[sweep]\nsnr_db = 5\nseeds = 0\nn_per_cell = 8\n")
+    for action in ("error", "ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)
+            code = cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / action)])
+        assert code == 3
+        assert capsys.readouterr().err == "error: latent values must be finite\n"
 
 
-def test_cli_out_dir_resolution(tmp_path, monkeypatch):
+def test_cli_out_dir_resolution(tmp_path):
+    # --out, else the config's [output] directory
+    cfg_dir = tmp_path / "from_config"
     cfg_path = tmp_path / "cfg.ini"
     cfg_path.write_text(
         "[source]\ndimension = 8\n"
-        "[sweep]\nsnr_db = 5\nseeds = 0\nn_per_cell = 16\nbaseline = false\n"
+        "[sweep]\nsnr_db = 5\nseeds = 0\nn_per_cell = 16\n"
+        f"[output]\ndirectory = {cfg_dir}\n"
     )
-    env_dir = tmp_path / "from_env"
-    monkeypatch.setenv(cli.OUT_ENV_VAR, str(env_dir))
-    assert cli.main(["sweep", "--config", str(cfg_path)]) == 0
-    assert (env_dir / "sweep.csv").exists()
     flag_dir = tmp_path / "from_flag"
     assert cli.main(["sweep", "--config", str(cfg_path), "--out", str(flag_dir)]) == 0
     assert (flag_dir / "sweep.csv").exists()
+    assert not cfg_dir.exists()
+    assert cli.main(["sweep", "--config", str(cfg_path)]) == 0
+    assert (cfg_dir / "sweep.csv").exists()

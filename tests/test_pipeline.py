@@ -160,6 +160,45 @@ def test_single_gaussian_encode_decode_match_closed_form(sched, plan50, mu, v, t
     assert _max_rel_err(out, a3 * (a2 * y + b2) + b3) <= 1e-12
 
 
+def test_single_gaussian_trial_mse_within_clt_band_of_conditional_mean(sched, plan50):
+    # given z0 (and so gamma and T_B) the decoded error is D + G * noise with
+    # D = (K - 1) z0 + C, K = A3 A2 gamma A1, C = A3 A2 gamma B1 + A3 B2 + B3
+    # and G = A3 A2; mse is then a mean of n * d independent squares of known
+    # mean and variance.  Each draw's standardized residual is about N(0, 1),
+    # so each lies within 5 and their mean within 5 / sqrt(draws).
+    draws, n = 40, 512
+    rng = np.random.default_rng(7)
+    residuals = []
+    for seed in range(draws):
+        mu, v = rng.uniform(-2.0, 2.0, 8), rng.uniform(0.05, 3.0, 8)
+        t_f1, t_f2 = (int(t) for t in rng.integers(0, 8, 2))
+        t_b = "auto" if seed % 2 else int(rng.integers(1, 51))
+        snr_db = rng.uniform(-5.0, 20.0)
+        model = ("complex_paper", "real_simplified")[seed // 2 % 2]
+        src = dsc.GaussianMixtureModel(np.ones(1), mu[None, :], v[None, :])
+        cfg = PipelineConfig(t_f1=t_f1, t_f2=t_f2, t_b=t_b)
+        res = run_trial(cfg, ChannelConfig(snr_db, model), src, sched, plan50,
+                        dsc.GmmDenoiser(src, sched), n, dsc.stream(4, seed))
+
+        t_f, t_b = t_f1 + t_f2, res.t_b_resolved
+        a1, b1 = _affine_ddim(sched, mu, v, [0] + plan50.ascending_steps(0, t_f1))
+        a2, b2 = _affine_ddim(sched, mu, v, [plan50.training_step(t_f1)]
+                              + plan50.ascending_steps(t_f1, t_f))
+        a3, b3 = _affine_ddim(sched, mu, v, [plan50.training_step(t_b)]
+                              + plan50.descending_plan(t_b))
+        gamma = res.gamma[:, None]
+        det = (a3 * a2 * gamma * a1 - 1.0) * res.z0 + a3 * a2 * gamma * b1 + a3 * b2 + b3
+        # the decoded channel noise's variance, per entry
+        var = np.broadcast_to((a3 * a2) ** 2, det.shape) * dsc.effective_noise_var(
+            dsc.snr_to_noise_var(snr_db), model)
+        want = float(np.mean(det**2 + var))
+        std = float(np.sqrt(np.sum(4.0 * det**2 * var + 2.0 * var**2))) / det.size
+        residuals.append((res.metrics.mse - want) / std)
+    residuals = np.asarray(residuals)
+    assert np.max(np.abs(residuals)) <= 5.0, residuals
+    assert abs(np.mean(residuals)) <= 5.0 / np.sqrt(draws), residuals
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     t_f1=st.integers(0, 10), t_f2=st.integers(0, 10),
