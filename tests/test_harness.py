@@ -450,7 +450,6 @@ def test_cli_config_error_exit_code(tmp_path):
         small + "[pipeline]\nt_f1 = 40\nt_f2 = 20\n",
         small + "[schedule]\nk_steps = 5\n",
         small.replace("n_per_cell = 16", "n_per_cell = 1"),
-        small + "[ablate]\nseeds = 0\n",
         small.replace("dimension = 8", "dimension = 7"),
         small + "[pipeline]\nt_f1 = -1\n",
         small + "[pipeline]\nt_f2 = -1\n",
@@ -461,7 +460,6 @@ def test_cli_config_error_exit_code(tmp_path):
         small + "[prop1]\nn_samples = 500\n",
         small + "[run]\nseed = -1\n",
         small.replace("seeds = 0", "seeds = 0 -1"),
-        small.replace("n_per_cell = 16", "n_per_cell = 16\nbaseline = false"),
         small.replace("dimension = 8", "dimension = 0"),
         small + "[schedule]\nt_train = 0\n",
         small + "[schedule]\nbeta_start = 0\n",
