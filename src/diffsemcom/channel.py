@@ -19,13 +19,14 @@ import numpy as np
 from .errors import CheckedFields, DegenerateInputError, ParameterError
 
 CHANNEL_MODELS = ("complex_paper", "real_simplified")
-# Lowest SNR a config may set: its noise variance 10^300 is a finite float.
-MIN_SNR_DB = -3000.0
+# SNR range a config may set: the noise variances 10^300 and 10^-300 are
+# normal floats, so the budget neither overflows nor divides by zero.
+MIN_SNR_DB, MAX_SNR_DB = -3000.0, 3000.0
 
 
 @dataclass(frozen=True)
 class ChannelConfig(CheckedFields):
-    snr_db: float = field(default=5.0, metadata={"min": MIN_SNR_DB})
+    snr_db: float = field(default=5.0, metadata={"min": MIN_SNR_DB, "max": MAX_SNR_DB})
     model: str = field(default="complex_paper", metadata={"choices": CHANNEL_MODELS})
 
 

@@ -19,17 +19,18 @@ def check_fields(obj):
     """Raise FieldError for the first field of dataclass ``obj`` that breaks its rule.
 
     A field's metadata may declare ``choices``, the values it may take, and
-    ``min``, a lower bound on a number or on every element of a tuple.
+    ``min`` and ``max``, bounds on a number or on every element of a tuple.
     """
     for f in fields(obj):
-        value, choices, low = getattr(obj, f.name), f.metadata.get("choices"), f.metadata.get("min")
+        value, choices = getattr(obj, f.name), f.metadata.get("choices")
+        low, high = f.metadata.get("min"), f.metadata.get("max")
         if choices is not None and value not in choices:
             raise FieldError(f.name, f"expected one of {', '.join(choices)}, got {value!r}")
-        if low is None:
-            continue
-        below = [v for v in (value if isinstance(value, tuple) else (value,)) if v < low]
-        if below:
-            raise FieldError(f.name, f"{below[0]} is below the minimum {low}")
+        for v in (value if isinstance(value, tuple) else (value,)):
+            if low is not None and v < low:
+                raise FieldError(f.name, f"{v} is below the minimum {low}")
+            if high is not None and v > high:
+                raise FieldError(f.name, f"{v} is above the maximum {high}")
 
 
 class CheckedFields:

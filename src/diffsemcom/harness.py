@@ -118,7 +118,7 @@ def build_objects(cfg: ExperimentConfig, with_denoiser=True):
     """(schedule, plan, source model, denoiser) for a parsed config.
 
     The denoiser is None unless ``with_denoiser``: an mlp denoiser loads a
-    checkpoint, which ``train`` is about to write.
+    checkpoint, which ``train`` is about to write and ``verify-prop1`` never uses.
     """
     try:
         schedule = build_schedule(
@@ -306,24 +306,14 @@ def cmd_ablate(cfg: ExperimentConfig, out_dir):
 
 def cmd_verify_prop1(cfg: ExperimentConfig, out_dir):
     """Run the noise-budget validator; exit 0 iff it meets its tolerances."""
-    schedule, plan, source, denoiser = build_objects(
-        cfg, with_denoiser=cfg.prop1.transmitter_mode == "ddim_inversion")
+    schedule, plan, source, _denoiser = build_objects(cfg, with_denoiser=False)
     os.makedirs(out_dir, exist_ok=True)
-    report = validate_prop1(
-        schedule, plan, cfg.pipeline.split, cfg.channel, source,
-        cfg.prop1.n_samples, cfg.prop1.gamma_mode,
-        stream(cfg.run.seed, _SALT_PROP1),
-        transmitter_mode=cfg.prop1.transmitter_mode,
-        denoiser=denoiser,
-    )
+    report = validate_prop1(schedule, plan, cfg.pipeline.split, cfg.channel, source,
+                            cfg.prop1.n_samples, stream(cfg.run.seed, _SALT_PROP1))
     csv_path = os.path.join(out_dir, "prop1_report.csv")
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(report.to_csv())
     print(report.summary_line())
-    if cfg.prop1.transmitter_mode != "stochastic":
-        # Deterministic transmitter runs are informational: the budget models
-        # the stochastic forward, so the deviation is reported, not gated.
-        return 0, report
     return (0 if report.passed() else 1), report
 
 

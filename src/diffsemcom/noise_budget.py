@@ -2,9 +2,10 @@
 Monte-Carlo validation.
 
 For a transmitter that runs the stochastic forward to scheduler step T_F1,
-scales by gamma, crosses an AWGN channel with per-component variance
-sigma_eff^2, and then continues the forward process to T_F = T_F1 + T_F2,
-the received latent is Gaussian around gamma * sqrt(ab_F) * z0 with variance
+scales each sample to unit power by its gain gamma, crosses an AWGN channel
+with per-component variance sigma_eff^2, and then continues the forward
+process to T_F = T_F1 + T_F2, the received latent is Gaussian around
+gamma * sqrt(ab_F) * z0 with variance
 
     sigma_eps^2 = 1 - r (1 - gamma^2) - gamma^2 ab_F      (diffusion part)
     sigma_n^2   = r * sigma_eff^2                          (channel part)
@@ -17,6 +18,7 @@ within a bound scaled to its largest term, gamma^2 r.
 
 The matched denoising depth T_B is the smallest scheduler step whose nominal
 noise level 1 - ab reaches sigma_tot^2 = sigma_eps^2 + sigma_n^2.
+``validate_prop1`` checks the budget by simulating this one transmitter.
 """
 
 from __future__ import annotations
@@ -30,10 +32,7 @@ import numpy as np
 
 from .channel import ChannelConfig, effective_noise_var, snr_to_noise_var
 from .denoisers import gmm_sample
-from .diffusion import FORWARD_MODES, Latent, run_ddim_invert
 from .errors import InternalConsistencyError, ParameterError
-
-GAMMA_MODES = ("per_sample", "forced_unit")
 
 # Fewest Monte-Carlo samples the validator accepts: below it the 3-sigma
 # mean bands and the 3% variance tolerance are too loose to test anything.
@@ -117,8 +116,6 @@ class Prop1Report:
     dimension: int
     channel_model: str
     sigma_eff2: float
-    gamma_mode: str
-    transmitter_mode: str
     budget: NoiseBudget
     z0: np.ndarray
     emp_mean: np.ndarray
@@ -138,7 +135,6 @@ class Prop1Report:
     def summary_line(self) -> str:
         return (
             f"prop1 n={self.n_samples} d={self.dimension} model={self.channel_model} "
-            f"tx={self.transmitter_mode} gamma_mode={self.gamma_mode} "
             f"gamma={self.budget.gamma_used:.6g} predicted_var={self.budget.sigma_tot2:.6g} "
             f"pooled_var={self.pooled_var:.6g} var_rel_err={self.var_rel_err:.4%} "
             f"mean_within_3sigma={self.frac_mean_within_band:.4%}"
@@ -167,27 +163,17 @@ def _usable_cpus() -> int:
 
 
 def validate_prop1(schedule, plan, split: SplitConfig, channel_cfg: ChannelConfig,
-                   source, n_samples: int, gamma_mode: str, rng,
-                   transmitter_mode: str = "stochastic", denoiser=None,
-                   chunk: int = 4096) -> Prop1Report:
+                   source, n_samples: int, rng, chunk: int = 4096) -> Prop1Report:
     """Monte-Carlo check of the noise-budget moments for one source latent.
 
-    Draws z0 once, then simulates n_samples independent runs of: stochastic
-    forward to T_F1 (or the deterministic inversion when transmitter_mode is
-    ``ddim_inversion``, reported informationally), per-sample or forced-unit
-    normalization, channel noise of variance sigma_eff^2 per component, and a
-    fresh-noise forward jump to T_F.
+    Draws z0 once, then simulates n_samples independent runs of the
+    transmitter the budget models: a stochastic forward to T_F1, per-sample
+    power normalization, channel noise of variance sigma_eff^2 per
+    component, and a fresh-noise forward jump to T_F.
     """
     if n_samples < MIN_PROP1_SAMPLES:
         raise ParameterError(
             f"validator needs n_samples >= {MIN_PROP1_SAMPLES}, got {n_samples}")
-    if gamma_mode not in GAMMA_MODES:
-        raise ParameterError(f"unknown gamma_mode {gamma_mode!r}; expected {GAMMA_MODES}")
-    if transmitter_mode not in FORWARD_MODES:
-        raise ParameterError(f"unknown transmitter_mode {transmitter_mode!r}; "
-                             f"expected {FORWARD_MODES}")
-    if transmitter_mode == "ddim_inversion" and denoiser is None:
-        raise ParameterError("ddim_inversion transmitter mode needs a denoiser")
 
     d = source.d
     ab = schedule.alpha_bars
@@ -200,12 +186,6 @@ def validate_prop1(schedule, plan, split: SplitConfig, channel_cfg: ChannelConfi
     n_chunks = (n_samples + chunk - 1) // chunk
     kids = rng.spawn(1 + n_chunks)
     z0 = gmm_sample(source, 1, kids[0])[0]
-
-    inv_tx = None
-    if transmitter_mode == "ddim_inversion" and split.t_f1 > 0:
-        inv_tx = run_ddim_invert(
-            schedule, Latent(z0, 0), plan.ascending_steps(0, split.t_f1), denoiser
-        ).values
 
     # Chunk c draws only from kids[1 + c] and leaves only its three partial
     # sums, so the chunks run on one thread per usable CPU (numpy's fills
@@ -228,17 +208,11 @@ def validate_prop1(schedule, plan, split: SplitConfig, channel_cfg: ChannelConfi
             m = min(chunk, n_samples - c * chunk)
             g = kids[1 + c]
             z, w = buf_z[:m], buf_w[:m]
-            if inv_tx is not None:
-                z[...] = inv_tx
-            else:
-                g.standard_normal(out=z)
-                z *= scale1
-                z += mean1                      # z_t1
-            if gamma_mode == "per_sample":
-                np.multiply(z, z, out=w)
-                gamma = 1.0 / np.sqrt(np.mean(w, axis=-1))
-            else:
-                gamma = np.ones(m)
+            g.standard_normal(out=z)
+            z *= scale1
+            z += mean1                          # z_t1
+            np.multiply(z, z, out=w)
+            gamma = 1.0 / np.sqrt(np.mean(w, axis=-1))
             z *= gamma[:, None]
             g.standard_normal(out=w)
             w *= scale_ch
@@ -274,8 +248,6 @@ def validate_prop1(schedule, plan, split: SplitConfig, channel_cfg: ChannelConfi
         dimension=d,
         channel_model=channel_cfg.model,
         sigma_eff2=sigma_eff2,
-        gamma_mode=gamma_mode,
-        transmitter_mode=transmitter_mode,
         budget=budget,
         z0=z0,
         emp_mean=emp_mean,

@@ -66,7 +66,6 @@ def test_invalid_value_diagnostics(tmp_path):
     ("denoiser", "kind"),
     ("pipeline", "receiver_forward_mode"),
     ("channel", "model"),
-    ("prop1", "gamma_mode"),
     ("prop1", "transmitter_mode"),
 ])
 def test_unknown_enumerated_value_rejected(tmp_path, section, key):
@@ -103,6 +102,7 @@ _REMOVED_KEYS = [
     ("output", "dump_records"), ("train", "beta1"), ("train", "beta2"), ("train", "eps"),
     ("sweep", "baseline"), ("train", "checkpoint"), ("train", "loss_csv"),
     ("ablate", "snr_db"), ("ablate", "seeds"), ("ablate", "n_per_cell"),
+    ("prop1", "gamma_mode"),
 ]
 
 
@@ -125,23 +125,26 @@ def test_section_range_error_reported_at_section_line(tmp_path):
 
 # (section, class, field) of every field that declares a rule.
 _RULED = [(s.name, s.default_factory, f) for s in fields(ExperimentConfig)
-          for f in fields(s.default_factory) if {"choices", "min"} & f.metadata.keys()]
+          for f in fields(s.default_factory) if {"choices", "min", "max"} & f.metadata.keys()]
 
 
 @pytest.mark.parametrize("section,cls,f", _RULED, ids=[f"{s}.{f.name}" for s, _, f in _RULED])
 def test_field_rule_rejected_in_file_construction_and_replace(tmp_path, section, cls, f):
     if "choices" in f.metadata:
-        text = value = "bogus"
-    else:
-        low = f.metadata["min"] - 1
-        text, value = str(low), (low,) if f.type.startswith("tuple") else low
-    path = write(tmp_path, f"[{section}]\n\n{f.name} = {text}\n")
-    with pytest.raises(ConfigError, match=rf"exp\.ini:3: {section}\.{f.name}: "):
-        parse_config(path)
-    with pytest.raises(FieldError, match=rf"^{f.name}: "):
-        cls(**{f.name: value})
-    with pytest.raises(FieldError, match=rf"^{f.name}: "):
-        replace(cls(), **{f.name: value})
+        bad = ["bogus"]
+    else:  # just outside each bound, and far above a maximum
+        bad = [f.metadata["min"] - 1] if "min" in f.metadata else []
+        if "max" in f.metadata:
+            bad += [f.metadata["max"] + 1, 1e308]
+    for text in bad:
+        value = (text,) if f.type.startswith("tuple") else text
+        path = write(tmp_path, f"[{section}]\n\n{f.name} = {text}\n")
+        with pytest.raises(ConfigError, match=rf"exp\.ini:3: {section}\.{f.name}: "):
+            parse_config(path)
+        with pytest.raises(FieldError, match=rf"^{f.name}: "):
+            cls(**{f.name: value})
+        with pytest.raises(FieldError, match=rf"^{f.name}: "):
+            replace(cls(), **{f.name: value})
 
 
 def test_syntax_error_reported(tmp_path):
@@ -252,9 +255,9 @@ def test_shipped_configs_parse():
 
 
 # Values from each field annotation's parser domain.  A field with a rule
-# draws from its ``choices`` or from its ``min`` upward; a field that its
-# class checks by hand draws from _DOMAINS.  A field whose annotation is
-# missing here fails the test.
+# draws from its ``choices`` or between its ``min`` and ``max``; a field
+# that its class checks by hand draws from _DOMAINS.  A field whose
+# annotation is missing here fails the test.
 _INTS = st.integers(-10**6, 10**6)
 _FLOATS = st.floats(allow_nan=False, allow_infinity=False)
 _DOMAINS = {
@@ -270,21 +273,27 @@ _VALUES = {
     "tuple[int, ...]": st.lists(_INTS, min_size=1, max_size=4).map(tuple),
     "int | str": st.one_of(st.just("auto"), st.integers(0, 10**6)),
 }
-_AT_LEAST = {
-    "int": lambda low: st.integers(low, 10**6),
-    "float": lambda low: st.floats(min_value=low, allow_infinity=False),
-    "tuple[float, ...]": lambda low: st.lists(st.floats(min_value=low, allow_infinity=False),
-                                              min_size=1, max_size=4).map(tuple),
-    "tuple[int, ...]": lambda low: st.lists(st.integers(low, 10**6),
-                                            min_size=1, max_size=4).map(tuple),
+
+
+def _ints(low, high):
+    return st.integers(low, 10**6 if high is None else high)
+
+
+_BETWEEN = {
+    "int": _ints,
+    "float": lambda low, high: st.floats(low, high, allow_infinity=False),
+    "tuple[float, ...]": lambda low, high: st.lists(st.floats(low, high, allow_infinity=False),
+                                                    min_size=1, max_size=4).map(tuple),
+    "tuple[int, ...]": lambda low, high: st.lists(_ints(low, high),
+                                                  min_size=1, max_size=4).map(tuple),
 }
 
 
 def _domain(cls, f):
     if "choices" in f.metadata:
         return st.sampled_from(f.metadata["choices"])
-    if "min" in f.metadata:
-        return _AT_LEAST[f.type](f.metadata["min"])
+    if {"min", "max"} & f.metadata.keys():
+        return _BETWEEN[f.type](f.metadata.get("min"), f.metadata.get("max"))
     hand_checked = _DOMAINS.get(cls, {})
     return hand_checked[f.name] if f.name in hand_checked else _VALUES[f.type]
 

@@ -3,8 +3,9 @@
 Config files are drawn from each section's field metadata: a key with
 ``choices`` takes one of them or an unknown word, any other key a value at
 the edges of its type (0, 1e-300, 1e300, negative values, its ``min`` and
-the value just below it).  Runs stay tiny: d <= 8, one seed, one SNR and
-2-4 samples per cell.
+``max`` and the values just outside them).  Runs stay tiny: d <= 8, one
+seed, one SNR and 2-4 samples per cell for ``sweep`` and ``ablate``, and at
+most the default 20,000 samples for ``verify-prop1``.
 """
 
 import contextlib
@@ -45,8 +46,8 @@ def _edge_values(f):
     """Edge values of a section field, from its annotation and metadata."""
     if "choices" in f.metadata:
         return st.sampled_from((*f.metadata["choices"], "bogus"))
-    low = f.metadata.get("min")
-    edges = () if low is None else (low, low - 1)
+    low, high = f.metadata.get("min"), f.metadata.get("max")
+    edges = (() if low is None else (low, low - 1)) + (() if high is None else (high, high + 1))
     if not isinstance(f.default, tuple):
         edges += (f.default,)
     if f.type in ("int", "tuple[int, ...]"):
@@ -98,21 +99,26 @@ def _tiny(source):
 @settings(max_examples=100, deadline=None)
 @given(text=config_texts())
 # a gamma near 1e3 on the baseline's split once broke the budget identity;
-# a source batch of zero float variance has an nmse of inf (exit 3)
+# a source batch of zero float variance has an nmse of inf (exit 3); an SNR
+# whose noise variance underflows to 0 once made the validator divide by 0
 @example(text=_tiny("var_1 = 1e-6\n"))
 @example(text=_tiny("mean_1 = 1e153\n"))
+@example(text=_tiny("[pipeline]\nt_f1 = 0\nt_f2 = 0\n[channel]\nsnr_db = 1e308\n"))
 def test_every_parsed_config_runs_or_exits_2_before_output(text):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "exp.ini")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-        for command in ("sweep", "ablate"):
+        for command in ("sweep", "ablate", "verify-prop1"):
             out = os.path.join(tmp, command)
             err = io.StringIO()
             with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
                 code = cli.main([command, "--config", path, "--out", out])
             if code == 2:
                 assert not os.path.exists(out), (command, err.getvalue())
+            elif command == "verify-prop1":
+                assert code in (0, 1), (code, err.getvalue())
+                assert os.path.exists(os.path.join(out, "prop1_report.csv"))
             elif code == 0:
                 with open(os.path.join(out, f"{command}.csv"), encoding="utf-8") as fh:
                     rows = fh.read().splitlines()[1:]

@@ -387,17 +387,20 @@ def test_checkpoint_of_other_dimension_exits_2_before_output(tmp_path, capsys):
     assert "has dimension 8, source.dimension = 16" in capsys.readouterr().err
 
 
-def test_stochastic_verify_prop1_loads_no_denoiser(tmp_path):
+def test_stochastic_verify_prop1_loads_no_denoiser(tmp_path, capsys):
     cfg = tmp_path / "cfg.ini"
     text = ("[source]\ndimension = 32\n"
             "[denoiser]\nkind = mlp\ncheckpoint = /missing/net.ckpt\n"
             "[prop1]\nn_samples = 10000\n")
     cfg.write_text(text)
     assert cli.main(["verify-prop1", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
-    # the deterministic transmitter inverts with the denoiser, so it loads it
+    # the validator simulates only the stochastic transmitter
     cfg.write_text(text + "transmitter_mode = ddim_inversion\n")
+    capsys.readouterr()
     assert cli.main(["verify-prop1", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 2
     assert not (tmp_path / "b").exists()
+    assert (f"{cfg}:8: prop1.transmitter_mode: expected one of stochastic, "
+            "got 'ddim_inversion'") in capsys.readouterr().err
 
 
 def _rows_for_plot():

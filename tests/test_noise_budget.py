@@ -187,14 +187,23 @@ def test_remark1_gamma_approaches_one(sched, plan50):
 
 
 def test_validator_reduction_no_channel(sched, plan50):
-    # sigma_eff^2 = 0, T_F2 = 0, forced-unit gamma: variance is 1 - ab_F1
-    src = standard_normal_mixture(16)
+    # sigma_eff^2 ~ 0 and T_F2 = 0: the budget is the diffusion part at the
+    # per-sample gamma alone.  Normalizing fixes each sample's power at d,
+    # which removes the radial degree of freedom that the budget's constant
+    # gamma keeps, so the pooled variance is (d - 1) / d of it.
+    d = 64
     rep = validate_prop1(
         sched, plan50, SplitConfig(5, 0), ChannelConfig(400.0, "real_simplified"),
-        src, 20_000, "forced_unit", dsc.stream(0, 74),
+        standard_normal_mixture(d), 20_000, dsc.stream(0, 74),
     )
-    expected = 1 - sched.alpha_bars[plan50.training_step(5)]
-    mc_rel = 3 * np.sqrt(2.0 / (20_000 * 16))
+    b = rep.budget
+    assert b.r == 1.0
+    assert b.sigma_tot2 == b.sigma_eps2  # sigma_n^2 = 1e-40 is below its rounding
+    t1 = plan50.training_step(5)
+    assert b.sigma_eps2 == pytest.approx(b.gamma_used ** 2 * (1 - sched.alpha_bars[t1]),
+                                         rel=1e-12)
+    expected = b.sigma_tot2 * (d - 1) / d
+    mc_rel = 3 * np.sqrt(2.0 / (20_000 * d))
     assert abs(rep.pooled_var - expected) / expected < mc_rel
     assert rep.passed()
 
@@ -203,7 +212,7 @@ def test_validator_full_pipeline_passes(sched, plan50):
     src = standard_normal_mixture(64)
     rep = validate_prop1(
         sched, plan50, SplitConfig(5, 5), ChannelConfig(5.0, "complex_paper"),
-        src, 20_000, "per_sample", dsc.stream(0, 75),
+        src, 20_000, dsc.stream(0, 75),
     )
     assert rep.var_rel_err < 0.03
     assert rep.frac_mean_within_band >= 0.99
@@ -215,24 +224,9 @@ def test_validator_negative_control(sched, plan50, mis_index_budget):
     src = standard_normal_mixture(64)
     rep = validate_prop1(
         sched, plan50, SplitConfig(5, 5), ChannelConfig(5.0, "complex_paper"),
-        src, 20_000, "per_sample", dsc.stream(0, 75),
+        src, 20_000, dsc.stream(0, 75),
     )
     assert not rep.passed()
-
-
-def test_validator_ddim_transmitter_reports_deviation(sched, plan50):
-    # deterministic transmitter: the run reports its deviation from the
-    # stochastic-forward budget (informational, larger than MC error)
-    src = standard_normal_mixture(32)
-    den = dsc.GmmDenoiser(src, sched)
-    rep = validate_prop1(
-        sched, plan50, SplitConfig(5, 5), ChannelConfig(5.0, "complex_paper"),
-        src, 10_000, "per_sample", dsc.stream(0, 76),
-        transmitter_mode="ddim_inversion", denoiser=den,
-    )
-    assert rep.transmitter_mode == "ddim_inversion"
-    assert np.isfinite(rep.var_rel_err)
-    assert rep.var_rel_err > 0.03  # the deterministic leg carries no fresh noise
 
 
 def test_validator_enforces_sample_floor(sched, plan50):
@@ -240,7 +234,7 @@ def test_validator_enforces_sample_floor(sched, plan50):
     with pytest.raises(ParameterError):
         validate_prop1(
             sched, plan50, SplitConfig(5, 5), ChannelConfig(5.0, "complex_paper"),
-            src, 500, "per_sample", dsc.stream(0, 77),
+            src, 500, dsc.stream(0, 77),
         )
 
 
@@ -248,7 +242,7 @@ def test_validator_csv_shape(sched, plan50):
     src = standard_normal_mixture(8)
     rep = validate_prop1(
         sched, plan50, SplitConfig(2, 2), ChannelConfig(10.0, "complex_paper"),
-        src, 10_000, "per_sample", dsc.stream(0, 78),
+        src, 10_000, dsc.stream(0, 78),
     )
     lines = rep.to_csv().strip().splitlines()
     assert lines[0] == "dim,empirical_mean_err,empirical_var,predicted_var,rel_err"
@@ -256,8 +250,7 @@ def test_validator_csv_shape(sched, plan50):
     assert rep.summary_line().startswith("prop1 ")
 
 
-def _serial_moments(sched, plan, split, channel_cfg, source, n_samples, gamma_mode, rng,
-                    transmitter_mode, denoiser, chunk):
+def _serial_moments(sched, plan, split, channel_cfg, source, n_samples, rng, chunk):
     """The validator's chunk loop as it ran on one thread in fresh arrays:
     the reference that the threaded, buffer-reusing loop must match bit for bit.
     Returns (emp_mean, emp_var, gamma_used)."""
@@ -270,25 +263,14 @@ def _serial_moments(sched, plan, split, channel_cfg, source, n_samples, gamma_mo
     n_chunks = (n_samples + chunk - 1) // chunk
     kids = rng.spawn(1 + n_chunks)
     z0 = dsc.gmm_sample(source, 1, kids[0])[0]
-    inv_tx = None
-    if transmitter_mode == "ddim_inversion" and split.t_f1 > 0:
-        inv_tx = dsc.run_ddim_invert(
-            sched, dsc.Latent(z0, 0), plan.ascending_steps(0, split.t_f1), denoiser
-        ).values
     sum_z, sum_z2, sum_gamma = [], [], []
     done = 0
     for c in range(n_chunks):
         m = min(chunk, n_samples - done)
         g = kids[1 + c]
-        if inv_tx is not None:
-            z_t1 = np.broadcast_to(inv_tx, (m, d))
-        else:
-            eps1 = g.standard_normal((m, d))
-            z_t1 = np.sqrt(ab[t1]) * z0 + np.sqrt(1.0 - ab[t1]) * eps1
-        if gamma_mode == "per_sample":
-            gamma = 1.0 / np.sqrt(np.mean(z_t1 * z_t1, axis=-1))
-        else:
-            gamma = np.ones(m)
+        eps1 = g.standard_normal((m, d))
+        z_t1 = np.sqrt(ab[t1]) * z0 + np.sqrt(1.0 - ab[t1]) * eps1
+        gamma = 1.0 / np.sqrt(np.mean(z_t1 * z_t1, axis=-1))
         y = gamma[:, None] * z_t1 + np.sqrt(sigma_eff2) * g.standard_normal((m, d))
         eps2 = g.standard_normal((m, d))
         z_hat = np.sqrt(r) * y + np.sqrt(1.0 - r) * eps2
@@ -307,21 +289,15 @@ def _serial_moments(sched, plan, split, channel_cfg, source, n_samples, gamma_mo
 def test_validator_bits_match_serial_loop_at_any_thread_count(sched, plan50, bimodal_64,
                                                              monkeypatch, chunk):
     src = bimodal_64
-    den = dsc.GmmDenoiser(src, sched)
     channel = ChannelConfig(5.0, "complex_paper")
     n = 10_001
     for split in (SplitConfig(5, 5), SplitConfig(0, 10), SplitConfig(10, 0)):
-        for gamma_mode in ("per_sample", "forced_unit"):
-            for tx in ("stochastic", "ddim_inversion"):
-                case = (split, gamma_mode, tx)
-                ref = _serial_moments(sched, plan50, split, channel, src, n, gamma_mode,
-                                      dsc.stream(0, 79), tx, den, chunk)
-                for cpus in (1, 3):
-                    monkeypatch.setattr(os, "sched_getaffinity",
-                                        lambda pid, cpus=cpus: set(range(cpus)), raising=False)
-                    rep = validate_prop1(sched, plan50, split, channel, src, n, gamma_mode,
-                                         dsc.stream(0, 79), transmitter_mode=tx,
-                                         denoiser=den, chunk=chunk)
-                    assert np.array_equal(rep.emp_mean, ref[0]), (case, cpus)
-                    assert np.array_equal(rep.emp_var, ref[1]), (case, cpus)
-                    assert rep.budget.gamma_used == ref[2], (case, cpus)
+        ref = _serial_moments(sched, plan50, split, channel, src, n, dsc.stream(0, 79), chunk)
+        for cpus in (1, 3):
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid, cpus=cpus: set(range(cpus)), raising=False)
+            rep = validate_prop1(sched, plan50, split, channel, src, n, dsc.stream(0, 79),
+                                 chunk=chunk)
+            assert np.array_equal(rep.emp_mean, ref[0]), (split, cpus)
+            assert np.array_equal(rep.emp_var, ref[1]), (split, cpus)
+            assert rep.budget.gamma_used == ref[2], (split, cpus)
