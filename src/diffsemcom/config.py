@@ -29,9 +29,9 @@ from .errors import CheckedFields, ConfigError, FieldError, ParameterError
 from .mlp import TrainConfig
 from .noise_budget import MIN_PROP1_SAMPLES
 from .pipeline import PipelineConfig
-from .schedule import SCHEDULE_KINDS
 
 _SOURCE_DYNAMIC = re.compile(r"^(weight|mean|var)_([0-9]+)$")
+MAX_INTS = 1_000_000  # longest integer list (a..b ranges expanded) a key may hold
 
 
 @dataclass(frozen=True)
@@ -39,15 +39,6 @@ class ComponentSpec:
     weight: float = 1.0
     mean: tuple[float, ...] = (0.0,)
     var: tuple[float, ...] = (1.0,)
-
-
-@dataclass(frozen=True)
-class ScheduleSpec(CheckedFields):
-    kind: str = field(default="scaled_linear", metadata={"choices": SCHEDULE_KINDS})
-    t_train: int = 1000
-    beta_start: float = 8.5e-4
-    beta_end: float = 0.012
-    k_steps: int = 50
 
 
 @dataclass(frozen=True)
@@ -93,7 +84,6 @@ class RunSpec(CheckedFields):
 @dataclass(frozen=True)
 class ExperimentConfig:
     run: RunSpec = field(default_factory=RunSpec)
-    schedule: ScheduleSpec = field(default_factory=ScheduleSpec)
     source: SourceSpec = field(default_factory=SourceSpec)
     denoiser: DenoiserSpec = field(default_factory=DenoiserSpec)
     pipeline: PipelineConfig = field(default_factory=PipelineConfig)
@@ -155,6 +145,8 @@ def _to_ints(raw: str) -> tuple[int, ...]:
             lo, hi = (int(end) for end in part.split("..", 1))
             if hi < lo:
                 raise ValueError(f"descending range {part!r}")
+            if len(out) + hi - lo + 1 > MAX_INTS:
+                raise ValueError(f"more than {MAX_INTS} integers")
             out.extend(range(lo, hi + 1))
         else:
             out.append(int(part))
@@ -218,10 +210,13 @@ class _SectionReader:
 def parse_config(path) -> ExperimentConfig:
     """Read and fully validate a config file; unknown keys are errors."""
     path = os.fspath(path)
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     parser = configparser.ConfigParser(interpolation=None, strict=True)
     try:
         parser.read_string(text, source=path)

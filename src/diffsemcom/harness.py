@@ -31,7 +31,7 @@ from .mlp import MlpDenoiser, init_mlp, load_checkpoint, save_checkpoint, train_
 from .noise_budget import validate_prop1
 from .pipeline import run_baseline_random_noise, run_trial
 from .rng import stream
-from .schedule import build_schedule, make_stride_plan
+from .schedule import BETA_END, BETA_START, K_STEPS, T_TRAIN, build_schedule, make_stride_plan
 
 # Stream salts: grid cells, validator, training init.
 _SALT_CELL = 1
@@ -101,12 +101,12 @@ def build_source_model(spec: SourceSpec) -> GaussianMixtureModel:
 
 def _check_key_combinations(cfg: ExperimentConfig):
     """Reject keys that each section accepts but that cannot run together."""
-    p, k, d = cfg.pipeline, cfg.schedule.k_steps, cfg.source.dimension
-    if p.t_f1 + p.t_f2 > k:
-        raise ConfigError(
-            f"pipeline.t_f1 + pipeline.t_f2 = {p.t_f1 + p.t_f2} exceeds schedule.k_steps = {k}")
-    if p.t_b != "auto" and p.t_b > k:
-        raise ConfigError(f"pipeline.t_b = {p.t_b} exceeds schedule.k_steps = {k}")
+    p, d = cfg.pipeline, cfg.source.dimension
+    if p.t_f1 + p.t_f2 > K_STEPS:
+        raise ConfigError(f"pipeline.t_f1 + pipeline.t_f2 = {p.t_f1 + p.t_f2} exceeds "
+                          f"the plan's {K_STEPS} steps")
+    if p.t_b != "auto" and p.t_b > K_STEPS:
+        raise ConfigError(f"pipeline.t_b = {p.t_b} exceeds the plan's {K_STEPS} steps")
     if p.t_b == 0 and p.t_f1 + p.t_f2 > 0:
         raise ConfigError("pipeline.t_b = 0 needs an empty split (t_f1 = t_f2 = 0)")
     if cfg.channel.model == "complex_paper" and d % 2:
@@ -120,14 +120,8 @@ def build_objects(cfg: ExperimentConfig, with_denoiser=True):
     The denoiser is None unless ``with_denoiser``: an mlp denoiser loads a
     checkpoint, which ``train`` is about to write and ``verify-prop1`` never uses.
     """
-    try:
-        schedule = build_schedule(
-            cfg.schedule.kind, cfg.schedule.t_train,
-            cfg.schedule.beta_start, cfg.schedule.beta_end,
-        )
-        plan = make_stride_plan(schedule, cfg.schedule.k_steps)
-    except ParameterError as exc:
-        raise ConfigError(f"invalid schedule: {exc}") from exc
+    schedule = build_schedule(T_TRAIN, BETA_START, BETA_END)
+    plan = make_stride_plan(schedule, K_STEPS)
     _check_key_combinations(cfg)
     source = build_source_model(cfg.source)
     if not with_denoiser:
@@ -239,16 +233,11 @@ def _run_worker_cell(cell: Cell) -> ResultRow:
 def _run_grid(cfg: ExperimentConfig, cells, out_dir, csv_name):
     """Run cells (on a pool of up to cfg.run.jobs workers), writing rows in cell order.
 
-    Builds the objects and checks every cell's split against the plan before
-    it creates out_dir.  Each row is flushed as it arrives, and a failed cell
-    stops the loop (the pool's map cancels the cells that have not started).
+    Builds the objects before it creates out_dir.  Each row is flushed as it
+    arrives, and a failed cell stops the loop (the pool's map cancels the
+    cells that have not started).
     """
     objects = build_objects(cfg)
-    k = objects[1].k
-    for cell in cells:
-        if cell.t_f1 + cell.t_f2 > k:
-            raise ConfigError(f"a cell's split ({cell.t_f1}, {cell.t_f2}) needs "
-                              f"schedule.k_steps >= {cell.t_f1 + cell.t_f2}, got {k}")
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, csv_name)
     workers = min(cfg.run.jobs, len(cells))

@@ -115,7 +115,6 @@ class Prop1Report:
     n_samples: int
     dimension: int
     channel_model: str
-    sigma_eff2: float
     budget: NoiseBudget
     z0: np.ndarray
     emp_mean: np.ndarray
@@ -147,7 +146,7 @@ class Prop1Report:
         pred_var = self.budget.sigma_tot2
         for j in range(self.dimension):
             err = self.emp_mean[j] - pred_mean[j]
-            rel = (self.emp_var[j] - pred_var) / pred_var if pred_var > 0 else np.inf
+            rel = (self.emp_var[j] - pred_var) / pred_var
             out.write(
                 f"{j},{err:.12g},{self.emp_var[j]:.12g},{pred_var:.12g},{rel:.12g}\n"
             )
@@ -247,7 +246,6 @@ def validate_prop1(schedule, plan, split: SplitConfig, channel_cfg: ChannelConfi
         n_samples=n_samples,
         dimension=d,
         channel_model=channel_cfg.model,
-        sigma_eff2=sigma_eff2,
         budget=budget,
         z0=z0,
         emp_mean=emp_mean,

@@ -19,31 +19,23 @@ import numpy as np
 
 from .errors import ParameterError
 
-SCHEDULE_KINDS = ("linear", "scaled_linear")
+# A training-free system samples a pretrained model, so the model fixes its
+# noise schedule (latent-diffusion's scaled-linear betas) and the stride plan.
+T_TRAIN, BETA_START, BETA_END, K_STEPS = 1000, 8.5e-4, 0.012, 50
 
 
 @dataclass(frozen=True)
 class NoiseSchedule:
     """Beta/alpha/alpha_bar tables over ``t_train`` training steps."""
 
-    kind: str
     t_train: int
     betas: np.ndarray
     alphas: np.ndarray
     alpha_bars: np.ndarray
 
 
-def build_schedule(
-    kind: str, t_train: int, beta_start: float, beta_end: float
-) -> NoiseSchedule:
-    """Construct a noise schedule of the given kind.
-
-    ``linear`` interpolates beta from beta_start to beta_end; ``scaled_linear``
-    interpolates sqrt(beta) and squares (the convention of latent-diffusion
-    style schedulers).
-    """
-    if kind not in SCHEDULE_KINDS:
-        raise ParameterError(f"unknown schedule kind {kind!r}; expected one of {SCHEDULE_KINDS}")
+def build_schedule(t_train: int, beta_start: float, beta_end: float) -> NoiseSchedule:
+    """Scaled-linear schedule: sqrt(beta) interpolates linearly, then is squared."""
     if not isinstance(t_train, (int, np.integer)) or t_train < 1:
         raise ParameterError(f"t_train must be a positive integer, got {t_train!r}")
     if not (0.0 < beta_start <= beta_end < 1.0):
@@ -51,11 +43,7 @@ def build_schedule(
             f"need 0 < beta_start <= beta_end < 1, got ({beta_start}, {beta_end})"
         )
 
-    if kind == "linear":
-        core = np.linspace(beta_start, beta_end, t_train)
-    else:
-        core = np.linspace(np.sqrt(beta_start), np.sqrt(beta_end), t_train) ** 2
-
+    core = np.linspace(np.sqrt(beta_start), np.sqrt(beta_end), t_train) ** 2
     betas = np.concatenate([[0.0], core])
     alphas = 1.0 - betas  # alphas[0] == 1 is the empty-product pad
     alpha_bars = np.cumprod(alphas)
@@ -65,8 +53,7 @@ def build_schedule(
             f"alpha_bar does not strictly decrease in float64 for betas {beta_start}..{beta_end}")
     for arr in (betas, alphas, alpha_bars):
         arr.setflags(write=False)
-    return NoiseSchedule(kind=kind, t_train=int(t_train), betas=betas,
-                         alphas=alphas, alpha_bars=alpha_bars)
+    return NoiseSchedule(t_train=int(t_train), betas=betas, alphas=alphas, alpha_bars=alpha_bars)
 
 
 def alpha_bar_ratio(schedule: NoiseSchedule, t_lo: int, t_hi: int) -> float:

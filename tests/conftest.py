@@ -8,7 +8,7 @@ from instruments import standard_normal_mixture
 
 @pytest.fixture(scope="session")
 def sched():
-    return dsc.build_schedule("scaled_linear", 1000, 8.5e-4, 0.012)
+    return dsc.build_schedule(1000, 8.5e-4, 0.012)
 
 
 @pytest.fixture(scope="session")

@@ -65,10 +65,9 @@ def test_criterion_02_budget_identity():
     worst = 0.0
     for _ in range(1000):
         t_train = int(rng.integers(10, 400))
-        kind = str(rng.choice(["linear", "scaled_linear"]))
         b0 = float(rng.uniform(1e-4, 5e-3))
         b1 = float(rng.uniform(b0, 0.05))
-        sch = dsc.build_schedule(kind, t_train, b0, b1)
+        sch = dsc.build_schedule(t_train, b0, b1)
         k = int(rng.integers(1, t_train + 1))
         plan = dsc.make_stride_plan(sch, k)
         f1 = int(rng.integers(0, k + 1))
@@ -182,7 +181,7 @@ def test_criterion_06_gmm_round_trip(sched):
 
 
 def _trend_setup():
-    sched = dsc.build_schedule("scaled_linear", 1000, 8.5e-4, 0.012)
+    sched = dsc.build_schedule(1000, 8.5e-4, 0.012)
     plan = dsc.make_stride_plan(sched, 50)
     src = _tight_wide(64)
     den = dsc.GmmDenoiser(src, sched)

@@ -1,5 +1,7 @@
+import re
 import string
 from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -16,6 +18,7 @@ from diffsemcom.config import (
 from diffsemcom.errors import ConfigError, FieldError
 from diffsemcom.mlp import TrainConfig
 from diffsemcom.pipeline import PipelineConfig
+from diffsemcom.schedule import K_STEPS
 
 
 def write(tmp_path, text, name="exp.ini"):
@@ -27,7 +30,6 @@ def write(tmp_path, text, name="exp.ini"):
 def test_empty_file_gives_defaults(tmp_path):
     cfg = parse_config(write(tmp_path, ""))
     assert cfg == ExperimentConfig()
-    assert cfg.schedule.kind == "scaled_linear"
     assert cfg.pipeline.t_b == "auto"
     assert cfg.sweep.seeds == (0, 1, 2, 3, 4)
 
@@ -56,13 +58,12 @@ def test_unknown_key_named_with_line(tmp_path):
 
 
 def test_invalid_value_diagnostics(tmp_path):
-    path = write(tmp_path, "[schedule]\nt_train = lots\n")
-    with pytest.raises(ConfigError, match=r"exp\.ini:2: schedule\.t_train"):
+    path = write(tmp_path, "[train]\niterations = lots\n")
+    with pytest.raises(ConfigError, match=r"exp\.ini:2: train\.iterations"):
         parse_config(path)
 
 
 @pytest.mark.parametrize("section,key", [
-    ("schedule", "kind"),
     ("denoiser", "kind"),
     ("pipeline", "receiver_forward_mode"),
     ("channel", "model"),
@@ -102,7 +103,8 @@ _REMOVED_KEYS = [
     ("output", "dump_records"), ("train", "beta1"), ("train", "beta2"), ("train", "eps"),
     ("sweep", "baseline"), ("train", "checkpoint"), ("train", "loss_csv"),
     ("ablate", "snr_db"), ("ablate", "seeds"), ("ablate", "n_per_cell"),
-    ("prop1", "gamma_mode"),
+    ("prop1", "gamma_mode"), ("schedule", "kind"), ("schedule", "t_train"),
+    ("schedule", "beta_start"), ("schedule", "beta_end"), ("schedule", "k_steps"),
 ]
 
 
@@ -163,6 +165,17 @@ def test_seed_range_shorthand(tmp_path):
         parse_config(path)
 
 
+def test_integer_list_longer_than_max_ints_rejected_at_its_line(tmp_path):
+    # a range is sized before it is expanded, so a huge one fails at once
+    path = write(tmp_path, "[sweep]\nsnr_db = 5\nseeds = 0..1000000000000\n")
+    with pytest.raises(ConfigError, match=r"exp\.ini:3: sweep\.seeds: .*"
+                                          r"\(more than 1000000 integers\)"):
+        parse_config(path)
+    path = write(tmp_path, "[sweep]\nseeds = 7 0..999999\n", "one_over.ini")
+    with pytest.raises(ConfigError, match=r"one_over\.ini:2: sweep\.seeds: "):
+        parse_config(path)
+
+
 def test_t_b_forms(tmp_path):
     assert parse_config(write(tmp_path, "[pipeline]\nt_b = auto\n")).pipeline.t_b == "auto"
     assert parse_config(write(tmp_path, "[pipeline]\nt_b = 12\n", "b.ini")).pipeline.t_b == 12
@@ -207,13 +220,6 @@ def test_round_trip_rich(tmp_path):
 seed = 7
 jobs = 2
 
-[schedule]
-kind = linear
-t_train = 500
-beta_start = 0.0002
-beta_end = 0.04
-k_steps = 25
-
 [source]
 dimension = 8
 components = 2
@@ -245,13 +251,25 @@ plot = true
     assert cfg2 == cfg
 
 
+def test_readme_table_lists_every_config_key():
+    # the table's first cells, between "## Configuration" and the next section
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    listed = {key for line in section.splitlines() if line.startswith("| `")
+              for key in re.findall(r"`([a-z0-9_]+\.[a-z0-9_]+)`", line.split(" | ")[0])}
+    schema = {f"{s.name}.{f.name}" for s in fields(ExperimentConfig)
+              for f in fields(s.default_factory)}
+    per_component = {f"source.{f.name}_j" for f in fields(ComponentSpec)}
+    assert listed == schema | per_component
+
+
 def test_shipped_configs_parse():
     import os
 
     here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     for name in ("default.ini", "bimodal.ini"):
         cfg = parse_config(os.path.join(here, "configs", name))
-        assert cfg.schedule.k_steps == 50
+        assert cfg.pipeline.t_f1 + cfg.pipeline.t_f2 <= K_STEPS
 
 
 # Values from each field annotation's parser domain.  A field with a rule

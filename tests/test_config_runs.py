@@ -26,8 +26,6 @@ FLOAT_EDGES = (0.0, 1e-300, 1e300, -1.0, -1e300)
 # Keys that set a run's size take values from small ranges, edges included.
 SIZED = {
     ("source", "dimension"): st.integers(-1, 8),
-    ("schedule", "t_train"): st.sampled_from((-1, 0, 1, 12, 1000)),
-    ("schedule", "k_steps"): st.integers(-1, 12),
     ("pipeline", "t_f1"): st.integers(-1, 12),
     ("pipeline", "t_f2"): st.integers(-1, 12),
     ("pipeline", "t_b"): st.one_of(st.just("auto"), st.integers(-1, 12)),

@@ -435,12 +435,20 @@ def test_svg_unknown_metric_and_empty():
         svgplot.emit_svg_plot([], "mse")
 
 
-def test_cli_config_error_exit_code(tmp_path):
+def test_cli_config_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.ini"
     bad.write_text("[chanel]\nsnr_db = 5\n")
     code = cli.main(["sweep", "--config", str(bad), "--out", str(tmp_path)])
     assert code == 2
     assert cli.main(["sweep", "--config", "/does/not/exist.ini"]) == 2
+    # a directory and a file that is not UTF-8 cannot be read
+    latin1 = tmp_path / "latin1.ini"
+    latin1.write_bytes(b"[run]\nseed = 1\n# caf\xe9\n")
+    for i, path in enumerate((tmp_path, latin1)):
+        out = tmp_path / f"unreadable{i}"
+        assert cli.main(["sweep", "--config", str(path), "--out", str(out)]) == 2, path
+        assert not out.exists(), path
+        assert f"config error: cannot read config file {path}" in capsys.readouterr().err
     bogus = tmp_path / "bogus.ini"
     bogus.write_text("[channel]\nmodel = bogus\n")
     assert cli.main(["sweep", "--config", str(bogus), "--out", str(tmp_path / "o")]) == 2
@@ -450,25 +458,17 @@ def test_cli_config_error_exit_code(tmp_path):
     for i, text in enumerate([
         small + "[channel]\nsnr_db = nan\n",
         small.replace("snr_db = 5", "snr_db = 5 nan"),
-        small + "[pipeline]\nt_f1 = 40\nt_f2 = 20\n",
-        small + "[schedule]\nk_steps = 5\n",
         small.replace("n_per_cell = 16", "n_per_cell = 1"),
         small.replace("dimension = 8", "dimension = 7"),
         small + "[pipeline]\nt_f1 = -1\n",
         small + "[pipeline]\nt_f2 = -1\n",
         small + "[pipeline]\nguidance_scale = 1.5\n",
         small + "[run]\njobs = 0\n",
-        small + "[pipeline]\nt_b = 60\n[schedule]\nk_steps = 50\n",
         small + "[pipeline]\nt_b = 0\n",
         small + "[prop1]\nn_samples = 500\n",
         small + "[run]\nseed = -1\n",
         small.replace("seeds = 0", "seeds = 0 -1"),
         small.replace("dimension = 8", "dimension = 0"),
-        small + "[schedule]\nt_train = 0\n",
-        small + "[schedule]\nbeta_start = 0\n",
-        small + "[schedule]\nbeta_end = 1\n",
-        small + "[schedule]\nk_steps = 0\n",
-        small + "[schedule]\nt_train = 40\nk_steps = 50\n",
         small.replace("dimension = 8", "dimension = 8\nmean_1 = 1e154"),
         small.replace("dimension = 8", "dimension = 8\nmean_1 = 1e200"),
     ]):
@@ -477,18 +477,19 @@ def test_cli_config_error_exit_code(tmp_path):
         out = tmp_path / f"o{i}"
         assert cli.main(["sweep", "--config", str(path), "--out", str(out)]) == 2, text
         assert not out.exists(), text
-    cross_key = tmp_path / "cross_key.ini"
-    cross_key.write_text(small + "[pipeline]\nt_f1 = 40\nt_f2 = 20\n")
-    for command in ("ablate", "verify-prop1", "train"):
-        out = tmp_path / f"cross_key_{command}"
-        assert cli.main([command, "--config", str(cross_key), "--out", str(out)]) == 2, command
-        assert not out.exists(), command
-    # ablate's fixed splits (10, 0), (5, 5) and (0, 10) need k_steps >= 10
-    short_plan = tmp_path / "short_plan.ini"
-    short_plan.write_text(small + "[pipeline]\nt_f1 = 2\nt_f2 = 2\n[schedule]\nk_steps = 8\n")
-    out = tmp_path / "short_plan"
-    assert cli.main(["ablate", "--config", str(short_plan), "--out", str(out)]) == 2
-    assert not out.exists()
+    capsys.readouterr()
+    # the split and a fixed depth are checked against the plan's 50 steps
+    for name, text, message in (
+        ("cross_key", "t_f1 = 40\nt_f2 = 20\n", "pipeline.t_f1 + pipeline.t_f2 = 60 exceeds"),
+        ("deep_t_b", "t_b = 60\n", "pipeline.t_b = 60 exceeds"),
+    ):
+        path = tmp_path / f"{name}.ini"
+        path.write_text(small + "[pipeline]\n" + text)
+        for command in ("sweep", "ablate", "verify-prop1", "train"):
+            out = tmp_path / f"{name}_{command}"
+            assert cli.main([command, "--config", str(path), "--out", str(out)]) == 2, command
+            assert not out.exists(), command
+            assert f"{message} the plan's 50 steps" in capsys.readouterr().err, command
     good = tmp_path / "good.ini"
     good.write_text(small)
     for command in ("sweep", "verify-prop1", "train"):

@@ -10,7 +10,6 @@ import diffsemcom as dsc
 from diffsemcom.channel import ChannelConfig, effective_noise_var, snr_to_noise_var
 from diffsemcom.errors import ParameterError
 from diffsemcom.noise_budget import SplitConfig, validate_prop1
-from diffsemcom.schedule import SCHEDULE_KINDS
 from instruments import standard_normal_mixture
 
 
@@ -31,13 +30,12 @@ def test_budget_gamma_one_any_split(sched, plan50):
 
 
 @settings(max_examples=200, deadline=None)
-@given(kind=st.sampled_from(SCHEDULE_KINDS), t_train=st.integers(10, 299),
-       beta_start=st.floats(1e-4, 5e-3), gamma=st.floats(0.5, 1.5),
-       sigma_eff2=st.floats(0.0, 1.0), data=st.data())
-def test_budget_identity_random_tuples(kind, t_train, beta_start, gamma, sigma_eff2, data):
+@given(t_train=st.integers(10, 299), beta_start=st.floats(1e-4, 5e-3),
+       gamma=st.floats(0.5, 1.5), sigma_eff2=st.floats(0.0, 1.0), data=st.data())
+def test_budget_identity_random_tuples(t_train, beta_start, gamma, sigma_eff2, data):
     # sigma_eps^2 from the budget equals (1 - r) + gamma^2 r (1 - ab_F1)
     beta_end = data.draw(st.floats(beta_start, 0.05))
-    sch = dsc.build_schedule(kind, t_train, beta_start, beta_end)
+    sch = dsc.build_schedule(t_train, beta_start, beta_end)
     k = data.draw(st.integers(1, t_train))
     plan = dsc.make_stride_plan(sch, k)
     f1 = data.draw(st.integers(0, k))
@@ -119,11 +117,10 @@ def test_selector_matches_linear_scan(sched, plan50):
 
 @st.composite
 def schedules_and_plans(draw):
-    kind = draw(st.sampled_from(SCHEDULE_KINDS))
     t_train = draw(st.integers(1, 1000))
     beta_start = draw(st.floats(1e-6, 0.05))
     beta_end = draw(st.floats(beta_start, 0.3))
-    schedule = dsc.build_schedule(kind, t_train, beta_start, beta_end)
+    schedule = dsc.build_schedule(t_train, beta_start, beta_end)
     return schedule, dsc.make_stride_plan(schedule, draw(st.integers(1, t_train)))
 
 

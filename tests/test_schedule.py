@@ -6,31 +6,24 @@ import pytest
 import diffsemcom as dsc
 from diffsemcom.errors import ParameterError
 
-# Brute-force product oracle values, frozen (pure-python multiply loop).
-GOLDEN_LINEAR_AB_1000 = 4.0358297653756754e-05
-
-
-def test_linear_alpha_1():
-    s = dsc.build_schedule("linear", 1000, 1e-4, 0.02)
-    assert s.alphas[1] == pytest.approx(0.9999, abs=1e-12)
-    assert s.betas[1] == pytest.approx(1e-4)
-    assert s.betas[1000] == pytest.approx(0.02)
+# alpha_bar[1000] of the shipped schedule (1000, 8.5e-4, 0.012), frozen from a
+# pure-python multiply loop over beta_t = (sqrt(b0) + (t-1)/999 (sqrt(b1) - sqrt(b0)))^2.
+GOLDEN_AB_1000 = 0.004660098513077236
 
 
 def test_alpha_bar_zero_is_one(sched):
     assert sched.alpha_bars[0] == 1.0
-    s = dsc.build_schedule("linear", 1, 0.01, 0.01)
+    s = dsc.build_schedule(1, 0.01, 0.01)
     assert s.alpha_bars[0] == 1.0
     assert s.alpha_bars[1] == pytest.approx(0.99)
 
 
-def test_golden_cumulative_product():
-    s = dsc.build_schedule("linear", 1000, 1e-4, 0.02)
-    assert s.alpha_bars[1000] == pytest.approx(GOLDEN_LINEAR_AB_1000, rel=1e-12)
+def test_golden_cumulative_product(sched):
+    assert sched.alpha_bars[1000] == pytest.approx(GOLDEN_AB_1000, rel=1e-12)
 
 
 def test_brute_force_product_matches():
-    s = dsc.build_schedule("scaled_linear", 400, 5e-4, 0.03)
+    s = dsc.build_schedule(400, 5e-4, 0.03)
     prod = 1.0
     for t in range(1, 401):
         prod *= float(s.alphas[t])
@@ -49,7 +42,7 @@ def test_strict_monotonicity(sched):
 
 
 def test_scaled_linear_formula():
-    s = dsc.build_schedule("scaled_linear", 100, 1e-3, 0.02)
+    s = dsc.build_schedule(100, 1e-3, 0.02)
     for t in (1, 37, 100):
         expected = (
             math.sqrt(1e-3)
@@ -60,15 +53,13 @@ def test_scaled_linear_formula():
 
 def test_build_schedule_validation():
     with pytest.raises(ParameterError):
-        dsc.build_schedule("cosine", 100, 1e-4, 0.02)
+        dsc.build_schedule(0, 1e-4, 0.02)
     with pytest.raises(ParameterError):
-        dsc.build_schedule("linear", 0, 1e-4, 0.02)
+        dsc.build_schedule(100, 0.0, 0.02)
     with pytest.raises(ParameterError):
-        dsc.build_schedule("linear", 100, 0.0, 0.02)
+        dsc.build_schedule(100, 0.03, 0.02)
     with pytest.raises(ParameterError):
-        dsc.build_schedule("linear", 100, 0.03, 0.02)
-    with pytest.raises(ParameterError):
-        dsc.build_schedule("linear", 100, 0.5, 1.0)
+        dsc.build_schedule(100, 0.5, 1.0)
 
 
 def test_alpha_bar_ratio_trivial(sched):
