@@ -28,10 +28,6 @@ import numpy as np
 from .errors import ParameterError
 from .schedule import alpha_bar_ratio
 
-# How a forward leg runs: deterministic inversion (run_ddim_invert), or one
-# fresh-noise jump (forward_reparam).
-FORWARD_MODES = ("ddim_inversion", "stochastic")
-
 
 @dataclass(frozen=True)
 class Latent:

@@ -151,7 +151,6 @@ class Cell:
     t_f2: int
     t_b: int | str
     t_b_mode: str
-    n: int
 
 
 def run_cell(cfg: ExperimentConfig, objects, cell: Cell) -> ResultRow:
@@ -162,7 +161,7 @@ def run_cell(cfg: ExperimentConfig, objects, cell: Cell) -> ResultRow:
     run = run_baseline_random_noise if baseline else run_trial
     channel = replace(cfg.channel, snr_db=float(cell.snr_db))
     rng = stream(cfg.run.seed, _SALT_CELL, cell.seed)
-    result = run(pipe_cfg, channel, source, schedule, plan, denoiser, cell.n, rng)
+    result = run(pipe_cfg, channel, source, schedule, plan, denoiser, cfg.sweep.n_per_cell, rng)
     return ResultRow(
         snr_db=float(cell.snr_db),
         t_f1=cell.t_f1,
@@ -170,8 +169,8 @@ def run_cell(cfg: ExperimentConfig, objects, cell: Cell) -> ResultRow:
         t_b_resolved=result.t_b_resolved,
         system=cell.system,
         transmitter_mode="ddim_inversion",  # the transmitter always inverts
-        # the baseline's receiver leg adds fresh noise
-        receiver_forward_mode="stochastic" if baseline else pipe_cfg.receiver_forward_mode,
+        # the proposed receiver inverts; the baseline's adds fresh noise
+        receiver_forward_mode="stochastic" if baseline else "ddim_inversion",
         t_b_mode=cell.t_b_mode,
         seed=cell.seed,
         mse=result.metrics.mse,
@@ -261,7 +260,7 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir):
     p = cfg.pipeline
     t_b_mode = "auto" if p.t_b == "auto" else "fixed"
     cells = [
-        Cell(snr, seed, system, p.t_f1, p.t_f2, p.t_b, t_b_mode, cfg.sweep.n_per_cell)
+        Cell(snr, seed, system, p.t_f1, p.t_f2, p.t_b, t_b_mode)
         for snr in cfg.sweep.snr_db
         for seed in cfg.sweep.seeds
         for system in ("proposed", "random_noise")
@@ -282,14 +281,12 @@ ABLATION_SPLITS = ((10, 0), (5, 5), (0, 10))
 def cmd_ablate(cfg: ExperimentConfig, out_dir):
     """Split/depth grid plus the baseline at channel.snr_db, on the sweep's seeds and n."""
     snr = cfg.channel.snr_db
-    n = cfg.sweep.n_per_cell
     cells = []
     for seed in cfg.sweep.seeds:
         for t_f1, t_f2 in ABLATION_SPLITS:
-            cells.append(Cell(snr, seed, "proposed", t_f1, t_f2,
-                              t_f1 + t_f2, "t_f", n))
-            cells.append(Cell(snr, seed, "proposed", t_f1, t_f2, "auto", "auto", n))
-        cells.append(Cell(snr, seed, "random_noise", 5, 5, "auto", "auto", n))
+            cells.append(Cell(snr, seed, "proposed", t_f1, t_f2, t_f1 + t_f2, "t_f"))
+            cells.append(Cell(snr, seed, "proposed", t_f1, t_f2, "auto", "auto"))
+        cells.append(Cell(snr, seed, "random_noise", 5, 5, "auto", "auto"))
     return _run_grid(cfg, cells, out_dir, "ablate.csv")
 
 

@@ -49,6 +49,12 @@ class MlpParams:
         )
 
 
+def check_time_embed(width):
+    """Reject a width that is odd or below 2: time_embedding gives 2 * (width // 2) columns."""
+    if width < 2 or width % 2:
+        raise ParameterError(f"time_embed = {width} must be an even number >= 2")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """The ``[train]`` section: network size, Adam learning rate and batches."""
@@ -61,8 +67,7 @@ class TrainConfig:
 
     def __post_init__(self):
         check_fields(self)
-        if self.time_embed < 2 or self.time_embed % 2:
-            raise ParameterError(f"time_embed = {self.time_embed} must be an even number >= 2")
+        check_time_embed(self.time_embed)
 
 
 def init_mlp(d, hidden, label_count, rng, t_emb=16) -> MlpParams:
@@ -230,6 +235,7 @@ def load_checkpoint(path) -> MlpParams:
         raise ParameterError(f"bad checkpoint magic {magic!r}")
     if version != CHECKPOINT_VERSION:
         raise ParameterError(f"unsupported checkpoint version {version}")
+    check_time_embed(t_emb)
     n_in = d + t_emb + label_count
     shapes = [(n_in, hidden), (hidden,), (hidden, hidden), (hidden,), (hidden, d), (d,)]
     if len(blob) != head_size + 8 * sum(math.prod(shape) for shape in shapes):

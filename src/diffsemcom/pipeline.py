@@ -7,22 +7,22 @@ latent at T_F1 as-is (no de-normalization), forwarded T_F2 further steps,
 retagged at the resolved denoising depth T_B, and sampled back to 0.
 T_B > T_F means the decoder deliberately starts from a higher nominal noise
 level than the latent's tag; that is the noise-level matching under channel
-noise.  The receiver's forward leg (T_F1 -> T_F) is the one leg with two
-modes: inversion, or fresh noise for the baseline.  There is one decode
-path, ``receive_decode``: ``run_trial`` resolves T_B from the noise budget
-and passes the depth to it.  Every DDIM step, in either leg or the decoder,
-makes one unconditional denoiser call.
+noise.  The receiver's forward leg (T_F1 -> T_F) follows the system, not a
+config key: the proposed receiver inverts, the baseline's adds fresh noise.
+There is one decode path, ``receive_decode``: ``run_trial`` resolves T_B
+from the noise budget and passes the depth to it.  Every DDIM step, in
+either leg or the decoder, makes one unconditional denoiser call.
 ``PipelineConfig`` is a config file's ``[pipeline]`` section; the channel is
 a separate argument.
 
 The random-noise baseline is the same pipeline on the split (0, T_F) with a
-stochastic receiver leg: the normalized source latent is transmitted as-is
+fresh-noise receiver leg: the normalized source latent is transmitted as-is
 and the receiver adds the whole forward noise (``run_baseline_random_noise``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -34,8 +34,8 @@ from .channel import (
     snr_to_noise_var,
 )
 from .denoisers import gmm_sample
-from .diffusion import FORWARD_MODES, Latent, forward_reparam, run_ddim_invert, run_ddim_sample
-from .errors import ConfigError, check_fields
+from .diffusion import Latent, forward_reparam, run_ddim_invert, run_ddim_sample
+from .errors import ConfigError
 from .metrics import MetricReport, metric_report
 from .noise_budget import NoiseBudget, SplitConfig, compute_noise_budget, select_denoise_steps
 
@@ -46,16 +46,13 @@ METRIC_SEED = 20318
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """The ``[pipeline]`` section: split, depth and the receiver's forward mode."""
+    """The ``[pipeline]`` section: the split and the decoding depth."""
 
     t_f1: int = 5
     t_f2: int = 5
     t_b: int | str = "auto"
-    receiver_forward_mode: str = field(
-        default="ddim_inversion", metadata={"choices": FORWARD_MODES})
 
     def __post_init__(self):
-        check_fields(self)
         if self.t_b != "auto" and (isinstance(self.t_b, str) or self.t_b < 0):
             raise ConfigError(f"t_b must be 'auto' or an integer >= 0, got {self.t_b!r}")
         # Built here so that its range checks run at construction.
@@ -86,25 +83,17 @@ def encode_transmit(z0, cfg: PipelineConfig, schedule, plan, denoiser):
     return power_normalize(z.values)
 
 
-def receiver_forward(y, cfg: PipelineConfig, schedule, plan, denoiser, rng) -> Latent:
-    """Receiver continues the forward process from the channel output to T_F."""
+def receiver_forward(y, cfg: PipelineConfig, schedule, plan, denoiser, rng=None) -> Latent:
+    """Receiver's forward leg to T_F: inversion, or one fresh-noise jump if given rng."""
     t_f1, t_f = cfg.split.t_f1, cfg.split.t_f
     z = Latent(y, plan.training_step(t_f1))
-    if cfg.receiver_forward_mode == "stochastic" and t_f > t_f1:
+    if rng is not None and t_f > t_f1:
         return forward_reparam(schedule, z, plan.training_step(t_f), rng)
     return run_ddim_invert(schedule, z, plan.ascending_steps(t_f1, t_f), denoiser)
 
 
-def resolve_t_b(cfg: PipelineConfig, schedule, plan, gamma, sigma_eff2):
-    """(t_b, saturated, budget) for this configuration and measured gamma."""
-    budget = compute_noise_budget(schedule, plan, cfg.split, gamma, sigma_eff2)
-    if cfg.t_b == "auto":
-        sel = select_denoise_steps(schedule, plan, budget.sigma_tot2)
-        return sel.t_b, sel.saturated, budget
-    return int(cfg.t_b), False, budget
-
-
-def receive_decode(y, cfg: PipelineConfig, schedule, plan, denoiser, rng, t_b) -> np.ndarray:
+def receive_decode(y, cfg: PipelineConfig, schedule, plan, denoiser, t_b,
+                   rng=None) -> np.ndarray:
     """Receiver: forward continuation, retag at the resolved depth t_b, DDIM sampling."""
     z_hat = receiver_forward(y, cfg, schedule, plan, denoiser, rng)
     if t_b == 0 and cfg.split.t_f != 0:
@@ -114,12 +103,13 @@ def receive_decode(y, cfg: PipelineConfig, schedule, plan, denoiser, rng, t_b) -
 
 
 def run_trial(cfg: PipelineConfig, channel: ChannelConfig, source, schedule, plan,
-              denoiser, n, rng) -> TrialResult:
+              denoiser, n, rng, fresh_noise=False) -> TrialResult:
     """Draw n source latents and push them through the full pipeline.
 
     The generator is split into fixed-purpose substreams (source, transmitter
     noise, channel, receiver noise) so that two configurations driven by
     identically-keyed streams share their source draws and channel noise.
+    Only a ``fresh_noise`` receiver leg draws from the receiver stream.
     """
     # The transmitter draws nothing since it always inverts; its stream is
     # still spawned so that the channel and receiver streams keep their keys.
@@ -130,14 +120,19 @@ def run_trial(cfg: PipelineConfig, channel: ChannelConfig, source, schedule, pla
     sigma_ch2 = snr_to_noise_var(channel.snr_db)
     y = awgn_apply(x, sigma_ch2, k_ch, channel.model)
 
-    sigma_eff2 = effective_noise_var(sigma_ch2, channel.model)
-    t_b, saturated, budget = resolve_t_b(cfg, schedule, plan, float(np.mean(gamma)), sigma_eff2)
-    z_tilde0 = receive_decode(y, cfg, schedule, plan, denoiser, k_rx, t_b)
+    budget = compute_noise_budget(schedule, plan, cfg.split, float(np.mean(gamma)),
+                                  effective_noise_var(sigma_ch2, channel.model))
+    t_b, saturated = cfg.t_b, False
+    if t_b == "auto":
+        sel = select_denoise_steps(schedule, plan, budget.sigma_tot2)
+        t_b, saturated = sel.t_b, sel.saturated
+    z_tilde0 = receive_decode(y, cfg, schedule, plan, denoiser, int(t_b),
+                              k_rx if fresh_noise else None)
 
     metrics = metric_report(z_tilde0, z0, np.random.default_rng(METRIC_SEED))
     return TrialResult(
         z0=z0, gamma=gamma, z_tilde0=z_tilde0, budget=budget, metrics=metrics,
-        t_b_resolved=t_b, saturated=saturated,
+        t_b_resolved=int(t_b), saturated=saturated,
     )
 
 
@@ -149,5 +144,5 @@ def run_baseline_random_noise(cfg: PipelineConfig, channel: ChannelConfig, sourc
     baseline driven by an identically-keyed stream is exactly paired with the
     proposed pipeline.
     """
-    cfg = replace(cfg, t_f1=0, t_f2=cfg.split.t_f, receiver_forward_mode="stochastic")
-    return run_trial(cfg, channel, source, schedule, plan, denoiser, n, rng)
+    cfg = replace(cfg, t_f1=0, t_f2=cfg.split.t_f)
+    return run_trial(cfg, channel, source, schedule, plan, denoiser, n, rng, fresh_noise=True)

@@ -65,7 +65,6 @@ def test_invalid_value_diagnostics(tmp_path):
 
 @pytest.mark.parametrize("section,key", [
     ("denoiser", "kind"),
-    ("pipeline", "receiver_forward_mode"),
     ("channel", "model"),
     ("prop1", "transmitter_mode"),
 ])
@@ -105,6 +104,7 @@ _REMOVED_KEYS = [
     ("ablate", "snr_db"), ("ablate", "seeds"), ("ablate", "n_per_cell"),
     ("prop1", "gamma_mode"), ("schedule", "kind"), ("schedule", "t_train"),
     ("schedule", "beta_start"), ("schedule", "beta_end"), ("schedule", "k_steps"),
+    ("pipeline", "receiver_forward_mode"),
 ]
 
 

@@ -191,9 +191,9 @@ def test_sweep_runs_one_trial_per_cell(tmp_path, monkeypatch):
     real_run_trial = pipeline.run_trial
     calls = []
 
-    def counting(pipe_cfg, *args):
+    def counting(pipe_cfg, *args, **kwargs):
         calls.append((pipe_cfg.t_f1, pipe_cfg.t_f2))
-        return real_run_trial(pipe_cfg, *args)
+        return real_run_trial(pipe_cfg, *args, **kwargs)
 
     # the proposed cell calls harness's run_trial, the baseline's runner pipeline's
     monkeypatch.setattr(harness, "run_trial", counting)
@@ -526,6 +526,11 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
                        ("nan", whole[:-8] + np.array([np.nan], "<f8").tobytes())):
         unloadable[name] = tmp_path / f"{name}.ckpt"
         unloadable[name].write_bytes(blob)
+    # a time-embedding width that breaks train.time_embed's rule (even, >= 2)
+    for t_emb in (15, 0):
+        unloadable[f"t_emb_{t_emb}"] = tmp_path / f"t_emb_{t_emb}.ckpt"
+        save_checkpoint(init_mlp(8, 8, 1, np.random.default_rng(0), t_emb=t_emb),
+                        unloadable[f"t_emb_{t_emb}"])
     for name, target in unloadable.items():
         path = tmp_path / f"ckpt_{name}.ini"
         path.write_text(small + f"[denoiser]\nkind = mlp\ncheckpoint = {target}\n")

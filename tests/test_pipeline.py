@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 import diffsemcom as dsc
 from diffsemcom.channel import ChannelConfig
 from diffsemcom.errors import ConfigError, ParameterError
-from diffsemcom.diffusion import FORWARD_MODES
 from diffsemcom.pipeline import (
     PipelineConfig,
     encode_transmit,
@@ -64,7 +63,7 @@ def test_receive_decode_exact_inverse(sched, plan50):
     den = ConstantDenoiser(rng.standard_normal(8))
     y = dsc.run_ddim_invert(sched, dsc.Latent(z0, 0), plan50.ascending_steps(0, 5), den).values
     cfg = PipelineConfig(t_f1=5, t_f2=0, t_b=5)
-    out = receive_decode(y, cfg, sched, plan50, den, dsc.stream(1, 6), 5)
+    out = receive_decode(y, cfg, sched, plan50, den, 5)
     assert np.max(np.abs(out - z0)) <= 1e-12
 
 
@@ -81,7 +80,7 @@ def test_receive_decode_gamma_consistent_round_trip(sched, plan50):
     cfg = PipelineConfig(t_f1=5, t_f2=0, t_b=5)
     z0 = dsc.gmm_sample(src, 8, dsc.stream(1, 7))
     values, gamma = encode_transmit(z0, cfg, sched, plan50, den)
-    out = receive_decode(values, cfg, sched, plan50, den, dsc.stream(1, 9), 5)
+    out = receive_decode(values, cfg, sched, plan50, den, 5)
     ref = gamma[:, None] * z0
     rel = np.sum((out - ref) ** 2, axis=-1) / np.sum(ref**2, axis=-1)
     assert np.max(rel) < 1e-2
@@ -91,14 +90,14 @@ def test_receive_decode_t_b_zero_only_for_empty_split(sched, plan50, std_normal_
     den = dsc.GmmDenoiser(std_normal_8, sched)
     y = np.ones(8)
     cfg0 = PipelineConfig(t_f1=0, t_f2=0, t_b=0)
-    assert np.array_equal(receive_decode(y, cfg0, sched, plan50, den, dsc.stream(1, 10), 0), y)
+    assert np.array_equal(receive_decode(y, cfg0, sched, plan50, den, 0), y)
     cfg_bad = PipelineConfig(t_f1=5, t_f2=0, t_b=0)
     with pytest.raises(ConfigError):
-        receive_decode(y, cfg_bad, sched, plan50, den, dsc.stream(1, 11), 0)
+        receive_decode(y, cfg_bad, sched, plan50, den, 0)
     # any other depth outside the plan is the plan's error
     for t_b in (-1, plan50.k + 1):
         with pytest.raises(ParameterError):
-            receive_decode(y, cfg0, sched, plan50, den, dsc.stream(1, 11), t_b)
+            receive_decode(y, cfg0, sched, plan50, den, t_b)
 
 
 def _affine_ddim(sched, mu, v, steps):
@@ -152,7 +151,7 @@ def test_single_gaussian_encode_decode_match_closed_form(sched, plan50, mu, v, t
     assert _max_rel_err(values, want_gamma[:, None] * z_t1) <= 1e-12
 
     y = dsc.awgn_apply(values, 0.3, rng, "real_simplified")
-    out = receive_decode(y, cfg, sched, plan50, den, rng, t_b)
+    out = receive_decode(y, cfg, sched, plan50, den, t_b)
     a2, b2 = _affine_ddim(sched, mu, v, [plan50.training_step(t_f1)]
                           + plan50.ascending_steps(t_f1, t_f))
     a3, b3 = _affine_ddim(sched, mu, v, [plan50.training_step(t_b)]
@@ -202,20 +201,20 @@ def test_single_gaussian_trial_mse_within_clt_band_of_conditional_mean(sched, pl
 @settings(max_examples=40, deadline=None)
 @given(
     t_f1=st.integers(0, 10), t_f2=st.integers(0, 10),
-    receiver_forward_mode=st.sampled_from(FORWARD_MODES),
+    fresh_noise=st.booleans(),
     t_b=st.one_of(st.just("auto"), st.integers(0, 50)),
     seed=st.integers(0, 2**16),
 )
 def test_run_trial_decodes_through_receive_decode(sched, plan50, bimodal_8, t_f1, t_f2,
-                                                  receiver_forward_mode, t_b, seed):
+                                                  fresh_noise, t_b, seed):
     # run_trial has no decoder of its own: its output is the hand-wired chain
     # encode_transmit -> awgn_apply -> receive_decode on the four substreams
     if t_b == 0 and t_f1 + t_f2:
         t_b = t_f1 + t_f2  # t_b = 0 is valid only on the empty split
     den = dsc.GmmDenoiser(bimodal_8, sched)
-    cfg = PipelineConfig(t_f1=t_f1, t_f2=t_f2, t_b=t_b,
-                         receiver_forward_mode=receiver_forward_mode)
-    res = run_trial(cfg, AT5, bimodal_8, sched, plan50, den, 4, dsc.stream(2, seed))
+    cfg = PipelineConfig(t_f1=t_f1, t_f2=t_f2, t_b=t_b)
+    res = run_trial(cfg, AT5, bimodal_8, sched, plan50, den, 4, dsc.stream(2, seed),
+                    fresh_noise=fresh_noise)
 
     k_src, _k_tx, k_ch, k_rx = dsc.stream(2, seed).spawn(4)
     z0 = dsc.gmm_sample(bimodal_8, 4, k_src)
@@ -227,8 +226,8 @@ def test_run_trial_decodes_through_receive_decode(sched, plan50, bimodal_8, t_f1
                                           dsc.effective_noise_var(sigma_ch2, AT5.model))
         t_b = dsc.select_denoise_steps(sched, plan50, budget.sigma_tot2).t_b
     assert res.t_b_resolved == t_b
-    assert np.array_equal(res.z_tilde0,
-                          receive_decode(y, cfg, sched, plan50, den, k_rx, t_b))
+    assert np.array_equal(res.z_tilde0, receive_decode(y, cfg, sched, plan50, den, t_b,
+                                                       k_rx if fresh_noise else None))
 
 
 def test_run_trial_deterministic(sched, plan50, bimodal_64):
@@ -289,13 +288,14 @@ def test_paper_analog_t_b_exceeds_t_f_at_0db(sched, plan50, bimodal_64):
 
 def test_receiver_forward_modes_both_work(sched, plan50, bimodal_64):
     den = dsc.GmmDenoiser(bimodal_64, sched)
+    cfg = PipelineConfig(t_f1=5, t_f2=5, t_b="auto")
     outs = {}
-    for mode in ("ddim_inversion", "stochastic"):
-        cfg = PipelineConfig(t_f1=5, t_f2=5, t_b="auto", receiver_forward_mode=mode)
-        res = run_trial(cfg, AT5, bimodal_64, sched, plan50, den, 32, dsc.stream(1, 15))
-        outs[mode] = res.metrics.mse
+    for fresh_noise in (False, True):
+        res = run_trial(cfg, AT5, bimodal_64, sched, plan50, den, 32, dsc.stream(1, 15),
+                        fresh_noise=fresh_noise)
+        outs[fresh_noise] = res.metrics.mse
     assert all(np.isfinite(v) for v in outs.values())
-    assert outs["ddim_inversion"] != outs["stochastic"]
+    assert outs[False] != outs[True]
 
 
 def test_baseline_trivial_recovery_and_determinism(sched, plan50, bimodal_64):
