@@ -86,35 +86,59 @@ def init_mlp(d, hidden, label_count, rng, t_emb=16) -> MlpParams:
     )
 
 
-def time_embedding(t, width):
-    """Sinusoidal features of the raw training step, fixed geometric frequencies."""
+def time_embedding(t, width, out):
+    """Sinusoidal features of the raw training step, fixed geometric
+    frequencies, written into ``out``, (n, 2 * (width // 2))."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
     half = width // 2
     freqs = np.exp(-np.log(10000.0) * np.arange(half) / max(half - 1, 1))
-    arg = t[:, None] * freqs[None, :]
-    return np.concatenate([np.sin(arg), np.cos(arg)], axis=1)
+    arg = np.multiply(t[:, None], freqs[None, :], out=out[:, half:])
+    np.sin(arg, out=out[:, :half])
+    np.cos(arg, out=arg)
 
 
-def _one_hot(cond, label_count, n):
-    out = np.zeros((n, label_count))
+def _one_hot(cond, out):
+    """Write the label one-hot rows into ``out``, (n, label_count); zeros when cond is None."""
+    out[...] = 0.0
+    n, label_count = out.shape
     if cond is None or label_count == 0:
-        return out
+        return
     idx = np.broadcast_to(np.asarray(cond, dtype=int), (n,))
     if np.any((idx < 0) | (idx >= label_count)):
         raise ParameterError(f"label out of range 0..{label_count - 1}")
     out[np.arange(n), idx] = 1.0
-    return out
 
 
-def _forward(params, z, t, cond):
-    n = z.shape[0]
-    x = np.concatenate(
-        [z, time_embedding(np.broadcast_to(t, (n,)), params.t_emb),
-         _one_hot(cond, params.label_count, n)], axis=1
-    )
-    h1 = np.tanh(x @ params.w1 + params.b1)
-    h2 = np.tanh(h1 @ params.w2 + params.b2)
-    out = h2 @ params.w3 + params.b3
+class _Workspace:
+    """The batch-sized arrays of one forward and backward pass over n rows.
+
+    ``train_denoiser`` reuses one per run, so a training step allocates no
+    batch-sized array: allocating and freeing them every step put glibc's
+    heap trimming, and its page faults, on the step's path.
+    """
+
+    def __init__(self, params, n):
+        self.x = np.empty((n, params.w1.shape[0]))  # [z, time embedding, label one-hot]
+        self.z = self.x[:, :params.d]
+        self.h1, self.h2, self.g_h = (np.empty((n, params.hidden)) for _ in range(3))
+        self.out, self.sq = np.empty((n, params.d)), np.empty((n, params.d))
+        self.grads = [np.empty_like(a) for a in params.arrays()]
+
+
+def _forward(params, z, t, cond, ws):
+    n, d, emb = z.shape[0], params.d, params.d + params.t_emb
+    x = ws.x
+    x[:, :d] = z                    # a no-op when z is ws.z
+    time_embedding(np.broadcast_to(t, (n,)), params.t_emb, out=x[:, d:emb])
+    _one_hot(cond, x[:, emb:])
+    h1 = np.matmul(x, params.w1, out=ws.h1)
+    h1 += params.b1
+    np.tanh(h1, out=h1)
+    h2 = np.matmul(h1, params.w2, out=ws.h2)
+    h2 += params.b2
+    np.tanh(h2, out=h2)
+    out = np.matmul(h2, params.w3, out=ws.out)
+    out += params.b3
     return out, (x, h1, h2)
 
 
@@ -125,27 +149,35 @@ def mlp_predict(params, z, t, cond=None):
     zb = z[None, :] if single else z
     if zb.shape[-1] != params.d:
         raise ParameterError(f"z has dimension {zb.shape[-1]}, network expects {params.d}")
-    out, _ = _forward(params, zb, t, cond)
+    out, _ = _forward(params, zb, t, cond, _Workspace(params, zb.shape[0]))
     return out[0] if single else out
 
 
-def loss_and_grads(params, z_t, t, cond, eps_target):
-    """Squared-error loss mean over batch and dimensions, with gradients."""
-    out, (x, h1, h2) = _forward(params, z_t, t, cond)
-    resid = out - eps_target
-    loss = float(np.mean(resid * resid))
-    g_out = 2.0 * resid / resid.size
-    g_w3 = h2.T @ g_out
-    g_b3 = g_out.sum(axis=0)
-    g_h2 = g_out @ params.w3.T
-    g_a2 = g_h2 * (1.0 - h2 * h2)
-    g_w2 = h1.T @ g_a2
-    g_b2 = g_a2.sum(axis=0)
-    g_h1 = g_a2 @ params.w2.T
-    g_a1 = g_h1 * (1.0 - h1 * h1)
-    g_w1 = x.T @ g_a1
-    g_b1 = g_a1.sum(axis=0)
-    return loss, [g_w1, g_b1, g_w2, g_b2, g_w3, g_b3]
+def loss_and_grads(params, z_t, t, cond, eps_target, ws=None):
+    """Squared-error loss mean over batch and dimensions, with gradients.
+
+    Computes in ``ws`` (a fresh workspace when None) and returns its
+    gradient arrays, which the next call with the same workspace overwrites.
+    """
+    if ws is None:
+        ws = _Workspace(params, z_t.shape[0])
+    out, (x, h1, h2) = _forward(params, z_t, t, cond, ws)
+    resid = np.subtract(out, eps_target, out=out)
+    loss = float(np.mean(np.multiply(resid, resid, out=ws.sq)))
+    g_out = np.multiply(2.0, resid, out=resid)
+    g_out /= resid.size
+    g_w1, g_b1, g_w2, g_b2, g_w3, g_b3 = ws.grads
+    np.matmul(h2.T, g_out, out=g_w3)
+    np.sum(g_out, axis=0, out=g_b3)
+    g_a2 = np.matmul(g_out, params.w3.T, out=ws.g_h)
+    g_a2 *= np.subtract(1.0, np.multiply(h2, h2, out=h2), out=h2)  # g_h2 * (1 - h2 * h2)
+    np.matmul(h1.T, g_a2, out=g_w2)
+    np.sum(g_a2, axis=0, out=g_b2)
+    g_a1 = np.matmul(g_a2, params.w2.T, out=h2)   # h2 is spent
+    g_a1 *= np.subtract(1.0, np.multiply(h1, h1, out=h1), out=h1)  # g_h1 * (1 - h1 * h1)
+    np.matmul(x.T, g_a1, out=g_w1)
+    np.sum(g_a1, axis=0, out=g_b1)
+    return loss, ws.grads
 
 
 class _Adam:
@@ -185,12 +217,17 @@ def train_denoiser(params, source, schedule, cfg: TrainConfig, seed: int):
     adam = _Adam(cfg.learning_rate, [a.shape for a in params.arrays()])
     ab = schedule.alpha_bars
     trace = np.empty(cfg.iterations)
+    ws = _Workspace(params, cfg.batch_size)
+    z0, eps = np.empty((cfg.batch_size, params.d)), np.empty((cfg.batch_size, params.d))
     for i in range(cfg.iterations):
-        z0 = gmm_sample(source, cfg.batch_size, rng)
+        gmm_sample(source, cfg.batch_size, rng, out=z0)
         t = rng.integers(1, schedule.t_train + 1, size=cfg.batch_size)
-        eps = rng.standard_normal((cfg.batch_size, params.d))
-        z_t = np.sqrt(ab[t])[:, None] * z0 + np.sqrt(1.0 - ab[t])[:, None] * eps
-        loss, grads = loss_and_grads(params, z_t, t, None, eps)
+        rng.standard_normal(out=eps)
+        # z_t = sqrt(ab_t) z0 + sqrt(1 - ab_t) eps, written where the forward pass reads it
+        np.multiply(np.sqrt(ab[t])[:, None], z0, out=z0)
+        np.multiply(np.sqrt(1.0 - ab[t])[:, None], eps, out=ws.z)
+        np.add(z0, ws.z, out=ws.z)
+        loss, grads = loss_and_grads(params, ws.z, t, None, eps, ws)
         if not np.isfinite(loss):
             raise TrainingDivergedError(
                 f"non-finite loss at iteration {i}", loss_trace=trace[:i].copy()

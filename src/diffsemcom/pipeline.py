@@ -53,7 +53,8 @@ class PipelineConfig:
     t_b: int | str = "auto"
 
     def __post_init__(self):
-        if self.t_b != "auto" and (isinstance(self.t_b, str) or self.t_b < 0):
+        integer = isinstance(self.t_b, (int, np.integer)) and not isinstance(self.t_b, bool)
+        if self.t_b != "auto" and not (integer and self.t_b >= 0):
             raise ConfigError(f"t_b must be 'auto' or an integer >= 0, got {self.t_b!r}")
         # Built here so that its range checks run at construction.
         object.__setattr__(self, "_split", SplitConfig(self.t_f1, self.t_f2))

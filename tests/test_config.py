@@ -3,6 +3,7 @@ import string
 from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -181,6 +182,18 @@ def test_t_b_forms(tmp_path):
     assert parse_config(write(tmp_path, "[pipeline]\nt_b = 12\n", "b.ini")).pipeline.t_b == 12
     with pytest.raises(ConfigError):
         parse_config(write(tmp_path, "[pipeline]\nt_b = -3\n", "c.ini"))
+
+
+def test_t_b_rejects_non_integers_in_construction_and_replace():
+    # a file parses t_b with int(); a library caller could pass 5.5, which
+    # run_trial would truncate to depth 5
+    for bad in (5.5, True, np.float64(5.0), "5"):
+        with pytest.raises(ConfigError, match="t_b must be 'auto' or an integer >= 0"):
+            PipelineConfig(t_b=bad)
+        with pytest.raises(ConfigError, match="t_b must be 'auto' or an integer >= 0"):
+            replace(PipelineConfig(), t_b=bad)
+    assert PipelineConfig(t_b=np.int64(5)).t_b == 5
+    assert replace(PipelineConfig(), t_b=0).t_b == 0
 
 
 def test_source_components(tmp_path):

@@ -58,6 +58,14 @@ def test_sample_deterministic():
     a = dsc.gmm_sample(model, 64, dsc.stream(7, 1))
     b = dsc.gmm_sample(model, 64, dsc.stream(7, 1))
     assert np.array_equal(a, b)
+    # into a buffer, block by block: the same bits, with a row count that is
+    # not a whole number of blocks
+    for seed in range(4):
+        model = random_mixture(np.random.default_rng(seed))
+        out = np.empty((150, model.d))
+        c = dsc.gmm_sample(model, 150, dsc.stream(7, 2), out=out)
+        assert c is out
+        assert np.array_equal(c, dsc.gmm_sample(model, 150, dsc.stream(7, 2)))
 
 
 def test_marginal_t0_is_source(sched):

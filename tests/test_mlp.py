@@ -6,6 +6,7 @@ from diffsemcom.errors import ParameterError, TrainingDivergedError
 from diffsemcom.mlp import (
     MlpDenoiser,
     TrainConfig,
+    _Adam,
     init_mlp,
     load_checkpoint,
     loss_and_grads,
@@ -144,6 +145,61 @@ def test_training_bit_reproducible(sched):
     assert np.array_equal(t1, t2)
     for a, b in zip(p1.arrays(), p2.arrays()):
         assert np.array_equal(a, b)
+
+
+def _plain_train(params, source, schedule, cfg, seed):
+    """train_denoiser's loop as plain expressions in fresh arrays: the
+    reference that the buffer-reusing loop must match bit for bit.  Returns
+    the trained copy and the loss trace, cut before a non-finite loss."""
+    params = params.copy()
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    adam = _Adam(cfg.learning_rate, [a.shape for a in params.arrays()])
+    ab = schedule.alpha_bars
+    n, d, half = cfg.batch_size, params.d, params.t_emb // 2
+    freqs = np.exp(-np.log(10000.0) * np.arange(half) / max(half - 1, 1))
+    trace = []
+    for _ in range(cfg.iterations):
+        labels = rng.choice(source.n_components, size=n, p=source.weights)
+        z0 = source.means[labels] + np.sqrt(source.variances[labels]) * rng.standard_normal((n, d))
+        t = rng.integers(1, schedule.t_train + 1, size=n)
+        eps = rng.standard_normal((n, d))
+        z_t = np.sqrt(ab[t])[:, None] * z0 + np.sqrt(1.0 - ab[t])[:, None] * eps
+        arg = t.astype(float)[:, None] * freqs[None, :]
+        x = np.concatenate([z_t, np.sin(arg), np.cos(arg), np.zeros((n, params.label_count))],
+                           axis=1)
+        h1 = np.tanh(x @ params.w1 + params.b1)
+        h2 = np.tanh(h1 @ params.w2 + params.b2)
+        resid = h2 @ params.w3 + params.b3 - eps
+        loss = float(np.mean(resid * resid))
+        if not np.isfinite(loss):
+            break
+        trace.append(loss)
+        g_out = 2.0 * resid / resid.size
+        g_a2 = (g_out @ params.w3.T) * (1.0 - h2 * h2)
+        g_a1 = (g_a2 @ params.w2.T) * (1.0 - h1 * h1)
+        adam.step(params.arrays(), [x.T @ g_a1, g_a1.sum(axis=0), h1.T @ g_a2,
+                                    g_a2.sum(axis=0), h2.T @ g_out, g_out.sum(axis=0)])
+    return params, np.array(trace)
+
+
+def test_training_bits_match_plain_loop(sched, bimodal_8):
+    # J = 2, hidden != d, and a batch that is not a whole number of sample blocks
+    cfg = TrainConfig(learning_rate=2e-3, batch_size=100, iterations=40, hidden=24)
+    params = init_mlp(8, 24, 2, dsc.stream(4, 14))
+    trained, trace = train_denoiser(params, bimodal_8, sched, cfg, 3)
+    ref_params, ref_trace = _plain_train(params, bimodal_8, sched, cfg, 3)
+    assert np.array_equal(trace, ref_trace)
+    for a, b in zip(trained.arrays(), ref_params.arrays()):
+        assert np.array_equal(a, b)
+    # a huge step overflows the loss after the first update: the error
+    # carries the trace so far
+    cfg = TrainConfig(learning_rate=1e300, batch_size=100, iterations=40, hidden=24)
+    with np.errstate(all="ignore"):
+        _, ref_trace = _plain_train(params, bimodal_8, sched, cfg, 3)
+        with pytest.raises(TrainingDivergedError) as err:
+            train_denoiser(params, bimodal_8, sched, cfg, 3)
+    assert 0 < ref_trace.size < cfg.iterations
+    assert np.array_equal(err.value.loss_trace, ref_trace)
 
 
 def test_checkpoint_round_trip(tmp_path):

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -298,3 +299,24 @@ def test_validator_bits_match_serial_loop_at_any_thread_count(sched, plan50, bim
             assert np.array_equal(rep.emp_mean, ref[0]), (split, cpus)
             assert np.array_equal(rep.emp_var, ref[1]), (split, cpus)
             assert rep.budget.gamma_used == ref[2], (split, cpus)
+
+
+def test_validator_scratch_is_one_chunk_buffer_per_thread(sched, plan50, monkeypatch):
+    # tracemalloc sees numpy's buffers.  Each thread holds one chunk x d
+    # float64 buffer and a block-sized one, so the peak stays under 1.25
+    # chunk buffers per thread; a second chunk-sized buffer would double it.
+    d, n, chunk = 64, 10_001, 4096
+    src = standard_normal_mixture(d)
+    channel = ChannelConfig(5.0, "complex_paper")
+    # untraced first, so that the one-time imports of a first call do not count
+    validate_prop1(sched, plan50, SplitConfig(5, 5), channel, src, n, dsc.stream(0, 80))
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid, cpus=cpus: set(range(cpus)), raising=False)
+        tracemalloc.start()
+        try:
+            validate_prop1(sched, plan50, SplitConfig(5, 5), channel, src, n, dsc.stream(0, 80))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * cpus * chunk * d * 8, (cpus, peak)
