@@ -88,18 +88,14 @@ class GaussianMixtureModel:
 def gmm_sample(model, n, rng, out=None):
     """Draw n i.i.d. samples; deterministic given the generator state.
 
-    Given ``out``, a C-contiguous (n, d) float64 array, it writes the same
-    bits there, BLOCK_ROWS rows at a time, so no temporary is (n, d).
-    Without one it allocates as it always has: the blocked form put a
-    serial sweep in glibc's worst heap-trimming mode (161k minor faults)
-    at most checkout paths.
+    Writes them into ``out``, a C-contiguous (n, d) float64 array, or into a
+    new one, BLOCK_ROWS rows at a time, so no temporary is (n, d).
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ParameterError(f"n must be a positive integer, got {n!r}")
     labels = rng.choice(model.n_components, size=int(n), p=model.weights)
     if out is None:
-        eps = rng.standard_normal((int(n), model.d))
-        return model.means[labels] + np.sqrt(model.variances[labels]) * eps
+        out = np.empty((int(n), model.d))
     rng.standard_normal(out=out)
     scale = np.sqrt(model.variances)
     for lo in range(0, int(n), BLOCK_ROWS):

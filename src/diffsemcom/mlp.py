@@ -109,7 +109,17 @@ def _one_hot(cond, out):
     out[np.arange(n), idx] = 1.0
 
 
-class _Workspace:
+class _Activations:
+    """The batch-sized arrays of one forward pass over n rows."""
+
+    def __init__(self, params, n):
+        self.x = np.empty((n, params.w1.shape[0]))  # [z, time embedding, label one-hot]
+        self.z = self.x[:, :params.d]
+        self.h1, self.h2 = np.empty((n, params.hidden)), np.empty((n, params.hidden))
+        self.out = np.empty((n, params.d))
+
+
+class _Workspace(_Activations):
     """The batch-sized arrays of one forward and backward pass over n rows.
 
     ``train_denoiser`` reuses one per run, so a training step allocates no
@@ -118,10 +128,8 @@ class _Workspace:
     """
 
     def __init__(self, params, n):
-        self.x = np.empty((n, params.w1.shape[0]))  # [z, time embedding, label one-hot]
-        self.z = self.x[:, :params.d]
-        self.h1, self.h2, self.g_h = (np.empty((n, params.hidden)) for _ in range(3))
-        self.out, self.sq = np.empty((n, params.d)), np.empty((n, params.d))
+        super().__init__(params, n)
+        self.g_h, self.sq = np.empty((n, params.hidden)), np.empty((n, params.d))
         self.grads = [np.empty_like(a) for a in params.arrays()]
 
 
@@ -149,7 +157,7 @@ def mlp_predict(params, z, t, cond=None):
     zb = z[None, :] if single else z
     if zb.shape[-1] != params.d:
         raise ParameterError(f"z has dimension {zb.shape[-1]}, network expects {params.d}")
-    out, _ = _forward(params, zb, t, cond, _Workspace(params, zb.shape[0]))
+    out, _ = _forward(params, zb, t, cond, _Activations(params, zb.shape[0]))
     return out[0] if single else out
 
 

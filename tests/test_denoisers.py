@@ -58,14 +58,18 @@ def test_sample_deterministic():
     a = dsc.gmm_sample(model, 64, dsc.stream(7, 1))
     b = dsc.gmm_sample(model, 64, dsc.stream(7, 1))
     assert np.array_equal(a, b)
-    # into a buffer, block by block: the same bits, with a row count that is
-    # not a whole number of blocks
+    # block by block, into a buffer or not: the bits of the plain expression,
+    # with a row count that is not a whole number of blocks
     for seed in range(4):
         model = random_mixture(np.random.default_rng(seed))
+        rng = dsc.stream(7, 2)
+        labels = rng.choice(model.n_components, size=150, p=model.weights)
+        eps = rng.standard_normal((150, model.d))
+        ref = model.means[labels] + np.sqrt(model.variances[labels]) * eps
+        assert np.array_equal(dsc.gmm_sample(model, 150, dsc.stream(7, 2)), ref)
         out = np.empty((150, model.d))
-        c = dsc.gmm_sample(model, 150, dsc.stream(7, 2), out=out)
-        assert c is out
-        assert np.array_equal(c, dsc.gmm_sample(model, 150, dsc.stream(7, 2)))
+        assert dsc.gmm_sample(model, 150, dsc.stream(7, 2), out=out) is out
+        assert np.array_equal(out, ref)
 
 
 def test_marginal_t0_is_source(sched):
