@@ -9,9 +9,10 @@ The section dataclasses, the runtime ``ChannelConfig``, ``PipelineConfig``
 and ``TrainConfig`` among them, are the schema: a key's name, default and
 single-key rule (``choices``, ``min`` or ``max`` metadata, which
 ``check_fields`` applies whenever the class is built) are its field's, and
-its parser is chosen by the field's annotation.  A rule's error names the key's line; a
-constructor's hand-written check (split counts, ``t_b``, ``time_embed``)
-names the section header's.  Only ``[source]``'s numbered
+its parser is chosen by the field's annotation; a class constant, such as
+``TrainConfig``'s fixed network and recipe, is not a key.  A rule's error
+names the key's line; a constructor's hand-written check (split counts,
+``t_b``) names the section header's.  Only ``[source]``'s numbered
 ``weight_j`` / ``mean_j`` / ``var_j`` keys are read by hand.  Rules that
 span two keys are checked by ``harness.build_objects``.
 """

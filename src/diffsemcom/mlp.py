@@ -11,11 +11,12 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
 from .denoisers import Denoiser, gmm_sample
-from .errors import ParameterError, TrainingDivergedError, check_fields
+from .errors import CheckedFields, ParameterError, TrainingDivergedError
 
 CHECKPOINT_MAGIC = b"MLPD"
 CHECKPOINT_VERSION = 1
@@ -49,25 +50,19 @@ class MlpParams:
         )
 
 
-def check_time_embed(width):
-    """Reject a width that is odd or below 2: time_embedding gives 2 * (width // 2) columns."""
-    if width < 2 or width % 2:
-        raise ParameterError(f"time_embed = {width} must be an even number >= 2")
-
-
 @dataclass(frozen=True)
-class TrainConfig:
-    """The ``[train]`` section: network size, Adam learning rate and batches."""
+class TrainConfig(CheckedFields):
+    """The ``[train]`` section, ``iterations``, and the fixed training recipe.
 
-    learning_rate: float = field(default=2e-3, metadata={"min": 0})
-    batch_size: int = field(default=256, metadata={"min": 1})
+    The network size, Adam learning rate and batch are the stand-in
+    network's constants, as a pretrained model fixes its own.
+    """
+
+    learning_rate: ClassVar[float] = 2e-3
+    batch_size: ClassVar[int] = 256
+    hidden: ClassVar[int] = 64
+    time_embed: ClassVar[int] = 16
     iterations: int = field(default=6000, metadata={"min": 1})
-    hidden: int = field(default=64, metadata={"min": 1})
-    time_embed: int = 16
-
-    def __post_init__(self):
-        check_fields(self)
-        check_time_embed(self.time_embed)
 
 
 def init_mlp(d, hidden, label_count, rng, t_emb=16) -> MlpParams:
@@ -280,7 +275,9 @@ def load_checkpoint(path) -> MlpParams:
         raise ParameterError(f"bad checkpoint magic {magic!r}")
     if version != CHECKPOINT_VERSION:
         raise ParameterError(f"unsupported checkpoint version {version}")
-    check_time_embed(t_emb)
+    if t_emb < 2 or t_emb % 2:  # time_embedding gives 2 * (t_emb // 2) columns
+        raise ParameterError(f"checkpoint {path} has time-embedding width {t_emb}, "
+                             "not an even number >= 2")
     n_in = d + t_emb + label_count
     shapes = [(n_in, hidden), (hidden,), (hidden, hidden), (hidden,), (hidden, d), (d,)]
     if len(blob) != head_size + 8 * sum(math.prod(shape) for shape in shapes):

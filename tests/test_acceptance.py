@@ -307,7 +307,7 @@ def test_criterion_11_mlp_denoiser(sched):
     src = standard_normal_mixture(2)
     trained, _ = train_denoiser(
         init_mlp(2, 64, 1, dsc.stream(11, 1)), src, sched,
-        TrainConfig(learning_rate=2e-3, batch_size=256, iterations=6000), 123,
+        TrainConfig(iterations=6000), 123,
     )
     probe_rng = np.random.default_rng(99)
     tt = probe_rng.integers(1, 1001, size=4000)
@@ -326,7 +326,7 @@ def test_criterion_12_cli_reproducibility(tmp_path):
         "[source]\ndimension = 32\n"
         "[prop1]\nn_samples = 10000\n"
         "[sweep]\nsnr_db = 0 10\nseeds = 0 1\nn_per_cell = 32\nplot = true\n"
-        "[train]\niterations = 150\nhidden = 16\nbatch_size = 64\n"
+        "[train]\niterations = 150\n"
     )
     outputs = {
         "verify-prop1": ["prop1_report.csv"],

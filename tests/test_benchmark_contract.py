@@ -80,3 +80,23 @@ def test_every_benchmark_workload_renders_a_config_and_argv_the_cli_accepts(tmp_
     names = set(proc.stdout.split())
     assert {"sweep-serial", "ablate-jobs2", "prop1-large", "train-mlp"} <= names
 
+
+
+def test_benchmark_setup_code_runs_on_every_workload(tmp_path, monkeypatch):
+    # perfbench/run.py times SETUP_CODE in fresh interpreters on each
+    # workload's rendered config and kind; a changed build_objects or
+    # init_mlp signature, or a [train] attribute it reads, must fail here,
+    # not only in every set-up run of a benchmark
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    import run
+
+    kinds = set()
+    for workload in run.WORKLOADS.values():
+        config = tmp_path / f"{workload.name}.ini"
+        run.render_config(workload, config)
+        proc = subprocess.run([sys.executable, "-c", run.SETUP_CODE, str(config), workload.kind],
+                              cwd=ROOT, env=run.child_env(workload), capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, (workload.name, proc.stderr)
+        kinds.add(workload.kind)
+    assert kinds == {"grid", "prop1", "train"}

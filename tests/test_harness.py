@@ -23,7 +23,7 @@ def small_cfg(**kw):
         source=replace(cfg.source, dimension=8),
         sweep=replace(cfg.sweep, snr_db=(0.0, 10.0), seeds=(0, 1), n_per_cell=32),
         prop1=replace(cfg.prop1, n_samples=10_000),
-        train=replace(cfg.train, iterations=120, hidden=16, batch_size=64),
+        train=replace(cfg.train, iterations=120),
     )
     return replace(cfg, **kw) if kw else cfg
 
@@ -185,6 +185,18 @@ def test_sweep_emits_svg(tmp_path):
     assert (tmp_path / "sweep_sw2.svg").exists()
 
 
+def test_plot_off_overrides_config_plot(tmp_path):
+    cfg = tmp_path / "plot.ini"
+    cfg.write_text("[source]\ndimension = 8\n"
+                   "[sweep]\nsnr_db = 5\nseeds = 0\nn_per_cell = 16\nplot = true\n")
+    on, off = tmp_path / "on", tmp_path / "off"
+    assert cli.main(["sweep", "--config", str(cfg), "--out", str(on)]) == 0
+    assert cli.main(["sweep", "--config", str(cfg), "--out", str(off), "--plot", "off"]) == 0
+    assert sorted(p.name for p in on.iterdir()) == ["sweep.csv", "sweep_mse.svg", "sweep_sw2.svg"]
+    assert [p.name for p in off.iterdir()] == ["sweep.csv"]
+    assert (off / "sweep.csv").read_bytes() == (on / "sweep.csv").read_bytes()
+
+
 def test_sweep_runs_one_trial_per_cell(tmp_path, monkeypatch):
     cfg = small_cfg()
     cfg = replace(cfg, sweep=replace(cfg.sweep, snr_db=(5.0,), seeds=(0,)))
@@ -270,6 +282,31 @@ def test_failed_cell_under_jobs_cancels_the_rest(tmp_path, monkeypatch):
     assert csv["2"] == csv["1"]
     assert len(csv["1"].splitlines()) == 1 + 2  # header and seed 0's two cells
     assert len((tmp_path / "started2").read_text().split()) < 20  # the grid's size
+
+
+def _run_cell_crashing_at_seed_1_baseline(cfg, objects, cell):
+    if (cell.seed, cell.system) == (1, "random_noise"):
+        os._exit(7)  # the worker process dies without raising
+    return _real_run_cell(cfg, objects, cell)
+
+
+def test_crashed_pool_worker_exits_3_with_prefix_rows(tmp_path, monkeypatch, capsys):
+    # a worker that dies mid-cell breaks the pool: the command exits 3, and
+    # sweep.csv keeps the rows that arrived before it, in the serial order
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text("[source]\ndimension = 8\n[sweep]\nsnr_db = 5\nseeds = 0..3\nn_per_cell = 16\n")
+    serial, crashed = tmp_path / "serial", tmp_path / "crashed"
+    assert cli.main(["sweep", "--config", str(cfg), "--out", str(serial)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(harness, "run_cell", _run_cell_crashing_at_seed_1_baseline)  # before the fork
+    assert cli.main(["sweep", "--config", str(cfg), "--out", str(crashed), "--jobs", "2"]) == 3
+    assert "terminated abruptly" in capsys.readouterr().err
+    lines = (crashed / "sweep.csv").read_text().splitlines()
+    expected = (serial / "sweep.csv").read_text().splitlines()
+    assert len(expected) == 1 + 8
+    assert lines[0] == RESULT_HEADER
+    assert len(lines) <= 1 + 3  # the crashed cell is the grid's fourth
+    assert lines == expected[:len(lines)]
 
 
 def test_ablate_grid(tmp_path):
@@ -368,7 +405,7 @@ def test_train_then_sweep_on_one_mlp_config(tmp_path):
     cfg.write_text(
         "[source]\ndimension = 8\n"
         f"[denoiser]\nkind = mlp\ncheckpoint = {out / 'denoiser.ckpt'}\n"
-        "[train]\niterations = 20\nhidden = 8\nbatch_size = 16\n"
+        "[train]\niterations = 20\n"
         "[sweep]\nsnr_db = 5\nseeds = 0\nn_per_cell = 8\n")
     assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 0
     assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
@@ -526,7 +563,7 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
                        ("nan", whole[:-8] + np.array([np.nan], "<f8").tobytes())):
         unloadable[name] = tmp_path / f"{name}.ckpt"
         unloadable[name].write_bytes(blob)
-    # a time-embedding width that breaks train.time_embed's rule (even, >= 2)
+    # a time-embedding width that time_embedding cannot fill (odd or below 2)
     for t_emb in (15, 0):
         unloadable[f"t_emb_{t_emb}"] = tmp_path / f"t_emb_{t_emb}.ckpt"
         save_checkpoint(init_mlp(8, 8, 1, np.random.default_rng(0), t_emb=t_emb),

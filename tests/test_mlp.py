@@ -107,18 +107,16 @@ def test_training_loss_halves(sched):
         init_losses.append(loss)
     _, trace = train_denoiser(
         params, src, sched,
-        TrainConfig(learning_rate=2e-3, batch_size=256, iterations=800), 123,
+        TrainConfig(iterations=800), 123,
     )
     assert np.mean(trace[-100:]) <= 0.5 * np.mean(init_losses)
 
 
-def test_zero_learning_rate_keeps_params(sched):
+def test_zero_learning_rate_keeps_params(sched, monkeypatch):
+    monkeypatch.setattr(TrainConfig, "learning_rate", 0.0)
     src = standard_normal_mixture(2)
     params = init_mlp(2, 8, 1, dsc.stream(4, 7))
-    trained, _ = train_denoiser(
-        params, src, sched,
-        TrainConfig(learning_rate=0.0, batch_size=16, iterations=20), 0,
-    )
+    trained, _ = train_denoiser(params, src, sched, TrainConfig(iterations=20), 0)
     for a, b in zip(trained.arrays(), params.arrays()):
         assert np.array_equal(a, b)
 
@@ -129,17 +127,14 @@ def test_training_divergence_raises(sched):
     params = init_mlp(2, 8, 1, dsc.stream(4, 8))
     params.w3[0, 0] = np.nan
     with pytest.raises(TrainingDivergedError) as err:
-        train_denoiser(
-            params, src, sched,
-            TrainConfig(learning_rate=1e-3, batch_size=16, iterations=50), 0,
-        )
+        train_denoiser(params, src, sched, TrainConfig(iterations=50), 0)
     assert err.value.loss_trace is not None
     assert err.value.loss_trace.size == 0  # diverged on the first iteration
 
 
 def test_training_bit_reproducible(sched):
     src = standard_normal_mixture(2)
-    cfg = TrainConfig(learning_rate=1e-3, batch_size=32, iterations=50)
+    cfg = TrainConfig(iterations=50)
     p1, t1 = train_denoiser(init_mlp(2, 8, 1, dsc.stream(4, 9)), src, sched, cfg, 9)
     p2, t2 = train_denoiser(init_mlp(2, 8, 1, dsc.stream(4, 9)), src, sched, cfg, 9)
     assert np.array_equal(t1, t2)
@@ -182,9 +177,10 @@ def _plain_train(params, source, schedule, cfg, seed):
     return params, np.array(trace)
 
 
-def test_training_bits_match_plain_loop(sched, bimodal_8):
+def test_training_bits_match_plain_loop(sched, bimodal_8, monkeypatch):
     # J = 2, hidden != d, and a batch that is not a whole number of sample blocks
-    cfg = TrainConfig(learning_rate=2e-3, batch_size=100, iterations=40, hidden=24)
+    monkeypatch.setattr(TrainConfig, "batch_size", 100)
+    cfg = TrainConfig(iterations=40)
     params = init_mlp(8, 24, 2, dsc.stream(4, 14))
     trained, trace = train_denoiser(params, bimodal_8, sched, cfg, 3)
     ref_params, ref_trace = _plain_train(params, bimodal_8, sched, cfg, 3)
@@ -193,7 +189,7 @@ def test_training_bits_match_plain_loop(sched, bimodal_8):
         assert np.array_equal(a, b)
     # a huge step overflows the loss after the first update: the error
     # carries the trace so far
-    cfg = TrainConfig(learning_rate=1e300, batch_size=100, iterations=40, hidden=24)
+    monkeypatch.setattr(TrainConfig, "learning_rate", 1e300)
     with np.errstate(all="ignore"):
         _, ref_trace = _plain_train(params, bimodal_8, sched, cfg, 3)
         with pytest.raises(TrainingDivergedError) as err:
@@ -248,7 +244,7 @@ def test_trained_pipeline_mse_within_factor_two(sched):
     src = standard_normal_mixture(2)
     trained, _ = train_denoiser(
         init_mlp(2, 64, 1, dsc.stream(4, 12)), src, sched,
-        TrainConfig(learning_rate=2e-3, batch_size=256, iterations=2500), 5,
+        TrainConfig(iterations=2500), 5,
     )
     plan = dsc.make_stride_plan(sched, 50)
     cfg = PipelineConfig(t_f1=5, t_f2=5, t_b="auto")
