@@ -12,9 +12,8 @@ single-key rule (``choices``, ``min`` or ``max`` metadata, which
 its parser is chosen by the field's annotation; a class constant, such as
 ``TrainConfig``'s fixed network and recipe, is not a key.  A rule's error
 names the key's line; a constructor's hand-written check (split counts,
-``t_b``) names the section header's.  Only ``[source]``'s numbered
-``weight_j`` / ``mean_j`` / ``var_j`` keys are read by hand.  Rules that
-span two keys are checked by ``harness.build_objects``.
+``t_b``) names the section header's.  Rules that span two keys are
+checked by ``harness.build_objects``.
 """
 
 from __future__ import annotations
@@ -31,21 +30,18 @@ from .mlp import TrainConfig
 from .noise_budget import MIN_PROP1_SAMPLES
 from .pipeline import PipelineConfig
 
-_SOURCE_DYNAMIC = re.compile(r"^(weight|mean|var)_([0-9]+)$")
 MAX_INTS = 1_000_000  # longest integer list (a..b ranges expanded) a key may hold
 
 
 @dataclass(frozen=True)
-class ComponentSpec:
-    weight: float = 1.0
-    mean: tuple[float, ...] = (0.0,)
-    var: tuple[float, ...] = (1.0,)
-
-
-@dataclass(frozen=True)
 class SourceSpec(CheckedFields):
+    """Gaussian mixture over R^dimension: one list entry per component, and
+    each component's mean and variance hold in every dimension."""
+
     dimension: int = field(default=16, metadata={"min": 1})
-    components: tuple[ComponentSpec, ...] = (ComponentSpec(),)
+    weights: tuple[float, ...] = (1.0,)
+    means: tuple[float, ...] = (0.0,)
+    variances: tuple[float, ...] = (1.0,)
 
 
 @dataclass(frozen=True)
@@ -183,24 +179,21 @@ class _SectionReader:
         line = _line_of(self.text, self.section, key)
         raise ConfigError(f"{self.path}:{line}: {self.section}.{key}: {message}")
 
-    def typed(self, key, annotation, default):
-        """The key's value parsed as a field annotated ``annotation``, else ``default``."""
-        if not self.parser.has_option(self.section, key):  # False for a missing section
-            return default
-        convert, kind = _CONVERTERS[annotation]
-        raw = self.parser.get(self.section, key).strip()
+    def typed(self, f):
+        """Field ``f``'s key parsed by its annotation, else the field's default."""
+        if not self.parser.has_option(self.section, f.name):  # False for a missing section
+            return f.default
+        convert, kind = _CONVERTERS[f.type]
+        raw = self.parser.get(self.section, f.name).strip()
         try:
             return convert(raw)
         except ValueError as exc:
-            self._fail(key, f"invalid {kind} {raw!r} ({exc})")
+            self._fail(f.name, f"invalid {kind} {raw!r} ({exc})")
 
-    def spec(self, cls, **values):
-        """Section dataclass ``cls`` from ``values`` and this section's other keys."""
-        for f in fields(cls):
-            if f.name not in values:
-                values[f.name] = self.typed(f.name, f.type, f.default)
+    def spec(self, cls):
+        """Section dataclass ``cls`` from this section's keys."""
         try:
-            return cls(**values)
+            return cls(**{f.name: self.typed(f) for f in fields(cls)})
         except FieldError as exc:
             self._fail(exc.field, exc.reason)
         except (ParameterError, ConfigError) as exc:
@@ -234,33 +227,12 @@ def parse_config(path) -> ExperimentConfig:
             raise ConfigError(f"{path}:{line}: unknown config key '{shown}'")
         allowed = {f.name for f in fields(_SECTIONS[section])}
         for key in parser[section]:
-            if key in allowed:
-                continue
-            if section == "source" and _SOURCE_DYNAMIC.match(key):
-                continue
-            line = _line_of(text, section, key)
-            raise ConfigError(f"{path}:{line}: unknown config key '{section}.{key}'")
+            if key not in allowed:
+                line = _line_of(text, section, key)
+                raise ConfigError(f"{path}:{line}: unknown config key '{section}.{key}'")
 
-    specs = {name: _SectionReader(parser, text, path, name).spec(cls)
-             for name, cls in _SECTIONS.items() if name != "source"}
-
-    src = _SectionReader(parser, text, path, "source")
-    n_comp = src.typed("components", "int", 1)
-    if n_comp < 1:
-        src._fail("components", "must be >= 1")
-    components = tuple(
-        ComponentSpec(
-            weight=src.typed(f"weight_{j}", "float", 1.0 / n_comp),
-            mean=src.typed(f"mean_{j}", "tuple[float, ...]", (0.0,)),
-            var=src.typed(f"var_{j}", "tuple[float, ...]", (1.0,)),
-        )
-        for j in range(1, n_comp + 1)
-    )
-    for key in (parser["source"] if parser.has_section("source") else {}):
-        m = _SOURCE_DYNAMIC.match(key)
-        if m and not (1 <= int(m.group(2)) <= n_comp):
-            src._fail(key, f"component index outside 1..{n_comp}")
-    return ExperimentConfig(source=src.spec(SourceSpec, components=components), **specs)
+    return ExperimentConfig(**{name: _SectionReader(parser, text, path, name).spec(cls)
+                               for name, cls in _SECTIONS.items()})
 
 
 def _fmt(value) -> str:
@@ -278,12 +250,6 @@ def serialize_config(cfg: ExperimentConfig) -> str:
     lines: list[str] = []
     for name in _SECTIONS:
         spec = getattr(cfg, name)
-        if name == "source":
-            pairs = [("dimension", spec.dimension), ("components", len(spec.components))]
-            for j, comp in enumerate(spec.components, start=1):
-                pairs += [(f"weight_{j}", comp.weight), (f"mean_{j}", comp.mean),
-                          (f"var_{j}", comp.var)]
-        else:
-            pairs = [(f.name, getattr(spec, f.name)) for f in fields(spec)]
-        lines += [f"[{name}]", *(f"{key} = {_fmt(value)}" for key, value in pairs), ""]
+        lines += [f"[{name}]", *(f"{f.name} = {_fmt(getattr(spec, f.name))}"
+                                 for f in fields(spec)), ""]
     return "\n".join(lines)

@@ -43,7 +43,10 @@ class GaussianMixtureModel:
     weights: (J,), positive, summing to 1 within 1e-12.
     means: (J, d).  variances: (J, d), strictly positive (per-dimension).
     Each component's second moment, the sum over d of mean^2 + variance,
-    must be finite, so that the power of a sample is too.
+    must be finite, so that the power of a sample is too.  So must twice its
+    sum over d of mean^2 / min(variance, 1), which bounds the terms of the
+    score's log-density at every step (var_t = ab_t var + 1 - ab_t >=
+    min(var, 1)) for a probe up to twice a mean's size.
     """
 
     weights: np.ndarray
@@ -68,8 +71,11 @@ class GaussianMixtureModel:
             raise ParameterError("all variances must be positive")
         with np.errstate(over="ignore"):
             second_moment = np.sum(m * m + v, axis=-1)
+            score_scale = 2.0 * np.sum(m * m / np.minimum(v, 1.0), axis=-1)
         if not np.all(np.isfinite(second_moment)):
             raise ParameterError("a component's second moment sum(mean^2 + var) is not finite")
+        if not np.all(np.isfinite(score_scale)):
+            raise ParameterError("a component's 2 * sum(mean^2 / min(var, 1)) is not finite")
         for arr in (w, m, v):
             arr.setflags(write=False)
         object.__setattr__(self, "weights", w)

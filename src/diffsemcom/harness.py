@@ -79,22 +79,14 @@ def row_to_csv(row: ResultRow) -> str:
 
 
 def build_source_model(spec: SourceSpec) -> GaussianMixtureModel:
-    """Expand component specs (scalars broadcast) into a mixture of dimension d."""
-    d = spec.dimension
-    weights, means, variances = [], [], []
-    for j, comp in enumerate(spec.components, start=1):
-        weights.append(comp.weight)
-        for name, values, target in (("mean", comp.mean, means), ("var", comp.var, variances)):
-            if len(values) == 1:
-                target.append(np.full(d, values[0]))
-            elif len(values) == d:
-                target.append(np.asarray(values, dtype=float))
-            else:
-                raise ConfigError(
-                    f"source.{name}_{j} has {len(values)} entries; expected 1 or {d}"
-                )
+    """The mixture of dimension d whose component j has mean and variance
+    ``spec.means[j]`` and ``spec.variances[j]`` in every dimension."""
+    def per_dimension(values):
+        return np.repeat(np.asarray(values, dtype=float)[:, None], spec.dimension, axis=1)
+
     try:
-        return GaussianMixtureModel(np.asarray(weights), np.vstack(means), np.vstack(variances))
+        return GaussianMixtureModel(np.asarray(spec.weights), per_dimension(spec.means),
+                                    per_dimension(spec.variances))
     except ParameterError as exc:
         raise ConfigError(f"invalid source mixture: {exc}") from exc
 

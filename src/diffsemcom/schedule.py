@@ -103,8 +103,6 @@ def make_stride_plan(schedule: NoiseSchedule, k: int) -> StridePlan:
         raise ParameterError(f"k must be in 1..{t_train}, got {k!r}")
     # Exact integer round-half-up: floor(i*T/k + 1/2) = (2*i*T + k) // (2*k).
     ts = [(2 * i * t_train + k) // (2 * k) for i in range(1, k + 1)]
-    if len(set(ts)) != len(ts):
-        raise ParameterError(f"stride plan cannot honor k={k} for t_train={t_train}")
     arr = np.asarray(ts, dtype=np.int64)
     arr.setflags(write=False)
     return StridePlan(k=int(k), timesteps=arr)

@@ -9,13 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from diffsemcom import cli
-from diffsemcom.config import (
-    ComponentSpec,
-    ExperimentConfig,
-    SourceSpec,
-    parse_config,
-    serialize_config,
-)
+from diffsemcom.config import ExperimentConfig, parse_config, serialize_config
 from diffsemcom.errors import ConfigError, FieldError
 from diffsemcom.pipeline import PipelineConfig
 from diffsemcom.schedule import K_STEPS
@@ -85,12 +79,27 @@ def test_key_in_other_letter_case_reported_at_its_line(tmp_path):
     ("channel", "snr_db", "-inf", "number"),
     ("channel", "snr_db", "inf", "number"),
     ("sweep", "snr_db", "5 nan", "number list"),
-    ("source", "mean_1", "0 inf", "number list"),
+    ("source", "means", "0 inf", "number list"),
 ])
 def test_non_finite_number_rejected(tmp_path, section, key, value, kind):
     path = write(tmp_path, f"[{section}]\n{key} = {value}\n")
     with pytest.raises(ConfigError, match=rf"exp\.ini:2: {section}\.{key}: invalid {kind} "
                                           r"'.*' \(expected a finite number\)"):
+        parse_config(path)
+
+
+_UNPARSEABLE = [
+    ("source", "means", "", "invalid number list '' (expected at least one number)"),
+    ("sweep", "seeds", "", "invalid integer list '' (expected at least one integer)"),
+    ("sweep", "plot", "maybe", "invalid boolean 'maybe' (expected a boolean (true/false/on/off))"),
+]
+
+
+@pytest.mark.parametrize("section,key,value,message", _UNPARSEABLE,
+                         ids=[f"{section}.{key}" for section, key, _, _ in _UNPARSEABLE])
+def test_unparseable_value_rejected_at_its_line(tmp_path, section, key, value, message):
+    path = write(tmp_path, f"[{section}]\n\n{key} = {value}\n")
+    with pytest.raises(ConfigError, match=rf"exp\.ini:3: {section}\.{key}: {re.escape(message)}$"):
         parse_config(path)
 
 
@@ -105,7 +114,8 @@ _REMOVED_KEYS = [
     ("prop1", "gamma_mode"), ("schedule", "kind"), ("schedule", "t_train"),
     ("schedule", "beta_start"), ("schedule", "beta_end"), ("schedule", "k_steps"),
     ("pipeline", "receiver_forward_mode"), ("train", "learning_rate"), ("train", "batch_size"),
-    ("train", "hidden"), ("train", "time_embed"),
+    ("train", "hidden"), ("train", "time_embed"), ("source", "components"),
+    ("source", "weight_1"), ("source", "mean_1"), ("source", "var_1"),
 ]
 
 
@@ -197,29 +207,31 @@ def test_t_b_rejects_non_integers_in_construction_and_replace():
     assert replace(PipelineConfig(), t_b=0).t_b == 0
 
 
-def test_source_components(tmp_path):
+def test_source_lists(tmp_path):
     text = """
 [source]
 dimension = 4
-components = 2
-weight_1 = 0.25
-mean_1 = 1 2 3 4
-var_1 = 0.5
-weight_2 = 0.75
-mean_2 = -1
-var_2 = 0.1 0.2 0.3 0.4
+weights = 0.25 0.75
+means = 1, -1
+variances = 0.5 0.1
 """
-    cfg = parse_config(write(tmp_path, text))
-    assert cfg.source.dimension == 4
-    assert cfg.source.components[0].mean == (1.0, 2.0, 3.0, 4.0)
-    assert cfg.source.components[1].weight == 0.75
-    assert cfg.source.components[1].var == (0.1, 0.2, 0.3, 0.4)
+    source = parse_config(write(tmp_path, text)).source
+    assert source.dimension == 4
+    assert source.weights == (0.25, 0.75)
+    assert source.means == (1.0, -1.0)
+    assert source.variances == (0.5, 0.1)
 
 
-def test_source_component_index_out_of_range(tmp_path):
-    path = write(tmp_path, "[source]\ncomponents = 1\nweight_2 = 0.5\n")
-    with pytest.raises(ConfigError, match="weight_2"):
-        parse_config(path)
+def test_source_lists_of_unequal_length_exit_2_before_output(tmp_path, capsys):
+    # each list parses on its own; the mixture built from them cannot
+    path = write(tmp_path, "[source]\ndimension = 4\nweights = 0.5 0.5\nmeans = 1 -1 0\n")
+    parse_config(path)
+    for command in ("verify-prop1", "sweep", "ablate", "train"):
+        out = tmp_path / command
+        assert cli.main([command, "--config", str(path), "--out", str(out)]) == 2, command
+        assert not out.exists(), command
+        assert "config error: invalid source mixture: inconsistent shapes" \
+            in capsys.readouterr().err, command
 
 
 def test_round_trip_default(tmp_path):
@@ -236,13 +248,9 @@ jobs = 2
 
 [source]
 dimension = 8
-components = 2
-weight_1 = 0.5
-mean_1 = 0.9
-var_1 = 0.05
-weight_2 = 0.5
-mean_2 = -0.9
-var_2 = 0.75
+weights = 0.5 0.5
+means = 0.9 -0.9
+variances = 0.05 0.75
 
 [pipeline]
 t_f1 = 3
@@ -273,8 +281,7 @@ def test_readme_table_lists_every_config_key():
               for key in re.findall(r"`([a-z0-9_]+\.[a-z0-9_]+)`", line.split(" | ")[0])}
     schema = {f"{s.name}.{f.name}" for s in fields(ExperimentConfig)
               for f in fields(s.default_factory)}
-    per_component = {f"source.{f.name}_j" for f in fields(ComponentSpec)}
-    assert listed == schema | per_component
+    assert listed == schema
 
 
 def test_shipped_configs_parse():
@@ -334,10 +341,8 @@ def _specs(cls, **given):
                              for f in fields(cls)})
 
 
-_SOURCES = _specs(SourceSpec, components=st.lists(_specs(ComponentSpec),
-                                                   min_size=1, max_size=3).map(tuple))
-_CONFIGS = st.builds(ExperimentConfig, source=_SOURCES, **{
-    f.name: _specs(f.default_factory) for f in fields(ExperimentConfig) if f.name != "source"
+_CONFIGS = st.builds(ExperimentConfig, **{
+    f.name: _specs(f.default_factory) for f in fields(ExperimentConfig)
 })
 
 

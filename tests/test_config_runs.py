@@ -57,10 +57,8 @@ def _edge_values(f):
 
 KEYS = {(section.name, f.name): SIZED.get((section.name, f.name), _edge_values(f))
         for section in fields(ExperimentConfig) for f in fields(section.default_factory)
-        if (section.name, f.name) not in SKIPPED and f.name != "components"}
+        if (section.name, f.name) not in SKIPPED}
 KEYS = {key: values for key, values in KEYS.items() if values is not None}
-SOURCE_KEYS = {f"{name}_1": st.sampled_from(FLOAT_EDGES + (1.0,))
-               for name in ("weight", "mean", "var")}
 
 BASE = {"source": {"dimension": 8},
         "sweep": {"snr_db": 5, "seeds": 0, "n_per_cell": 4}}
@@ -77,8 +75,6 @@ def config_texts(draw):
     sections = {name: dict(keys) for name, keys in BASE.items()}
     for section, key in draw(st.lists(st.sampled_from(sorted(KEYS)), max_size=3, unique=True)):
         sections.setdefault(section, {})[key] = draw(KEYS[section, key])
-    for key in draw(st.lists(st.sampled_from(sorted(SOURCE_KEYS)), max_size=3, unique=True)):
-        sections["source"][key] = draw(SOURCE_KEYS[key])
     return "".join(f"[{name}]\n" + "".join(f"{k} = {_render(v)}\n" for k, v in keys.items())
                    for name, keys in sections.items())
 
@@ -98,9 +94,12 @@ def _tiny(source):
 @given(text=config_texts())
 # a gamma near 1e3 on the baseline's split once broke the budget identity;
 # a source batch of zero float variance has an nmse of inf (exit 3); an SNR
-# whose noise variance underflows to 0 once made the validator divide by 0
-@example(text=_tiny("var_1 = 1e-6\n"))
-@example(text=_tiny("mean_1 = 1e153\n"))
+# whose noise variance underflows to 0 once made the validator divide by 0;
+# a mean that is large against a tiny variance once overflowed the score
+@example(text=_tiny("variances = 1e-6\n"))
+@example(text=_tiny("means = 1e153\n"))
+@example(text=_tiny("means = 1e50\nvariances = 1e-300\n"))
+@example(text=_tiny("means = 1e153\nvariances = 1e-300\n"))
 @example(text=_tiny("[pipeline]\nt_f1 = 0\nt_f2 = 0\n[channel]\nsnr_db = 1e308\n"))
 def test_every_parsed_config_runs_or_exits_2_before_output(text):
     with tempfile.TemporaryDirectory() as tmp:

@@ -8,9 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import tight_wide_source
 from diffsemcom import cli, harness, pipeline, svgplot
-from diffsemcom.config import ComponentSpec, ExperimentConfig, SourceSpec
+from diffsemcom.config import ExperimentConfig, SourceSpec
 from diffsemcom.errors import ConfigError, ParameterError
 from diffsemcom.harness import RESULT_HEADER, ResultRow
 from diffsemcom.mlp import init_mlp, load_checkpoint, save_checkpoint
@@ -36,13 +35,10 @@ def test_build_source_broadcast_and_errors():
     cfg = small_cfg()
     model = harness.build_source_model(cfg.source)
     assert model.d == 8 and model.n_components == 1
-    bad = replace(cfg.source, components=(ComponentSpec(mean=(1.0, 2.0, 3.0)),))
-    with pytest.raises(ConfigError, match="mean_1"):
+    bad = replace(cfg.source, means=(1.0, 2.0, 3.0))
+    with pytest.raises(ConfigError, match="invalid source mixture: inconsistent shapes"):
         harness.build_source_model(bad)
-    unnorm = replace(
-        cfg.source,
-        components=(ComponentSpec(weight=0.4), ComponentSpec(weight=0.4)),
-    )
+    unnorm = replace(cfg.source, weights=(0.4, 0.4), means=(0.0, 0.0), variances=(1.0, 1.0))
     with pytest.raises(ConfigError, match="mixture"):
         harness.build_source_model(unnorm)
 
@@ -78,11 +74,8 @@ def test_sweep_parallel_matches_serial(tmp_path):
 def test_two_component_parallel_matches_serial(tmp_path, command):
     # J = 2 runs the score's anchored matmuls, whose bits must not
     # depend on the process that runs a cell
-    model = tight_wide_source(8)
-    source = SourceSpec(dimension=8, components=tuple(
-        ComponentSpec(weight=float(w), mean=tuple(m), var=tuple(v))
-        for w, m, v in zip(model.weights, model.means, model.variances)
-    ))
+    source = SourceSpec(dimension=8, weights=(0.5, 0.5), means=(0.9, -0.9),
+                        variances=(0.05, 0.75))
     cfg = small_cfg(source=source)
     _, p1 = command(cfg, tmp_path / "serial")
     _, p2 = command(with_jobs(cfg, 2), tmp_path / "parallel")
@@ -348,10 +341,8 @@ def test_ablate_directions_on_structured_source(tmp_path):
     cfg = replace(
         cfg,
         source=replace(
-            cfg.source, dimension=64, components=(
-                ComponentSpec(weight=0.5, mean=(0.9,), var=(0.05,)),
-                ComponentSpec(weight=0.5, mean=(-0.9,), var=(0.75,)),
-            ),
+            cfg.source, dimension=64, weights=(0.5, 0.5), means=(0.9, -0.9),
+            variances=(0.05, 0.75),
         ),
         channel=replace(cfg.channel, model="real_simplified"),
         sweep=replace(cfg.sweep, seeds=tuple(range(6)), n_per_cell=128),
@@ -506,8 +497,9 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         small + "[run]\nseed = -1\n",
         small.replace("seeds = 0", "seeds = 0 -1"),
         small.replace("dimension = 8", "dimension = 0"),
-        small.replace("dimension = 8", "dimension = 8\nmean_1 = 1e154"),
-        small.replace("dimension = 8", "dimension = 8\nmean_1 = 1e200"),
+        small.replace("dimension = 8", "dimension = 8\nmeans = 1e154"),
+        small.replace("dimension = 8", "dimension = 8\nmeans = 1e200"),
+        small.replace("dimension = 8", "dimension = 8\nmeans = 1e50\nvariances = 1e-300"),
     ]):
         path = tmp_path / f"bad{i}.ini"
         path.write_text(text)
@@ -589,21 +581,21 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
 
 def test_source_of_large_finite_second_moment_runs(tmp_path):
     # at d = 8, sum(mean^2 + var) is 8e300 for a mean of 1e150 (from 1e154 it
-    # overflows); a var_1 of 1e296 keeps the float batch's variance, and so
-    # the nmse, above 0
+    # overflows); a variance of 1e296 keeps the float batch's variance, and
+    # so the nmse, above 0
     path = tmp_path / "mean_1e150.ini"
-    path.write_text("[source]\ndimension = 8\nmean_1 = 1e150\nvar_1 = 1e296\n"
+    path.write_text("[source]\ndimension = 8\nmeans = 1e150\nvariances = 1e296\n"
                     "[sweep]\nsnr_db = 5\nseeds = 0\nn_per_cell = 4\n")
     assert cli.main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
 
 
 def test_source_whose_metrics_overflow_exits_3(tmp_path, capsys):
-    # mean_1 = 1e153 parses and builds (its second moment is finite), but the
+    # means = 1e153 parses and builds (its second moment is finite), but the
     # unit spread of its batch is lost in float64, so nmse is infinite (and
     # sw2's squared projections overflow): a runtime failure, the same one
     # under either warnings filter
     path = tmp_path / "mean_1e153.ini"
-    path.write_text("[source]\ndimension = 8\nmean_1 = 1e153\n"
+    path.write_text("[source]\ndimension = 8\nmeans = 1e153\n"
                     "[sweep]\nsnr_db = 5\nseeds = 0\nn_per_cell = 4\n")
     for action in ("error", "ignore"):
         with warnings.catch_warnings():

@@ -112,6 +112,13 @@ def test_stride_plan_rounding_oracle(sched):
     assert list(plan.timesteps) == oracle
 
 
+def test_stride_plan_strictly_increasing_for_every_k(sched):
+    # k <= t_train makes consecutive round-half-up steps differ by at least 1
+    for k in range(1, sched.t_train + 1):
+        steps = dsc.make_stride_plan(sched, k).timesteps
+        assert steps[0] >= 1 and steps[-1] == sched.t_train and np.all(np.diff(steps) >= 1), k
+
+
 def test_stride_plan_k_validation(sched):
     with pytest.raises(ParameterError):
         dsc.make_stride_plan(sched, 0)
