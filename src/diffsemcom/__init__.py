@@ -8,13 +8,7 @@ the channel-noise budget analysis with Monte-Carlo validation, and a CLI
 harness for sweeps and ablations.
 """
 
-from .channel import (
-    ChannelConfig,
-    awgn_apply,
-    effective_noise_var,
-    power_normalize,
-    snr_to_noise_var,
-)
+from .channel import ChannelConfig, awgn_apply, power_normalize
 from .denoisers import (
     Denoiser,
     GaussianMixtureModel,

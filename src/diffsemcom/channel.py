@@ -1,17 +1,19 @@
-"""Power normalization, AWGN channel, and SNR-to-noise conversion.
+"""Power normalization and the AWGN channel.
 
 The latent of dimension d is mapped onto k = d/2 complex channel symbols.
 Under ``complex_paper`` the circularly-symmetric complex noise of variance
-sigma_ch^2 per symbol lands as variance sigma_ch^2 / 2 on each real
-component; ``real_simplified`` puts sigma_ch^2 on each real component
-directly.  Both readings are kept so the noise-budget analysis can be
-validated against either.  ``power_normalize`` returns the pair
-(values, gamma) and ``awgn_apply`` takes and returns plain arrays.
+sigma_ch^2 = 10^(-snr_db / 10) per symbol lands as variance sigma_ch^2 / 2
+on each real component; ``real_simplified`` puts sigma_ch^2 on each real
+component directly.  Both readings are kept so the noise-budget analysis can
+be validated against either.  ``ChannelConfig.noise_var`` is the one
+derivation of that per-component variance: the channel, the pipeline's
+budget and the validator all read it.  ``power_normalize`` returns the pair
+(values, gamma) and ``awgn_apply`` takes a plain array and a ``ChannelConfig``
+and returns a plain array.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,19 +31,11 @@ class ChannelConfig(CheckedFields):
     snr_db: float = field(default=5.0, metadata={"min": MIN_SNR_DB, "max": MAX_SNR_DB})
     model: str = field(default="complex_paper", metadata={"choices": CHANNEL_MODELS})
 
-
-def snr_to_noise_var(snr_db: float) -> float:
-    """Channel noise variance at unit signal power: 10^(-snr_db / 10)."""
-    if not math.isfinite(snr_db):
-        raise ParameterError(f"snr_db must be finite, got {snr_db!r}")
-    return float(10.0 ** (-snr_db / 10.0))
-
-
-def effective_noise_var(sigma_ch2: float, model: str) -> float:
-    """Per-real-component noise variance actually injected by awgn_apply."""
-    if model not in CHANNEL_MODELS:
-        raise ParameterError(f"unknown channel model {model!r}")
-    return sigma_ch2 / 2.0 if model == "complex_paper" else float(sigma_ch2)
+    @property
+    def noise_var(self) -> float:
+        """Per-real-component noise variance at unit signal power."""
+        sigma_ch2 = float(10.0 ** (-self.snr_db / 10.0))
+        return sigma_ch2 / 2.0 if self.model == "complex_paper" else sigma_ch2
 
 
 def power_normalize(z):
@@ -63,15 +57,12 @@ def power_normalize(z):
     return z * gamma[..., None], gamma
 
 
-def awgn_apply(signal, sigma_ch2: float, rng, model: str = "complex_paper") -> np.ndarray:
-    """Add white Gaussian channel noise to a (normalized) signal array."""
-    if sigma_ch2 < 0:
-        raise ParameterError(f"sigma_ch2 must be >= 0, got {sigma_ch2}")
+def awgn_apply(signal, channel: ChannelConfig, rng) -> np.ndarray:
+    """Add ``channel``'s white Gaussian noise to a (normalized) signal array."""
     signal = np.asarray(signal, dtype=float)
-    var = effective_noise_var(sigma_ch2, model)
-    if model == "complex_paper" and signal.shape[-1] % 2 != 0:
+    if channel.model == "complex_paper" and signal.shape[-1] % 2 != 0:
         raise ParameterError(
             f"complex channel needs an even dimension, got {signal.shape[-1]}"
         )
     noise = rng.standard_normal(signal.shape)
-    return signal + np.sqrt(var) * noise
+    return signal + np.sqrt(channel.noise_var) * noise

@@ -11,9 +11,10 @@ single-key rule (``choices``, ``min`` or ``max`` metadata, which
 ``check_fields`` applies whenever the class is built) are its field's, and
 its parser is chosen by the field's annotation; a class constant, such as
 ``TrainConfig``'s fixed network and recipe, is not a key.  A rule's error
-names the key's line; a constructor's hand-written check (split counts,
-``t_b``) names the section header's.  Rules that span two keys are
-checked by ``harness.build_objects``.
+names the key's line; a constructor's hand-written check (``PipelineConfig``'s
+split counts, ``t_b`` and their bounds by the plan's steps) names the section
+header's.  The one rule that spans two sections, that ``complex_paper``
+needs an even ``source.dimension``, is checked by ``harness.build_objects``.
 """
 
 from __future__ import annotations
@@ -45,9 +46,8 @@ class SourceSpec(CheckedFields):
 
 
 @dataclass(frozen=True)
-class DenoiserSpec(CheckedFields):
-    kind: str = field(default="analytic", metadata={"choices": ("analytic", "mlp")})
-    checkpoint: str = ""
+class DenoiserSpec:
+    checkpoint: str = ""  # empty: the analytic denoiser; else the MLP it holds
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,10 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 # small (256 KiB at d = 512) and in cache.
 BLOCK_ROWS = 64
 
+# Standard deviations from its mean within which a probe of a component keeps
+# the score finite (see GaussianMixtureModel).
+PROBE_SIGMAS = 8.0
+
 
 class Denoiser(abc.ABC):
     """Anything that predicts the injected noise from (z, t).
@@ -41,12 +45,15 @@ class GaussianMixtureModel:
     """Diagonal-covariance Gaussian mixture over R^d.
 
     weights: (J,), positive, summing to 1 within 1e-12.
-    means: (J, d).  variances: (J, d), strictly positive (per-dimension).
-    Each component's second moment, the sum over d of mean^2 + variance,
-    must be finite, so that the power of a sample is too.  So must twice its
-    sum over d of mean^2 / min(variance, 1), which bounds the terms of the
-    score's log-density at every step (var_t = ab_t var + 1 - ab_t >=
-    min(var, 1)) for a probe up to twice a mean's size.
+    means: (J, d).  variances: (J, d), strictly positive (per-dimension),
+    with a finite reciprocal.  Each component's second moment, the sum over
+    d of mean^2 + variance, must be finite, so that the power of a sample is
+    too.  So must the score's pair bound: for every component k, twice the
+    sum over d of (reach + |mean_k|)^2 / min(var_k, 1), where reach is the
+    largest |mean_j| + PROBE_SIGMAS * sqrt(max(var_j, 1)) over components j.
+    It bounds every term of component k's log-density at every step
+    (var_t = ab_t var + 1 - ab_t lies between min(var, 1) and max(var, 1))
+    for a probe drawn near any component.
     """
 
     weights: np.ndarray
@@ -70,12 +77,16 @@ class GaussianMixtureModel:
         if np.any(v <= 0.0):
             raise ParameterError("all variances must be positive")
         with np.errstate(over="ignore"):
+            if not np.all(np.isfinite(1.0 / v)):
+                raise ParameterError("a variance's reciprocal is not finite")
             second_moment = np.sum(m * m + v, axis=-1)
-            score_scale = 2.0 * np.sum(m * m / np.minimum(v, 1.0), axis=-1)
+            reach = np.max(np.abs(m) + PROBE_SIGMAS * np.sqrt(np.maximum(v, 1.0)), axis=0)
+            pair_bound = 2.0 * np.sum((reach + np.abs(m)) ** 2 / np.minimum(v, 1.0), axis=-1)
         if not np.all(np.isfinite(second_moment)):
             raise ParameterError("a component's second moment sum(mean^2 + var) is not finite")
-        if not np.all(np.isfinite(score_scale)):
-            raise ParameterError("a component's 2 * sum(mean^2 / min(var, 1)) is not finite")
+        if not np.all(np.isfinite(pair_bound)):
+            raise ParameterError("the score's pair bound 2 * sum((reach + |mean_k|)^2 "
+                                 "/ min(var_k, 1)) is not finite")
         for arr in (w, m, v):
             arr.setflags(write=False)
         object.__setattr__(self, "weights", w)

@@ -27,9 +27,10 @@ def check_fields(obj):
         if choices is not None and value not in choices:
             raise FieldError(f.name, f"expected one of {', '.join(choices)}, got {value!r}")
         for v in (value if isinstance(value, tuple) else (value,)):
-            if low is not None and v < low:
+            # written so that a NaN, which compares false, fails both bounds
+            if low is not None and not v >= low:
                 raise FieldError(f.name, f"{v} is below the minimum {low}")
-            if high is not None and v > high:
+            if high is not None and not v <= high:
                 raise FieldError(f.name, f"{v} is above the maximum {high}")
 
 

@@ -1,9 +1,10 @@
 """Small trainable noise predictor with manual backpropagation.
 
-Two tanh hidden layers over [latent, sinusoidal time embedding, label
-one-hot].  Gradients are hand-derived and checked against finite differences
-in the test suite; Adam is the training optimizer.  Checkpoints are flat
-little-endian float64 blobs with a versioned header.
+Two tanh hidden layers over [latent, sinusoidal time embedding, label_count
+input columns that stay zero].  Gradients are hand-derived and checked
+against finite differences in the test suite; Adam is the training
+optimizer.  Checkpoints are flat little-endian float64 blobs with a
+versioned header.
 """
 
 from __future__ import annotations
@@ -92,23 +93,12 @@ def time_embedding(t, width, out):
     np.cos(arg, out=arg)
 
 
-def _one_hot(cond, out):
-    """Write the label one-hot rows into ``out``, (n, label_count); zeros when cond is None."""
-    out[...] = 0.0
-    n, label_count = out.shape
-    if cond is None or label_count == 0:
-        return
-    idx = np.broadcast_to(np.asarray(cond, dtype=int), (n,))
-    if np.any((idx < 0) | (idx >= label_count)):
-        raise ParameterError(f"label out of range 0..{label_count - 1}")
-    out[np.arange(n), idx] = 1.0
-
-
 class _Activations:
     """The batch-sized arrays of one forward pass over n rows."""
 
     def __init__(self, params, n):
-        self.x = np.empty((n, params.w1.shape[0]))  # [z, time embedding, label one-hot]
+        # [z, time embedding, label columns]; nothing writes the label columns
+        self.x = np.zeros((n, params.w1.shape[0]))
         self.z = self.x[:, :params.d]
         self.h1, self.h2 = np.empty((n, params.hidden)), np.empty((n, params.hidden))
         self.out = np.empty((n, params.d))
@@ -128,12 +118,11 @@ class _Workspace(_Activations):
         self.grads = [np.empty_like(a) for a in params.arrays()]
 
 
-def _forward(params, z, t, cond, ws):
+def _forward(params, z, t, ws):
     n, d, emb = z.shape[0], params.d, params.d + params.t_emb
     x = ws.x
     x[:, :d] = z                    # a no-op when z is ws.z
     time_embedding(np.broadcast_to(t, (n,)), params.t_emb, out=x[:, d:emb])
-    _one_hot(cond, x[:, emb:])
     h1 = np.matmul(x, params.w1, out=ws.h1)
     h1 += params.b1
     np.tanh(h1, out=h1)
@@ -145,18 +134,18 @@ def _forward(params, z, t, cond, ws):
     return out, (x, h1, h2)
 
 
-def mlp_predict(params, z, t, cond=None):
+def mlp_predict(params, z, t):
     """Deterministic forward pass; accepts a single vector or a batch."""
     z = np.asarray(z, dtype=float)
     single = z.ndim == 1
     zb = z[None, :] if single else z
     if zb.shape[-1] != params.d:
         raise ParameterError(f"z has dimension {zb.shape[-1]}, network expects {params.d}")
-    out, _ = _forward(params, zb, t, cond, _Activations(params, zb.shape[0]))
+    out, _ = _forward(params, zb, t, _Activations(params, zb.shape[0]))
     return out[0] if single else out
 
 
-def loss_and_grads(params, z_t, t, cond, eps_target, ws=None):
+def loss_and_grads(params, z_t, t, eps_target, ws=None):
     """Squared-error loss mean over batch and dimensions, with gradients.
 
     Computes in ``ws`` (a fresh workspace when None) and returns its
@@ -164,7 +153,7 @@ def loss_and_grads(params, z_t, t, cond, eps_target, ws=None):
     """
     if ws is None:
         ws = _Workspace(params, z_t.shape[0])
-    out, (x, h1, h2) = _forward(params, z_t, t, cond, ws)
+    out, (x, h1, h2) = _forward(params, z_t, t, ws)
     resid = np.subtract(out, eps_target, out=out)
     loss = float(np.mean(np.multiply(resid, resid, out=ws.sq)))
     g_out = np.multiply(2.0, resid, out=resid)
@@ -230,7 +219,7 @@ def train_denoiser(params, source, schedule, cfg: TrainConfig, seed: int):
         np.multiply(np.sqrt(ab[t])[:, None], z0, out=z0)
         np.multiply(np.sqrt(1.0 - ab[t])[:, None], eps, out=ws.z)
         np.add(z0, ws.z, out=ws.z)
-        loss, grads = loss_and_grads(params, ws.z, t, None, eps, ws)
+        loss, grads = loss_and_grads(params, ws.z, t, eps, ws)
         if not np.isfinite(loss):
             raise TrainingDivergedError(
                 f"non-finite loss at iteration {i}", loss_trace=trace[:i].copy()
@@ -245,10 +234,7 @@ class MlpDenoiser(Denoiser):
         self.params = params
 
     def predict(self, z, t):
-        # Unconditional, like training: the label one-hot is all zeros.  The
-        # label inputs stay because init_mlp's Glorot draws depend on
-        # n_in = d + t_emb + label_count, so removing them would change every
-        # initial weight, the loss trace and the checkpoint header.
+        # The label columns stay because init_mlp's Glorot draws depend on them.
         return mlp_predict(self.params, z, t)
 
 

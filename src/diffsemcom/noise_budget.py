@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelConfig, effective_noise_var, snr_to_noise_var
+from .channel import ChannelConfig
 from .denoisers import BLOCK_ROWS, gmm_sample
 from .errors import InternalConsistencyError, ParameterError
 
@@ -179,8 +179,7 @@ def validate_prop1(schedule, plan, split: SplitConfig, channel_cfg: ChannelConfi
     t1 = plan.training_step(split.t_f1)
     tf = plan.training_step(split.t_f)
     r = float(ab[tf] / ab[t1])
-    sigma_ch2 = snr_to_noise_var(channel_cfg.snr_db)
-    sigma_eff2 = effective_noise_var(sigma_ch2, channel_cfg.model)
+    sigma_eff2 = channel_cfg.noise_var
 
     n_chunks = (n_samples + chunk - 1) // chunk
     kids = rng.spawn(1 + n_chunks)

@@ -26,18 +26,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import (
-    ChannelConfig,
-    awgn_apply,
-    effective_noise_var,
-    power_normalize,
-    snr_to_noise_var,
-)
+from .channel import ChannelConfig, awgn_apply, power_normalize
 from .denoisers import gmm_sample
 from .diffusion import Latent, forward_reparam, run_ddim_invert, run_ddim_sample
 from .errors import ConfigError
 from .metrics import MetricReport, metric_report
 from .noise_budget import NoiseBudget, SplitConfig, compute_noise_budget, select_denoise_steps
+from .schedule import K_STEPS
 
 # Projection stream for reported sliced-Wasserstein numbers is fixed so that
 # identical runs report identical metrics.
@@ -46,7 +41,8 @@ METRIC_SEED = 20318
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """The ``[pipeline]`` section: the split and the decoding depth."""
+    """The ``[pipeline]`` section: the split and the decoding depth, both
+    within the plan's K_STEPS steps."""
 
     t_f1: int = 5
     t_f2: int = 5
@@ -58,6 +54,13 @@ class PipelineConfig:
             raise ConfigError(f"t_b must be 'auto' or an integer >= 0, got {self.t_b!r}")
         # Built here so that its range checks run at construction.
         object.__setattr__(self, "_split", SplitConfig(self.t_f1, self.t_f2))
+        if self.split.t_f > K_STEPS:
+            raise ConfigError(f"t_f1 + t_f2 = {self.split.t_f} exceeds the plan's "
+                              f"{K_STEPS} steps")
+        if self.t_b != "auto" and self.t_b > K_STEPS:
+            raise ConfigError(f"t_b = {self.t_b} exceeds the plan's {K_STEPS} steps")
+        if self.t_b == 0 and self.split.t_f > 0:
+            raise ConfigError("t_b = 0 needs an empty split (t_f1 = t_f2 = 0)")
 
     @property
     def split(self) -> SplitConfig:
@@ -118,11 +121,10 @@ def run_trial(cfg: PipelineConfig, channel: ChannelConfig, source, schedule, pla
     z0 = gmm_sample(source, n, k_src)
 
     x, gamma = encode_transmit(z0, cfg, schedule, plan, denoiser)
-    sigma_ch2 = snr_to_noise_var(channel.snr_db)
-    y = awgn_apply(x, sigma_ch2, k_ch, channel.model)
+    y = awgn_apply(x, channel, k_ch)
 
     budget = compute_noise_budget(schedule, plan, cfg.split, float(np.mean(gamma)),
-                                  effective_noise_var(sigma_ch2, channel.model))
+                                  channel.noise_var)
     t_b, saturated = cfg.t_b, False
     if t_b == "auto":
         sel = select_denoise_steps(schedule, plan, budget.sigma_tot2)

@@ -268,11 +268,12 @@ def test_criterion_10_channel_calibration():
     # per-symbol vs per-dimension accounting gap; assert that too.
     rng = dsc.stream(10, 0)
     values, _ = dsc.power_normalize(rng.standard_normal((200, 512)))  # 102400 comps
-    sigma_ch2 = dsc.snr_to_noise_var(7.0)
-    y_real = dsc.awgn_apply(values, sigma_ch2, dsc.stream(10, 1), model="real_simplified")
+    channel = ChannelConfig(7.0, "real_simplified")
+    sigma_ch2 = channel.noise_var
+    y_real = dsc.awgn_apply(values, channel, dsc.stream(10, 1))
     measured = measure_snr(values, y_real)
     snr_ok = abs(measured - 7.0) < 0.2
-    y_cx = dsc.awgn_apply(values, sigma_ch2, dsc.stream(10, 2), model="complex_paper")
+    y_cx = dsc.awgn_apply(values, ChannelConfig(7.0, "complex_paper"), dsc.stream(10, 2))
     noise_var = float(np.var(y_cx - values))
     var_ok = abs(noise_var - sigma_ch2 / 2) / (sigma_ch2 / 2) < 0.03
     measured_cx = measure_snr(values, y_cx)
@@ -289,7 +290,7 @@ def test_criterion_11_mlp_denoiser(sched):
     z = rng.standard_normal((4, 2))
     t = rng.integers(1, 1001, size=4)
     target = rng.standard_normal((4, 2))
-    _, grads = loss_and_grads(params, z, t, None, target)
+    _, grads = loss_and_grads(params, z, t, target)
     h = 1e-5
     worst = 0.0
     for arr, grad in zip(params.arrays(), grads):
@@ -297,9 +298,9 @@ def test_criterion_11_mlp_denoiser(sched):
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h
-            lp, _ = loss_and_grads(params, z, t, None, target)
+            lp, _ = loss_and_grads(params, z, t, target)
             flat[i] = orig - h
-            lm, _ = loss_and_grads(params, z, t, None, target)
+            lm, _ = loss_and_grads(params, z, t, target)
             flat[i] = orig
             fd = (lp - lm) / (2 * h)
             worst = max(worst, abs(fd - gflat[i]) / max(abs(fd), abs(gflat[i]), 1e-8))

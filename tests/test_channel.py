@@ -7,21 +7,31 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import diffsemcom as dsc
+from diffsemcom.channel import MAX_SNR_DB
 from diffsemcom.errors import DegenerateInputError, ParameterError
 from instruments import measure_snr
 
 
+def real(snr_db):
+    return dsc.ChannelConfig(snr_db, "real_simplified")
+
+
+def complex_(snr_db):
+    return dsc.ChannelConfig(snr_db, "complex_paper")
+
+
 def test_snr_to_noise_var():
-    assert dsc.snr_to_noise_var(0.0) == 1.0
-    assert dsc.snr_to_noise_var(20.0) == pytest.approx(0.01)
-    assert dsc.snr_to_noise_var(5.0) == pytest.approx(10 ** (-0.5))
+    assert real(0.0).noise_var == 1.0
+    assert real(20.0).noise_var == pytest.approx(0.01)
+    assert real(5.0).noise_var == pytest.approx(10 ** (-0.5))
     with pytest.raises(ParameterError):
-        dsc.snr_to_noise_var(float("nan"))
+        real(float("nan"))
 
 
 def test_effective_noise_var():
-    assert dsc.effective_noise_var(0.4, "complex_paper") == pytest.approx(0.2)
-    assert dsc.effective_noise_var(0.4, "real_simplified") == pytest.approx(0.4)
+    snr_db = -10.0 * math.log10(0.4)  # sigma_ch^2 = 0.4
+    assert complex_(snr_db).noise_var == pytest.approx(0.2)
+    assert real(snr_db).noise_var == pytest.approx(0.4)
 
 
 def test_power_normalize_all_ones():
@@ -93,9 +103,11 @@ def test_power_normalize_non_finite_power(bad):
 
 
 def test_awgn_zero_variance_identity():
+    # at the largest SNR a config allows the noise (variance 5e-301) is far
+    # below a unit-power signal's rounding, so the signal passes bit for bit
     rng = dsc.stream(0, 54)
     values, _ = dsc.power_normalize(np.random.default_rng(1).standard_normal(16))
-    out = dsc.awgn_apply(values, 0.0, rng)
+    out = dsc.awgn_apply(values, complex_(MAX_SNR_DB), rng)
     assert np.array_equal(out, values)
 
 
@@ -103,23 +115,22 @@ def test_awgn_complex_halves_variance():
     rng = dsc.stream(0, 55)
     z = np.zeros(100_000)
     # complex model needs even dimension; use a flat even-length signal
-    out = dsc.awgn_apply(z.reshape(1, -1), 1.0, rng, model="complex_paper")
+    out = dsc.awgn_apply(z.reshape(1, -1), complex_(0.0), rng)
     assert abs(out.var() - 0.5) / 0.5 < 0.03
-    out2 = dsc.awgn_apply(z.reshape(1, -1), 1.0, dsc.stream(0, 56), model="real_simplified")
+    out2 = dsc.awgn_apply(z.reshape(1, -1), real(0.0), dsc.stream(0, 56))
     assert abs(out2.var() - 1.0) < 0.03
 
 
 def test_awgn_odd_dimension_complex_rejected():
     with pytest.raises(ParameterError):
-        dsc.awgn_apply(np.zeros(7), 1.0, dsc.stream(0, 57), model="complex_paper")
+        dsc.awgn_apply(np.zeros(7), complex_(0.0), dsc.stream(0, 57))
 
 
 def test_awgn_measured_snr_calibration():
     rng = dsc.stream(0, 58)
     values, _ = dsc.power_normalize(rng.standard_normal((200, 512)))
     for snr_db in (0.0, 10.0):
-        y = dsc.awgn_apply(values, dsc.snr_to_noise_var(snr_db), dsc.stream(0, 59),
-                           model="real_simplified")
+        y = dsc.awgn_apply(values, real(snr_db), dsc.stream(0, 59))
         measured = measure_snr(values, y)
         assert abs(measured - snr_db) < 0.2
 
@@ -127,8 +138,8 @@ def test_awgn_measured_snr_calibration():
 def test_awgn_streams_independent():
     rng = dsc.stream(0, 60)
     z = np.zeros((1, 100_000))
-    n1 = dsc.awgn_apply(z, 1.0, rng, model="real_simplified").ravel()
-    n2 = dsc.awgn_apply(z, 1.0, rng, model="real_simplified").ravel()
+    n1 = dsc.awgn_apply(z, real(0.0), rng).ravel()
+    n2 = dsc.awgn_apply(z, real(0.0), rng).ravel()
     rho = np.corrcoef(n1, n2)[0, 1]
     assert abs(rho) < 0.01
 

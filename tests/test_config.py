@@ -58,7 +58,6 @@ def test_invalid_value_diagnostics(tmp_path):
 
 
 @pytest.mark.parametrize("section,key", [
-    ("denoiser", "kind"),
     ("channel", "model"),
     ("prop1", "transmitter_mode"),
 ])
@@ -103,8 +102,8 @@ def test_unparseable_value_rejected_at_its_line(tmp_path, section, key, value, m
         parse_config(path)
 
 
-# Every key that an earlier version read, the guidance keys first.  Each key
-# name is unique, so a case's id is its key.
+# Every key that an earlier version read, the guidance keys first.  A case's
+# id is its key, or section.key where an earlier case has the same key name.
 _REMOVED_KEYS = [
     ("pipeline", "guidance_scale"), ("pipeline", "guidance_label"),
     ("pipeline", "condition_receiver_forward"), ("pipeline", "transmitter_mode"),
@@ -115,11 +114,15 @@ _REMOVED_KEYS = [
     ("schedule", "beta_start"), ("schedule", "beta_end"), ("schedule", "k_steps"),
     ("pipeline", "receiver_forward_mode"), ("train", "learning_rate"), ("train", "batch_size"),
     ("train", "hidden"), ("train", "time_embed"), ("source", "components"),
-    ("source", "weight_1"), ("source", "mean_1"), ("source", "var_1"),
+    ("source", "weight_1"), ("source", "mean_1"), ("source", "var_1"), ("denoiser", "kind"),
 ]
 
 
-@pytest.mark.parametrize("section,key", _REMOVED_KEYS, ids=[key for _, key in _REMOVED_KEYS])
+_REMOVED_IDS = [key if all(k != key for _, k in _REMOVED_KEYS[:i]) else f"{section}.{key}"
+                for i, (section, key) in enumerate(_REMOVED_KEYS)]
+
+
+@pytest.mark.parametrize("section,key", _REMOVED_KEYS, ids=_REMOVED_IDS)
 def test_removed_guidance_key_rejected_at_its_line(tmp_path, capsys, section, key):
     path = write(tmp_path, f"[run]\nseed = 1\n[{section}]\n\n{key} = 0\n")
     with pytest.raises(ConfigError, match=rf"exp\.ini:5: unknown config key '{section}\.{key}'"):
@@ -146,10 +149,12 @@ _RULED = [(s.name, s.default_factory, f) for s in fields(ExperimentConfig)
 def test_field_rule_rejected_in_file_construction_and_replace(tmp_path, section, cls, f):
     if "choices" in f.metadata:
         bad = ["bogus"]
-    else:  # just outside each bound, and far above a maximum
+    else:  # just outside each bound, far above a maximum, and NaN
         bad = [f.metadata["min"] - 1] if "min" in f.metadata else []
         if "max" in f.metadata:
             bad += [f.metadata["max"] + 1, 1e308]
+        if "float" in f.type:  # a file rejects "nan" as it parses; a caller can pass one
+            bad.append(float("nan"))
     for text in bad:
         value = (text,) if f.type.startswith("tuple") else text
         path = write(tmp_path, f"[{section}]\n\n{f.name} = {text}\n")
@@ -204,7 +209,10 @@ def test_t_b_rejects_non_integers_in_construction_and_replace():
         with pytest.raises(ConfigError, match="t_b must be 'auto' or an integer >= 0"):
             replace(PipelineConfig(), t_b=bad)
     assert PipelineConfig(t_b=np.int64(5)).t_b == 5
-    assert replace(PipelineConfig(), t_b=0).t_b == 0
+    empty = PipelineConfig(t_f1=0, t_f2=0)
+    assert replace(empty, t_b=0).t_b == 0
+    with pytest.raises(ConfigError, match=r"t_b = 0 needs an empty split"):
+        replace(PipelineConfig(), t_b=0)
 
 
 def test_source_lists(tmp_path):
@@ -294,14 +302,24 @@ def test_shipped_configs_parse():
 
 
 # Values from each field annotation's parser domain.  A field with a rule
-# draws from its ``choices`` or between its ``min`` and ``max``; a field
-# that its class checks by hand draws from _DOMAINS.  A field whose
-# annotation is missing here fails the test.
+# draws from its ``choices`` or between its ``min`` and ``max``; a section
+# whose class checks its fields by hand is drawn by _HAND_CHECKED.  A field
+# whose annotation is missing here fails the test.
 _INTS = st.integers(-10**6, 10**6)
 _FLOATS = st.floats(allow_nan=False, allow_infinity=False)
-_DOMAINS = {
-    PipelineConfig: {"t_f1": st.integers(0, 10**6), "t_f2": st.integers(0, 10**6)},
-}
+
+
+@st.composite
+def _pipelines(draw):
+    """A split within the plan, and a depth that the split allows."""
+    t_f1 = draw(st.integers(0, K_STEPS))
+    t_f2 = draw(st.integers(0, K_STEPS - t_f1))
+    lowest = 0 if t_f1 + t_f2 == 0 else 1
+    return PipelineConfig(t_f1, t_f2, draw(st.one_of(st.just("auto"),
+                                                     st.integers(lowest, K_STEPS))))
+
+
+_HAND_CHECKED = {PipelineConfig: _pipelines()}
 _VALUES = {
     "int": _INTS,
     "float": _FLOATS,
@@ -309,7 +327,6 @@ _VALUES = {
     "bool": st.booleans(),
     "tuple[float, ...]": st.lists(_FLOATS, min_size=1, max_size=4).map(tuple),
     "tuple[int, ...]": st.lists(_INTS, min_size=1, max_size=4).map(tuple),
-    "int | str": st.one_of(st.just("auto"), st.integers(0, 10**6)),
 }
 
 
@@ -327,18 +344,18 @@ _BETWEEN = {
 }
 
 
-def _domain(cls, f):
+def _domain(f):
     if "choices" in f.metadata:
         return st.sampled_from(f.metadata["choices"])
     if {"min", "max"} & f.metadata.keys():
         return _BETWEEN[f.type](f.metadata.get("min"), f.metadata.get("max"))
-    hand_checked = _DOMAINS.get(cls, {})
-    return hand_checked[f.name] if f.name in hand_checked else _VALUES[f.type]
+    return _VALUES[f.type]
 
 
-def _specs(cls, **given):
-    return st.builds(cls, **{f.name: given[f.name] if f.name in given else _domain(cls, f)
-                             for f in fields(cls)})
+def _specs(cls):
+    if cls in _HAND_CHECKED:
+        return _HAND_CHECKED[cls]
+    return st.builds(cls, **{f.name: _domain(f) for f in fields(cls)})
 
 
 _CONFIGS = st.builds(ExperimentConfig, **{

@@ -95,12 +95,16 @@ def _tiny(source):
 # a gamma near 1e3 on the baseline's split once broke the budget identity;
 # a source batch of zero float variance has an nmse of inf (exit 3); an SNR
 # whose noise variance underflows to 0 once made the validator divide by 0;
-# a mean that is large against a tiny variance once overflowed the score
+# a mean that is large against a tiny variance once overflowed the score,
+# and so did one component's mean against another's tiny variance, and a
+# subnormal variance
 @example(text=_tiny("variances = 1e-6\n"))
 @example(text=_tiny("means = 1e153\n"))
 @example(text=_tiny("means = 1e50\nvariances = 1e-300\n"))
 @example(text=_tiny("means = 1e153\nvariances = 1e-300\n"))
 @example(text=_tiny("[pipeline]\nt_f1 = 0\nt_f2 = 0\n[channel]\nsnr_db = 1e308\n"))
+@example(text=_tiny("weights = 0.5 0.5\nmeans = 1e150 1e-100\nvariances = 1 1e-300\n"))
+@example(text=_tiny("means = 0\nvariances = 1e-320\n"))
 def test_every_parsed_config_runs_or_exits_2_before_output(text):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "exp.ini")

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import diffsemcom as dsc
@@ -33,6 +33,14 @@ def test_model_validation():
         with pytest.raises(ParameterError, match="second moment"):
             dsc.GaussianMixtureModel(np.array([1.0]), np.full((1, 2), mean), np.full((1, 2), var))
     dsc.GaussianMixtureModel(np.array([1.0]), np.full((1, 2), 1e153), np.ones((1, 2)))
+    # a subnormal variance, whose reciprocal overflows
+    with pytest.raises(ParameterError, match="reciprocal"):
+        dsc.GaussianMixtureModel(np.array([1.0]), np.zeros((1, 2)), np.full((1, 2), 1e-320))
+    # each component's own terms are finite, but one's mean against the
+    # other's variance overflows
+    with pytest.raises(ParameterError, match="pair bound"):
+        dsc.GaussianMixtureModel(np.array([0.5, 0.5]), np.array([[1e150] * 2, [1e-100] * 2]),
+                                 np.array([[1.0] * 2, [1e-300] * 2]))
 
 
 def test_sample_moments():
@@ -150,6 +158,49 @@ def test_score_underflow_far_probe(sched):
     )
     score = gmm_score(model, sched, np.array([0.5]), 1)
     assert np.all(np.isfinite(score))
+
+
+def _admitted(weights, means, variances):
+    try:
+        dsc.GaussianMixtureModel(weights, means, variances)
+    except ParameterError:
+        return False
+    return True
+
+
+@st.composite
+def mixtures_near_the_bound(draw):
+    """Mixtures of wide-ranging means and variances, with the means scaled to
+    within a factor 10^3 of the largest scale that the model admits."""
+    j, d = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    exponents = st.lists(st.floats(-308.0, 300.0), min_size=j * d, max_size=j * d)
+    variances = 10.0 ** np.reshape(draw(exponents), (j, d))
+    shape = np.reshape(draw(st.lists(st.floats(-1.0, 1.0), min_size=j * d, max_size=j * d)),
+                       (j, d))
+    weights = np.asarray(draw(st.lists(st.floats(0.1, 1.0), min_size=j, max_size=j)))
+    weights /= weights.sum()
+    assume(_admitted(weights, np.zeros((j, d)), variances))
+    lo, hi = -330.0, 308.0  # log10 of the mean scale: admitted at lo
+    while hi - lo > 1e-3:
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if _admitted(weights, shape * 10.0 ** mid, variances) else (lo, mid)
+    scale = 10.0 ** (lo - draw(st.floats(0.0, 3.0)))
+    return dsc.GaussianMixtureModel(weights, shape * scale, variances)
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=mixtures_near_the_bound(), seed=st.integers(0, 2**16))
+def test_score_finite_for_every_admitted_mixture(sched, plan50, model, seed):
+    # the admission bound covers a probe drawn from any component's
+    # diffused marginal, at every step of the plan
+    rng = np.random.default_rng(seed)
+    cache = {}
+    for s in range(plan50.k + 1):
+        t = plan50.training_step(s)
+        mt = gmm_marginal(model, sched, t)
+        for j in range(model.n_components):
+            z = mt.means[j] + np.sqrt(mt.variances[j]) * rng.standard_normal((8, model.d))
+            assert np.all(np.isfinite(gmm_score(model, sched, z, t, cache))), (s, j)
 
 
 def tensor_form_score(model, sched, z, t):

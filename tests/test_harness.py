@@ -395,7 +395,7 @@ def test_train_then_sweep_on_one_mlp_config(tmp_path):
     cfg = tmp_path / "mlp.ini"
     cfg.write_text(
         "[source]\ndimension = 8\n"
-        f"[denoiser]\nkind = mlp\ncheckpoint = {out / 'denoiser.ckpt'}\n"
+        f"[denoiser]\ncheckpoint = {out / 'denoiser.ckpt'}\n"
         "[train]\niterations = 20\n"
         "[sweep]\nsnr_db = 5\nseeds = 0\nn_per_cell = 8\n")
     assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 0
@@ -407,7 +407,7 @@ def test_checkpoint_of_other_dimension_exits_2_before_output(tmp_path, capsys):
     ckpt = tmp_path / "d8.ckpt"
     save_checkpoint(init_mlp(8, 8, 1, np.random.default_rng(0)), ckpt)
     cfg = tmp_path / "d16.ini"
-    cfg.write_text(f"[source]\ndimension = 16\n[denoiser]\nkind = mlp\ncheckpoint = {ckpt}\n"
+    cfg.write_text(f"[source]\ndimension = 16\n[denoiser]\ncheckpoint = {ckpt}\n"
                    "[sweep]\nsnr_db = 5\nseeds = 0\nn_per_cell = 8\n")
     out = tmp_path / "out"
     assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
@@ -418,7 +418,7 @@ def test_checkpoint_of_other_dimension_exits_2_before_output(tmp_path, capsys):
 def test_stochastic_verify_prop1_loads_no_denoiser(tmp_path, capsys):
     cfg = tmp_path / "cfg.ini"
     text = ("[source]\ndimension = 32\n"
-            "[denoiser]\nkind = mlp\ncheckpoint = /missing/net.ckpt\n"
+            "[denoiser]\ncheckpoint = /missing/net.ckpt\n"
             "[prop1]\nn_samples = 10000\n")
     cfg.write_text(text)
     assert cli.main(["verify-prop1", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
@@ -427,7 +427,7 @@ def test_stochastic_verify_prop1_loads_no_denoiser(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["verify-prop1", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 2
     assert not (tmp_path / "b").exists()
-    assert (f"{cfg}:8: prop1.transmitter_mode: expected one of stochastic, "
+    assert (f"{cfg}:7: prop1.transmitter_mode: expected one of stochastic, "
             "got 'ddim_inversion'") in capsys.readouterr().err
 
 
@@ -507,10 +507,12 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         assert cli.main(["sweep", "--config", str(path), "--out", str(out)]) == 2, text
         assert not out.exists(), text
     capsys.readouterr()
-    # the split and a fixed depth are checked against the plan's 50 steps
+    # the split and a fixed depth are checked against the plan's 50 steps,
+    # and a zero depth against the split, at the [pipeline] header (line 7)
     for name, text, message in (
-        ("cross_key", "t_f1 = 40\nt_f2 = 20\n", "pipeline.t_f1 + pipeline.t_f2 = 60 exceeds"),
-        ("deep_t_b", "t_b = 60\n", "pipeline.t_b = 60 exceeds"),
+        ("long_split", "t_f1 = 40\nt_f2 = 20\n", "t_f1 + t_f2 = 60 exceeds the plan's 50 steps"),
+        ("deep_t_b", "t_b = 60\n", "t_b = 60 exceeds the plan's 50 steps"),
+        ("zero_t_b", "t_b = 0\n", "t_b = 0 needs an empty split (t_f1 = t_f2 = 0)"),
     ):
         path = tmp_path / f"{name}.ini"
         path.write_text(small + "[pipeline]\n" + text)
@@ -518,7 +520,8 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
             out = tmp_path / f"{name}_{command}"
             assert cli.main([command, "--config", str(path), "--out", str(out)]) == 2, command
             assert not out.exists(), command
-            assert f"{message} the plan's 50 steps" in capsys.readouterr().err, command
+            assert f"config error: {path}:7: [pipeline]: {message}\n" == capsys.readouterr().err, \
+                command
     good = tmp_path / "good.ini"
     good.write_text(small)
     for command in ("sweep", "verify-prop1", "train"):
@@ -562,7 +565,7 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
                         unloadable[f"t_emb_{t_emb}"])
     for name, target in unloadable.items():
         path = tmp_path / f"ckpt_{name}.ini"
-        path.write_text(small + f"[denoiser]\nkind = mlp\ncheckpoint = {target}\n")
+        path.write_text(small + f"[denoiser]\ncheckpoint = {target}\n")
         for command in ("sweep", "ablate"):
             out = tmp_path / f"ckpt_{name}_{command}"
             assert cli.main([command, "--config", str(path), "--out", str(out)]) == 2, name
@@ -629,7 +632,7 @@ def test_cli_runtime_error_exit_code(tmp_path, capsys):
     params.b3.fill(1e308)
     save_checkpoint(params, tmp_path / "big.ckpt")
     cfg = tmp_path / "cfg.ini"
-    cfg.write_text(f"[source]\ndimension = 8\n[denoiser]\nkind = mlp\n"
+    cfg.write_text(f"[source]\ndimension = 8\n[denoiser]\n"
                    f"checkpoint = {tmp_path / 'big.ckpt'}\n"
                    "[sweep]\nsnr_db = 5\nseeds = 0\nn_per_cell = 8\n")
     for action in ("error", "ignore"):

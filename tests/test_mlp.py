@@ -49,8 +49,8 @@ def test_forward_finite_on_zero_input():
 def test_predict_deterministic_and_shapes():
     params = init_mlp(3, 8, 2, dsc.stream(4, 3))
     z = np.random.default_rng(0).standard_normal((5, 3))
-    a = mlp_predict(params, z, 100, cond=1)
-    b = mlp_predict(params, z, 100, cond=1)
+    a = mlp_predict(params, z, 100)
+    b = mlp_predict(params, z, 100)
     assert np.array_equal(a, b)
     assert a.shape == (5, 3)
     with pytest.raises(ParameterError):
@@ -63,19 +63,29 @@ def test_gradients_match_finite_differences():
     z = rng.standard_normal((4, 2))
     t = rng.integers(1, 1001, size=4)
     target = rng.standard_normal((4, 2))
-    _, grads = loss_and_grads(params, z, t, None, target)
+    _, grads = loss_and_grads(params, z, t, target)
     h = 1e-5
     for arr, grad in zip(params.arrays(), grads):
         flat, gflat = arr.ravel(), grad.ravel()
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h
-            lp, _ = loss_and_grads(params, z, t, None, target)
+            lp, _ = loss_and_grads(params, z, t, target)
             flat[i] = orig - h
-            lm, _ = loss_and_grads(params, z, t, None, target)
+            lm, _ = loss_and_grads(params, z, t, target)
             flat[i] = orig
             fd = (lp - lm) / (2 * h)
             assert abs(fd - gflat[i]) / max(abs(fd), abs(gflat[i]), 1e-8) < 1e-4
+
+
+def test_label_rows_stay_at_their_init():
+    # the label input columns are zero, so their rows of w1 get no gradient
+    params = init_mlp(3, 8, 2, dsc.stream(4, 7), t_emb=8)
+    rng = np.random.default_rng(3)
+    _, grads = loss_and_grads(params, rng.standard_normal((6, 3)),
+                              rng.integers(1, 1001, size=6), rng.standard_normal((6, 3)))
+    assert grads[0].shape == (3 + 8 + 2, 8)
+    assert np.all(grads[0][3 + 8:] == 0.0)
 
 
 def test_sgd_step_moves_downhill():
@@ -84,10 +94,10 @@ def test_sgd_step_moves_downhill():
     z = rng.standard_normal((32, 2))
     t = rng.integers(1, 1001, size=32)
     target = rng.standard_normal((32, 2))
-    l0, grads = loss_and_grads(params, z, t, None, target)
+    l0, grads = loss_and_grads(params, z, t, target)
     for arr, g in zip(params.arrays(), grads):
         arr -= 0.05 * g
-    l1, _ = loss_and_grads(params, z, t, None, target)
+    l1, _ = loss_and_grads(params, z, t, target)
     assert l1 < l0
 
 
@@ -103,7 +113,7 @@ def test_training_loss_halves(sched):
         eps = eval_rng.standard_normal((256, 2))
         ab = sched.alpha_bars[t][:, None]
         z_t = np.sqrt(ab) * z0 + np.sqrt(1 - ab) * eps
-        loss, _ = loss_and_grads(params, z_t, t, None, eps)
+        loss, _ = loss_and_grads(params, z_t, t, eps)
         init_losses.append(loss)
     _, trace = train_denoiser(
         params, src, sched,

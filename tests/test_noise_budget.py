@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import diffsemcom as dsc
-from diffsemcom.channel import ChannelConfig, effective_noise_var, snr_to_noise_var
+from diffsemcom.channel import ChannelConfig
 from diffsemcom.errors import ParameterError
 from diffsemcom.noise_budget import SplitConfig, validate_prop1
 from instruments import standard_normal_mixture
@@ -155,7 +155,7 @@ def test_remark3_bound_provable_regime(sched, plan50):
     for gamma in (1.0, 0.97, 0.92):
         floor = (1 - gamma**2) * (1 - sched.alpha_bars[t1])
         for snr_db in (0.0, 5.0, 10.0, 15.0, 20.0):
-            sigma_eff2 = dsc.snr_to_noise_var(snr_db) / 2
+            sigma_eff2 = ChannelConfig(snr_db, "complex_paper").noise_var
             if sigma_eff2 < floor:
                 continue
             b = dsc.compute_noise_budget(sched, plan50, split, gamma, sigma_eff2)
@@ -257,7 +257,7 @@ def _serial_moments(sched, plan, split, channel_cfg, source, n_samples, rng, chu
     t1 = plan.training_step(split.t_f1)
     tf = plan.training_step(split.t_f)
     r = float(ab[tf] / ab[t1])
-    sigma_eff2 = effective_noise_var(snr_to_noise_var(channel_cfg.snr_db), channel_cfg.model)
+    sigma_eff2 = channel_cfg.noise_var
     n_chunks = (n_samples + chunk - 1) // chunk
     kids = rng.spawn(1 + n_chunks)
     z0 = dsc.gmm_sample(source, 1, kids[0])[0]

@@ -91,9 +91,10 @@ def test_receive_decode_t_b_zero_only_for_empty_split(sched, plan50, std_normal_
     y = np.ones(8)
     cfg0 = PipelineConfig(t_f1=0, t_f2=0, t_b=0)
     assert np.array_equal(receive_decode(y, cfg0, sched, plan50, den, 0), y)
-    cfg_bad = PipelineConfig(t_f1=5, t_f2=0, t_b=0)
-    with pytest.raises(ConfigError):
-        receive_decode(y, cfg_bad, sched, plan50, den, 0)
+    # a config cannot hold t_b = 0 on a non-empty split; a depth passed in can
+    cfg_auto = PipelineConfig(t_f1=5, t_f2=0, t_b="auto")
+    with pytest.raises(ConfigError, match="resolved t_b = 0 is only valid for an empty split"):
+        receive_decode(y, cfg_auto, sched, plan50, den, 0)
     # any other depth outside the plan is the plan's error
     for t_b in (-1, plan50.k + 1):
         with pytest.raises(ParameterError):
@@ -150,7 +151,7 @@ def test_single_gaussian_encode_decode_match_closed_form(sched, plan50, mu, v, t
     assert _max_rel_err(gamma, want_gamma) <= 1e-12
     assert _max_rel_err(values, want_gamma[:, None] * z_t1) <= 1e-12
 
-    y = dsc.awgn_apply(values, 0.3, rng, "real_simplified")
+    y = dsc.awgn_apply(values, ChannelConfig(-10.0 * np.log10(0.3), "real_simplified"), rng)
     out = receive_decode(y, cfg, sched, plan50, den, t_b)
     a2, b2 = _affine_ddim(sched, mu, v, [plan50.training_step(t_f1)]
                           + plan50.ascending_steps(t_f1, t_f))
@@ -176,7 +177,8 @@ def test_single_gaussian_trial_mse_within_clt_band_of_conditional_mean(sched, pl
         model = ("complex_paper", "real_simplified")[seed // 2 % 2]
         src = dsc.GaussianMixtureModel(np.ones(1), mu[None, :], v[None, :])
         cfg = PipelineConfig(t_f1=t_f1, t_f2=t_f2, t_b=t_b)
-        res = run_trial(cfg, ChannelConfig(snr_db, model), src, sched, plan50,
+        channel = ChannelConfig(snr_db, model)
+        res = run_trial(cfg, channel, src, sched, plan50,
                         dsc.GmmDenoiser(src, sched), n, dsc.stream(4, seed))
 
         t_f, t_b = t_f1 + t_f2, res.t_b_resolved
@@ -188,8 +190,7 @@ def test_single_gaussian_trial_mse_within_clt_band_of_conditional_mean(sched, pl
         gamma = res.gamma[:, None]
         det = (a3 * a2 * gamma * a1 - 1.0) * res.z0 + a3 * a2 * gamma * b1 + a3 * b2 + b3
         # the decoded channel noise's variance, per entry
-        var = np.broadcast_to((a3 * a2) ** 2, det.shape) * dsc.effective_noise_var(
-            dsc.snr_to_noise_var(snr_db), model)
+        var = np.broadcast_to((a3 * a2) ** 2, det.shape) * channel.noise_var
         want = float(np.mean(det**2 + var))
         std = float(np.sqrt(np.sum(4.0 * det**2 * var + 2.0 * var**2))) / det.size
         residuals.append((res.metrics.mse - want) / std)
@@ -219,11 +220,10 @@ def test_run_trial_decodes_through_receive_decode(sched, plan50, bimodal_8, t_f1
     k_src, _k_tx, k_ch, k_rx = dsc.stream(2, seed).spawn(4)
     z0 = dsc.gmm_sample(bimodal_8, 4, k_src)
     values, gamma = encode_transmit(z0, cfg, sched, plan50, den)
-    sigma_ch2 = dsc.snr_to_noise_var(AT5.snr_db)
-    y = dsc.awgn_apply(values, sigma_ch2, k_ch, AT5.model)
+    y = dsc.awgn_apply(values, AT5, k_ch)
     if t_b == "auto":
         budget = dsc.compute_noise_budget(sched, plan50, cfg.split, float(np.mean(gamma)),
-                                          dsc.effective_noise_var(sigma_ch2, AT5.model))
+                                          AT5.noise_var)
         t_b = dsc.select_denoise_steps(sched, plan50, budget.sigma_tot2).t_b
     assert res.t_b_resolved == t_b
     assert np.array_equal(res.z_tilde0, receive_decode(y, cfg, sched, plan50, den, t_b,
