@@ -4,11 +4,13 @@ grids, the budget validator command, training, and CSV reporting.
 Every cell of a grid derives its RNG stream from (master_seed, seed) only,
 so paired arms (proposed vs baseline, auto vs forced depth, split variants)
 and different SNR points share source draws and channel noise direction.
-Rows are written in cell order; parallel and serial execution produce
-byte-identical CSV files.  A cell is the plain call ``run_cell(cfg, objects,
-cell)`` on the objects its command built once.  A pool worker keeps the
+A grid runs one task per seed: the seed's cells in cell order, sharing one
+``SeedMemo``, so what they share is computed once.  Rows are written in cell
+order; parallel and serial execution produce byte-identical CSV files.  A
+cell is the plain call ``run_cell(cfg, objects, cell)`` on the objects its
+command built once, with the seed's memo appended.  A pool worker keeps the
 ``(cfg, objects)`` its initializer receives (a forked worker shares them
-without a copy), so each task sends only its Cell.
+without a copy), so each task sends only its seed's Cells.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .denoisers import GaussianMixtureModel, GmmDenoiser
 from .errors import ConfigError, ParameterError
 from .mlp import MlpDenoiser, init_mlp, load_checkpoint, save_checkpoint, train_denoiser
 from .noise_budget import validate_prop1
-from .pipeline import run_baseline_random_noise, run_trial
+from .pipeline import SeedMemo, run_baseline_random_noise, run_trial
 from .rng import stream
 from .schedule import BETA_END, BETA_START, K_STEPS, T_TRAIN, build_schedule, make_stride_plan
 
@@ -138,14 +140,16 @@ class Cell:
 
 
 def run_cell(cfg: ExperimentConfig, objects, cell: Cell) -> ResultRow:
-    """One grid cell on ``objects``, the command's ``build_objects(cfg)``."""
-    schedule, plan, source, denoiser = objects
+    """One grid cell on ``objects``: the command's ``build_objects(cfg)`` and
+    the SeedMemo of cell.seed's cells."""
+    schedule, plan, source, denoiser, memo = objects
     pipe_cfg = replace(cfg.pipeline, t_f1=cell.t_f1, t_f2=cell.t_f2, t_b=cell.t_b)
     baseline = cell.system == "random_noise"
     run = run_baseline_random_noise if baseline else run_trial
     channel = replace(cfg.channel, snr_db=float(cell.snr_db))
     rng = stream(cfg.run.seed, _SALT_CELL, cell.seed)
-    result = run(pipe_cfg, channel, source, schedule, plan, denoiser, cfg.sweep.n_per_cell, rng)
+    result = run(pipe_cfg, channel, source, schedule, plan, denoiser, cfg.sweep.n_per_cell, rng,
+                 memo=memo)
     return ResultRow(
         snr_db=float(cell.snr_db),
         t_f1=cell.t_f1,
@@ -209,33 +213,48 @@ def _init_worker(cfg, objects):
     _worker_args = (cfg, objects)
 
 
-def _run_worker_cell(cell: Cell) -> ResultRow:
-    return run_cell(*_worker_args, cell)
+def _run_seed(cfg: ExperimentConfig, objects, cells) -> list[ResultRow]:
+    """One seed's cells in order, on one SeedMemo that is freed when they end."""
+    objects = (*objects, SeedMemo())
+    return [run_cell(cfg, objects, cell) for cell in cells]
+
+
+def _run_worker_seed(cells) -> list[ResultRow]:
+    return _run_seed(*_worker_args, cells)
 
 
 def _run_grid(cfg: ExperimentConfig, cells, out_dir, csv_name):
-    """Run cells (on a pool of up to cfg.run.jobs workers), writing rows in cell order.
+    """Run cells, one task per seed (on a pool of up to cfg.run.jobs workers,
+    at most one per seed), writing rows in cell order.
 
-    Builds the objects before it creates out_dir.  Each row is flushed as it
-    arrives, and a failed cell stops the loop (the pool's map cancels the
-    cells that have not started).
+    Builds the objects before it creates out_dir.  Each row is flushed once
+    every row before it is in, and a failed cell stops the loop (the pool's
+    map cancels the seeds that have not started).
     """
     objects = build_objects(cfg)
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, csv_name)
-    workers = min(cfg.run.jobs, len(cells))
-    rows: list[ResultRow] = []
+    by_seed: dict[int, list[int]] = {}  # each seed's cell indices, seeds in order of first cell
+    for i, cell in enumerate(cells):
+        by_seed.setdefault(cell.seed, []).append(i)
+    tasks = [[cells[i] for i in indices] for indices in by_seed.values()]
+    workers = min(cfg.run.jobs, len(tasks))
+    rows: list[ResultRow | None] = [None] * len(cells)
+    written = 0
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fh, ExitStack() as stack:
         fh.write(RESULT_HEADER + "\n")
-        mapper, task = map, functools.partial(run_cell, cfg, objects)
+        mapper, task = map, functools.partial(_run_seed, cfg, objects)
         if workers > 1:
             mapper, task = stack.enter_context(ProcessPoolExecutor(
                 max_workers=workers, initializer=_init_worker,
-                initargs=(cfg, objects))).map, _run_worker_cell
-        for row in mapper(task, cells):
-            fh.write(row_to_csv(row) + "\n")
+                initargs=(cfg, objects))).map, _run_worker_seed
+        for indices, seed_rows in zip(by_seed.values(), mapper(task, tasks)):
+            for i, row in zip(indices, seed_rows):
+                rows[i] = row
+            while written < len(rows) and rows[written] is not None:
+                fh.write(row_to_csv(rows[written]) + "\n")
+                written += 1
             fh.flush()
-            rows.append(row)
     return rows, csv_path
 
 

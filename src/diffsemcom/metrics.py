@@ -21,6 +21,9 @@ import numpy as np
 
 from .errors import DegenerateInputError, ParameterError
 
+# The projections of metric_report's sliced_w2.
+SW2_PROJECTIONS = 128
+
 
 @dataclass(frozen=True)
 class MetricReport:
@@ -39,14 +42,53 @@ def mse(a, b) -> float:
     return float(np.mean((a - b) ** 2))
 
 
+def unit_directions(n_projections, d, rng) -> np.ndarray:
+    """n_projections random unit directions in R^d, one per row."""
+    dirs = rng.standard_normal((int(n_projections), d))
+    norms = np.linalg.norm(dirs, axis=1, keepdims=True)
+    norms[norms == 0.0] = 1.0
+    dirs /= norms
+    return dirs
+
+
+class Reference:
+    """A finite batch y that others are measured against (a grid seed's source
+    batch), with the terms of y alone that the metrics read, each computed on
+    first use: its variance (nmse's denominator), its sorted projections on
+    ``dirs`` (the sliced_w2 directions it brings, if any), its squared row
+    norms and its within-batch squared distances (the MMD's)."""
+
+    def __init__(self, batch, dirs=None):
+        self.batch = np.atleast_2d(np.asarray(batch, dtype=float))
+        _require_finite(self.batch)
+        self.dirs = dirs
+
+    @functools.cached_property
+    def variance(self):
+        return np.mean(np.var(self.batch, axis=0))
+
+    @functools.cached_property
+    def projections(self):
+        return np.sort(self.batch @ self.dirs.T, axis=0)
+
+    @functools.cached_property
+    def norms(self):
+        return np.sum(self.batch * self.batch, axis=1)
+
+    @functools.cached_property
+    def sq_dists(self):
+        return _sq_dists(self.batch, self.norms, self.batch, self.norms)
+
+
 def sliced_w2(x, y, n_projections, rng) -> float:
     """Sliced 2-Wasserstein distance between two equal-size sample batches.
 
     Averages, over random unit directions, the squared 1-D distance between
-    sorted projections, then takes the square root.
+    sorted projections, then takes the square root.  A Reference y that
+    brings its n_projections directions is projected once, and rng draws none.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = np.atleast_2d(np.asarray(y, dtype=float))
+    ref = y if isinstance(y, Reference) else Reference(y)
+    x, y = np.atleast_2d(np.asarray(x, dtype=float)), ref.batch
     if x.size == 0 or y.size == 0:
         raise ParameterError("batches must be non-empty")
     if x.shape[1] != y.shape[1]:
@@ -57,15 +99,14 @@ def sliced_w2(x, y, n_projections, rng) -> float:
         )
     if n_projections < 1:
         raise ParameterError(f"need at least one projection, got {n_projections}")
-    _require_finite(x, y)
-    d = x.shape[1]
-    dirs = rng.standard_normal((int(n_projections), d))
-    norms = np.linalg.norm(dirs, axis=1, keepdims=True)
-    norms[norms == 0.0] = 1.0
-    dirs /= norms
-    px = np.sort(x @ dirs.T, axis=0)
-    py = np.sort(y @ dirs.T, axis=0)
-    return float(np.sqrt(np.mean((px - py) ** 2)))
+    _require_finite(x)
+    if ref.dirs is None:
+        ref = Reference(y, unit_directions(n_projections, x.shape[1], rng))
+    elif len(ref.dirs) != n_projections:
+        raise ParameterError(f"the reference brings {len(ref.dirs)} directions, "
+                             f"not {n_projections}")
+    px = np.sort(x @ ref.dirs.T, axis=0)
+    return float(np.sqrt(np.mean((px - ref.projections) ** 2)))
 
 
 def median_bandwidth(x, y) -> float:
@@ -134,27 +175,31 @@ def mmd2_unbiased(x, y, bandwidth=None) -> float:
     """Unbiased squared MMD with a Gaussian kernel exp(-||a-b||^2 / 2h^2).
 
     U-statistic form; can be slightly negative under the null by
-    construction.  bandwidth=None uses the pooled median heuristic.
+    construction.  bandwidth=None uses the pooled median heuristic.  y may be
+    a Reference, whose within-y distances are kept and not overwritten.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = np.atleast_2d(np.asarray(y, dtype=float))
+    ref = y if isinstance(y, Reference) else Reference(y)
+    x, y = np.atleast_2d(np.asarray(x, dtype=float)), ref.batch
     n, m = x.shape[0], y.shape[0]
     if n < 2 or m < 2:
         raise ParameterError(f"need at least 2 samples per batch, got {n} and {m}")
     if x.shape[1] != y.shape[1]:
         raise ParameterError(f"dimension mismatch: {x.shape[1]} vs {y.shape[1]}")
-    _require_finite(x, y)
-    blocks = _block_sq_dists(x, y)
+    _require_finite(x)
+    xn = np.sum(x * x, axis=1)
+    sxx, sxy = _sq_dists(x, xn, x, xn), _sq_dists(x, xn, y, ref.norms)
     if bandwidth is None:
-        bandwidth = _median_distance(*blocks)
+        bandwidth = _median_distance(sxx, ref.sq_dists, sxy)
     if not (bandwidth > 0 and np.isfinite(bandwidth)):
         raise ParameterError(f"bandwidth must be positive and finite, got {bandwidth}")
     neg_h2 = -2.0 * bandwidth * bandwidth
-    # Each block is fresh and contiguous: its sum adds in a fixed order.
-    for block in blocks:
-        np.divide(block, neg_h2, out=block)
+    # Each block is fresh and contiguous: its sum adds in a fixed order.  The
+    # yy block is a copy, as the reference keeps its distances.
+    kxx = np.divide(sxx, neg_h2, out=sxx)
+    kxy = np.divide(sxy, neg_h2, out=sxy)
+    kyy = np.divide(ref.sq_dists, neg_h2)
+    for block in (kxx, kyy, kxy):
         np.exp(block, out=block)
-    kxx, kyy, kxy = blocks
     np.fill_diagonal(kxx, 0.0)
     np.fill_diagonal(kyy, 0.0)
     return float(
@@ -164,14 +209,17 @@ def mmd2_unbiased(x, y, bandwidth=None) -> float:
 
 def metric_report(decoded, source_batch, rng) -> MetricReport:
     """Distortion + distribution metrics of a decoded batch against its source:
-    sw2 over 128 projections, MMD^2 at the median-heuristic bandwidth.  A metric
-    that is not finite (an overflow, or an nmse over a source batch of zero
-    variance) raises DegenerateInputError, whatever the warnings filter."""
+    sw2 over 128 projections, MMD^2 at the median-heuristic bandwidth.  The
+    source may be a Reference that brings the 128 directions; rng then draws
+    none.  A metric that is not finite (an overflow, or an nmse over a source
+    batch of zero variance) raises DegenerateInputError, whatever the
+    warnings filter."""
+    ref = source_batch if isinstance(source_batch, Reference) else Reference(source_batch)
     with np.errstate(all="ignore"):
-        m = mse(decoded, source_batch)
-        report = MetricReport(mse=m, nmse=float(m / np.mean(np.var(source_batch, axis=0))),
-                              sw2=sliced_w2(decoded, source_batch, 128, rng),
-                              mmd2=mmd2_unbiased(decoded, source_batch))
+        m = mse(decoded, ref.batch)
+        report = MetricReport(mse=m, nmse=float(m / ref.variance),
+                              sw2=sliced_w2(decoded, ref, SW2_PROJECTIONS, rng),
+                              mmd2=mmd2_unbiased(decoded, ref))
     for name, value in vars(report).items():
         if not np.isfinite(value):
             raise DegenerateInputError(f"metric {name} is not finite ({value})")

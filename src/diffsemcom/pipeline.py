@@ -9,9 +9,12 @@ T_B > T_F means the decoder deliberately starts from a higher nominal noise
 level than the latent's tag; that is the noise-level matching under channel
 noise.  The receiver's forward leg (T_F1 -> T_F) follows the system, not a
 config key: the proposed receiver inverts, the baseline's adds fresh noise.
-There is one decode path, ``receive_decode``: ``run_trial`` resolves T_B
-from the noise budget and passes the depth to it.  Every DDIM step, in
-either leg or the decoder, makes one unconditional denoiser call.
+There is one decode path, ``receive_decode``: the forward leg, then
+``decode_at`` from the retag on.  ``run_trial`` resolves T_B from the noise
+budget and passes the depth to it, and shares with the trials of its seed,
+through a ``SeedMemo``, what does not depend on the SNR, depth or system.
+Every DDIM step, in either leg or the decoder, makes one unconditional
+denoiser call.
 ``PipelineConfig`` is a config file's ``[pipeline]`` section; the channel is
 a separate argument.
 
@@ -22,6 +25,7 @@ and the receiver adds the whole forward noise (``run_baseline_random_noise``).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -30,7 +34,7 @@ from .channel import ChannelConfig, awgn_apply, power_normalize
 from .denoisers import gmm_sample
 from .diffusion import Latent, forward_reparam, run_ddim_invert, run_ddim_sample
 from .errors import ConfigError
-from .metrics import MetricReport, metric_report
+from .metrics import SW2_PROJECTIONS, MetricReport, Reference, metric_report, unit_directions
 from .noise_budget import NoiseBudget, SplitConfig, compute_noise_budget, select_denoise_steps
 from .schedule import K_STEPS
 
@@ -100,28 +104,65 @@ def receive_decode(y, cfg: PipelineConfig, schedule, plan, denoiser, t_b,
                    rng=None) -> np.ndarray:
     """Receiver: forward continuation, retag at the resolved depth t_b, DDIM sampling."""
     z_hat = receiver_forward(y, cfg, schedule, plan, denoiser, rng)
+    return decode_at(z_hat, cfg, schedule, plan, denoiser, t_b)
+
+
+def decode_at(z_hat: Latent, cfg: PipelineConfig, schedule, plan, denoiser, t_b) -> np.ndarray:
+    """The receiver from its forward leg's latent on: retag at t_b, DDIM sampling."""
     if t_b == 0 and cfg.split.t_f != 0:
         raise ConfigError("resolved t_b = 0 is only valid for an empty split")
     z = Latent(z_hat.values, plan.training_step(t_b))
     return run_ddim_sample(schedule, z, plan.descending_plan(t_b), denoiser).values
 
 
+class SeedMemo:
+    """What the trials on one stream key, source, n and set of objects share,
+    made by the first trial that needs it and kept, except that only the last
+    receiver forward leg is kept (a grid runs the trials that share one leg
+    in a row)."""
+
+    def __init__(self):
+        self._kept = {}
+        self._last = None, None
+
+    def kept(self, key, make):
+        if key not in self._kept:
+            self._kept[key] = make()
+        return self._kept[key]
+
+    def last(self, key, make):
+        if self._last[0] != key:
+            self._last = None, None  # free the previous leg before making the next
+            self._last = key, make()
+        return self._last[1]
+
+
+@functools.lru_cache(maxsize=8)
+def _metric_dirs(d):
+    """metric_report's projection directions in R^d, fixed so that identical
+    runs report identical metrics (shared, so read-only)."""
+    dirs = unit_directions(SW2_PROJECTIONS, d, np.random.default_rng(METRIC_SEED))
+    dirs.flags.writeable = False
+    return dirs
+
+
 def run_trial(cfg: PipelineConfig, channel: ChannelConfig, source, schedule, plan,
-              denoiser, n, rng, fresh_noise=False) -> TrialResult:
+              denoiser, n, rng, fresh_noise=False, memo=None) -> TrialResult:
     """Draw n source latents and push them through the full pipeline.
 
     The generator is split into fixed-purpose substreams (source, transmitter
     noise, channel, receiver noise) so that two configurations driven by
     identically-keyed streams share their source draws and channel noise.
     Only a ``fresh_noise`` receiver leg draws from the receiver stream.
+    ``memo`` is the SeedMemo of the trials on rng's key (a fresh one if None).
     """
+    memo = SeedMemo() if memo is None else memo
     # The transmitter draws nothing since it always inverts; its stream is
     # still spawned so that the channel and receiver streams keep their keys.
     k_src, _k_tx, k_ch, k_rx = rng.spawn(4)
-    z0 = gmm_sample(source, n, k_src)
-
-    x, gamma = encode_transmit(z0, cfg, schedule, plan, denoiser)
-    y = awgn_apply(x, channel, k_ch)
+    z0 = memo.kept("z0", lambda: gmm_sample(source, n, k_src))
+    x, gamma = memo.kept(("x", cfg.split.t_f1),
+                         lambda: encode_transmit(z0, cfg, schedule, plan, denoiser))
 
     budget = compute_noise_budget(schedule, plan, cfg.split, float(np.mean(gamma)),
                                   channel.noise_var)
@@ -129,10 +170,13 @@ def run_trial(cfg: PipelineConfig, channel: ChannelConfig, source, schedule, pla
     if t_b == "auto":
         sel = select_denoise_steps(schedule, plan, budget.sigma_tot2)
         t_b, saturated = sel.t_b, sel.saturated
-    z_tilde0 = receive_decode(y, cfg, schedule, plan, denoiser, int(t_b),
-                              k_rx if fresh_noise else None)
+    z_hat = memo.last((cfg.split, channel, fresh_noise), lambda: receiver_forward(
+        awgn_apply(x, channel, k_ch), cfg, schedule, plan, denoiser,
+        k_rx if fresh_noise else None))
+    z_tilde0 = decode_at(z_hat, cfg, schedule, plan, denoiser, int(t_b))
 
-    metrics = metric_report(z_tilde0, z0, np.random.default_rng(METRIC_SEED))
+    reference = memo.kept("reference", lambda: Reference(z0, _metric_dirs(source.d)))
+    metrics = metric_report(z_tilde0, reference, None)
     return TrialResult(
         z0=z0, gamma=gamma, z_tilde0=z_tilde0, budget=budget, metrics=metrics,
         t_b_resolved=int(t_b), saturated=saturated,
@@ -140,7 +184,7 @@ def run_trial(cfg: PipelineConfig, channel: ChannelConfig, source, schedule, pla
 
 
 def run_baseline_random_noise(cfg: PipelineConfig, channel: ChannelConfig, source,
-                              schedule, plan, denoiser, n, rng) -> TrialResult:
+                              schedule, plan, denoiser, n, rng, memo=None) -> TrialResult:
     """Table-I style baseline: transmit z0, add the forward noise at the receiver.
 
     run_trial with every forward step of cfg's split at the receiver, so a
@@ -148,4 +192,5 @@ def run_baseline_random_noise(cfg: PipelineConfig, channel: ChannelConfig, sourc
     proposed pipeline.
     """
     cfg = replace(cfg, t_f1=0, t_f2=cfg.split.t_f)
-    return run_trial(cfg, channel, source, schedule, plan, denoiser, n, rng, fresh_noise=True)
+    return run_trial(cfg, channel, source, schedule, plan, denoiser, n, rng, fresh_noise=True,
+                     memo=memo)

@@ -3,9 +3,12 @@
 Config files are drawn from each section's field metadata: a key with
 ``choices`` takes one of them or an unknown word, any other key a value at
 the edges of its type (0, 1e-300, 1e300, negative values, its ``min`` and
-``max`` and the values just outside them).  Runs stay tiny: d <= 8, one
-seed, one SNR and 2-4 samples per cell for ``sweep`` and ``ablate``, and at
-most the default 20,000 samples for ``verify-prop1``.
+``max`` and the values just outside them, and its default's entries), and a
+list key one or two such values.  Half the files start from a two-component
+source, so a drawn ``weights``, ``means`` or ``variances`` list may leave the
+mixture's lists of unequal lengths.  Runs stay tiny: d <= 8, one seed, one or
+two SNRs and 2-4 samples per cell for ``sweep`` and ``ablate``, and at most
+the default 20,000 samples for ``verify-prop1``.
 """
 
 import contextlib
@@ -41,18 +44,20 @@ RUNTIME_FAILURES = re.compile(r"error: metric (mse|nmse|sw2|mmd2) is not finite"
 
 
 def _edge_values(f):
-    """Edge values of a section field, from its annotation and metadata."""
+    """Edge values of a section field, from its annotation and metadata; a
+    list field's lists of one or two of them."""
     if "choices" in f.metadata:
         return st.sampled_from((*f.metadata["choices"], "bogus"))
     low, high = f.metadata.get("min"), f.metadata.get("max")
     edges = (() if low is None else (low, low - 1)) + (() if high is None else (high, high + 1))
-    if not isinstance(f.default, tuple):
-        edges += (f.default,)
+    edges += f.default if isinstance(f.default, tuple) else (f.default,)
     if f.type in ("int", "tuple[int, ...]"):
-        return st.sampled_from((0, -1, *edges))
-    if f.type in ("float", "tuple[float, ...]"):
-        return st.sampled_from((*FLOAT_EDGES, *edges))
-    return st.booleans() if f.type == "bool" else None
+        values = st.sampled_from((0, -1, *edges))
+    elif f.type in ("float", "tuple[float, ...]"):
+        values = st.sampled_from((*FLOAT_EDGES, *edges))
+    else:
+        return st.booleans() if f.type == "bool" else None
+    return st.lists(values, min_size=1, max_size=2) if f.type.startswith("tuple") else values
 
 
 KEYS = {(section.name, f.name): SIZED.get((section.name, f.name), _edge_values(f))
@@ -62,9 +67,12 @@ KEYS = {key: values for key, values in KEYS.items() if values is not None}
 
 BASE = {"source": {"dimension": 8},
         "sweep": {"snr_db": 5, "seeds": 0, "n_per_cell": 4}}
+TWO_COMPONENTS = {"weights": [0.5, 0.5], "means": [0.9, -0.9], "variances": [0.05, 0.75]}
 
 
 def _render(value):
+    if isinstance(value, list):
+        return " ".join(_render(v) for v in value)
     if isinstance(value, bool):
         return "true" if value else "false"
     return repr(value) if isinstance(value, float) else str(value)
@@ -73,6 +81,8 @@ def _render(value):
 @st.composite
 def config_texts(draw):
     sections = {name: dict(keys) for name, keys in BASE.items()}
+    if draw(st.booleans()):
+        sections["source"].update(TWO_COMPONENTS)
     for section, key in draw(st.lists(st.sampled_from(sorted(KEYS)), max_size=3, unique=True)):
         sections.setdefault(section, {})[key] = draw(KEYS[section, key])
     return "".join(f"[{name}]\n" + "".join(f"{k} = {_render(v)}\n" for k, v in keys.items())

@@ -1,5 +1,6 @@
 import os
 import time
+import tracemalloc
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -9,10 +10,14 @@ import numpy as np
 import pytest
 
 from diffsemcom import cli, harness, pipeline, svgplot
-from diffsemcom.config import ExperimentConfig, SourceSpec
+from diffsemcom.config import ExperimentConfig, SourceSpec, parse_config
 from diffsemcom.errors import ConfigError, ParameterError
 from diffsemcom.harness import RESULT_HEADER, ResultRow
 from diffsemcom.mlp import init_mlp, load_checkpoint, save_checkpoint
+from diffsemcom.rng import stream
+
+BIMODAL_INI = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "configs",
+                           "bimodal.ini")
 
 
 def small_cfg(**kw):
@@ -82,8 +87,128 @@ def test_two_component_parallel_matches_serial(tmp_path, command):
     assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
+def _reference_rows(cfg, cells):
+    """(cell, trial values) per cell: one run_trial or baseline call each, on
+    its own stream and with nothing shared between cells."""
+    schedule, plan, source, denoiser = harness.build_objects(cfg)
+    out = []
+    for snr, seed, system, t_f1, t_f2, t_b in cells:
+        run = pipeline.run_baseline_random_noise if system == "random_noise" else pipeline.run_trial
+        res = run(replace(cfg.pipeline, t_f1=t_f1, t_f2=t_f2, t_b=t_b),
+                  replace(cfg.channel, snr_db=snr), source, schedule, plan, denoiser,
+                  cfg.sweep.n_per_cell, stream(cfg.run.seed, harness._SALT_CELL, seed))
+        out.append(((snr, seed, system, t_f1, t_f2), (
+            res.t_b_resolved, res.saturated, res.budget.sigma_tot2, res.budget.gamma_used,
+            *vars(res.metrics).values())))
+    return out
+
+
+def _row_values(rows):
+    return [((r.snr_db, r.seed, r.system, r.t_f1, r.t_f2),
+             (r.t_b_resolved, r.saturated, r.sigma_tot2, r.gamma_mean, r.mse, r.nmse, r.sw2,
+              r.mmd2)) for r in rows]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_seed_grouped_grid_matches_a_loop_of_independent_trials(tmp_path, jobs):
+    # a grid shares each seed's source batch, encodes, receiver legs and
+    # metric terms between its cells; the rows are those of independent trials
+    cfg = with_jobs(small_cfg(), jobs)
+    cfg = replace(cfg, sweep=replace(cfg.sweep, seeds=(0, 1, 2)))
+    p = cfg.pipeline
+    sweep_cells = [(snr, seed, system, p.t_f1, p.t_f2, p.t_b) for snr in cfg.sweep.snr_db
+                   for seed in cfg.sweep.seeds for system in ("proposed", "random_noise")]
+    ablate_cells = []
+    for seed in cfg.sweep.seeds:
+        for t_f1, t_f2 in harness.ABLATION_SPLITS:
+            ablate_cells += [(cfg.channel.snr_db, seed, "proposed", t_f1, t_f2, t_f1 + t_f2),
+                             (cfg.channel.snr_db, seed, "proposed", t_f1, t_f2, "auto")]
+        ablate_cells.append((cfg.channel.snr_db, seed, "random_noise", 5, 5, "auto"))
+    sweep_rows, _ = harness.cmd_sweep(cfg, tmp_path / "sweep")
+    ablate_rows, _ = harness.cmd_ablate(cfg, tmp_path / "ablate")
+    assert len(sweep_rows) == 2 * 3 * 2 and len(ablate_rows) == 3 * 7
+    assert _row_values(sweep_rows) == _reference_rows(cfg, sweep_cells)
+    assert _row_values(ablate_rows) == _reference_rows(cfg, ablate_cells)
+
+
+@pytest.mark.parametrize("command, saved", [(harness.cmd_sweep, 400), (harness.cmd_ablate, 600)])
+def test_seed_grouped_grid_computes_shared_work_once(tmp_path, monkeypatch, command, saved):
+    # bimodal.ini's grid (at a smaller n): the source is drawn once per seed,
+    # encoded once per (seed, T_F1) and forwarded by the receiver once per
+    # (seed, split, SNR, system); the denoiser calls fall by exactly the
+    # shared steps against one full trial per cell
+    cfg = parse_config(BIMODAL_INI)
+    cfg = replace(cfg, sweep=replace(cfg.sweep, n_per_cell=16, plot=False))
+    calls = {"sample": [], "encode": [], "forward": [], "predict": 0}
+    cell = {}
+    real = {name: getattr(pipeline, name)
+            for name in ("gmm_sample", "encode_transmit", "receiver_forward")}
+    real_run_cell, real_predict = harness.run_cell, harness.GmmDenoiser.predict
+
+    def run_cell(cfg_, objects, c):
+        cell["now"] = c
+        return real_run_cell(cfg_, objects, c)
+
+    def gmm_sample(*args, **kwargs):
+        calls["sample"].append(cell["now"].seed)
+        return real["gmm_sample"](*args, **kwargs)
+
+    def encode_transmit(z0, pipe_cfg, *args):
+        calls["encode"].append((cell["now"].seed, pipe_cfg.t_f1))
+        return real["encode_transmit"](z0, pipe_cfg, *args)
+
+    def receiver_forward(y, pipe_cfg, *args):
+        c = cell["now"]
+        calls["forward"].append((c.seed, c.t_f1, c.t_f2, c.snr_db, c.system))
+        return real["receiver_forward"](y, pipe_cfg, *args)
+
+    def predict(self, z, t):
+        calls["predict"] += 1
+        return real_predict(self, z, t)
+
+    monkeypatch.setattr(harness, "run_cell", run_cell)
+    for name, fake in (("gmm_sample", gmm_sample), ("encode_transmit", encode_transmit),
+                       ("receiver_forward", receiver_forward)):
+        monkeypatch.setattr(pipeline, name, fake)
+    monkeypatch.setattr(harness.GmmDenoiser, "predict", predict)
+    rows, _ = command(cfg, tmp_path)
+
+    seeds = list(cfg.sweep.seeds)
+    assert calls["sample"] == seeds
+    encodes = {(r.seed, r.t_f1 if r.system == "proposed" else 0) for r in rows}
+    assert sorted(calls["encode"]) == sorted(encodes)
+    legs = {(r.seed, r.t_f1, r.t_f2, r.snr_db, r.system) for r in rows}
+    assert sorted(calls["forward"]) == sorted(legs)
+    per_cell = sum(r.t_b_resolved + (r.t_f1 + r.t_f2 if r.system == "proposed" else 0)
+                   for r in rows)
+    assert per_cell - calls["predict"] == saved
+
+
+def _sweep_peak_traced_memory(tmp_path, seeds):
+    cfg = small_cfg()
+    cfg = replace(cfg, source=replace(cfg.source, dimension=64),
+                  sweep=replace(cfg.sweep, snr_db=(5.0,), seeds=seeds, n_per_cell=256))
+    tracemalloc.start()
+    try:
+        harness.cmd_sweep(cfg, tmp_path / f"seeds{len(seeds)}")
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_seed_memo_freed_when_its_seed_ends(tmp_path):
+    # a seed's shared state (over 1 MiB at n = 256, d = 64) is freed before
+    # the next seed starts: four seeds peak no higher than one, up to 64 KiB
+    # of rows and bookkeeping
+    _sweep_peak_traced_memory(tmp_path / "warm", (0,))  # fills the module caches
+    one = _sweep_peak_traced_memory(tmp_path, (0,))
+    four = _sweep_peak_traced_memory(tmp_path, (0, 1, 2, 3))
+    assert four <= one + 64 * 1024, (one, four)
+
+
 def test_pool_capped_at_cell_count(tmp_path, monkeypatch):
-    # --jobs above the grid size forks no idle workers
+    # a grid runs one task per seed, so --jobs above the seed count forks no
+    # idle workers: one seed runs serially, two seeds on two workers
     sizes = []
 
     class RecordingPool(ProcessPoolExecutor):
@@ -92,12 +217,13 @@ def test_pool_capped_at_cell_count(tmp_path, monkeypatch):
             super().__init__(max_workers, **kwargs)
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
-    cfg = small_cfg()
-    cfg = replace(cfg, sweep=replace(cfg.sweep, snr_db=(5.0,), seeds=(0,)))  # 2 cells
-    _, serial = harness.cmd_sweep(cfg, tmp_path / "serial")
-    _, pooled = harness.cmd_sweep(with_jobs(cfg, 4), tmp_path / "jobs4")
+    for seeds in ((0,), (0, 1)):
+        cfg = small_cfg()
+        cfg = replace(cfg, sweep=replace(cfg.sweep, snr_db=(5.0,), seeds=seeds))  # 2 cells a seed
+        _, serial = harness.cmd_sweep(cfg, tmp_path / f"serial{len(seeds)}")
+        _, pooled = harness.cmd_sweep(with_jobs(cfg, 4), tmp_path / f"jobs4-{len(seeds)}")
+        assert Path(pooled).read_bytes() == Path(serial).read_bytes()
     assert sizes == [2]
-    assert Path(pooled).read_bytes() == Path(serial).read_bytes()
 
 
 _build_log = None  # the file _build_objects_logged appends each caller's pid to
@@ -228,22 +354,23 @@ def test_random_noise_rows_report_cell_split_and_config_modes(tmp_path):
 
 
 def test_partial_rows_flushed_on_abort(tmp_path, monkeypatch):
+    # the sweep is SNR-major and runs seed by seed: a failed cell of seed 1
+    # leaves the rows before seed 1's first cell, seed 0's two 0 dB rows
     cfg = small_cfg()
+    _, full = harness.cmd_sweep(cfg, tmp_path / "full")
     real_run_cell = harness.run_cell
-    calls = {"n": 0}
 
     def exploding(cfg_, objects, cell):
-        calls["n"] += 1
-        if calls["n"] > 3:
+        if (cell.seed, cell.snr_db, cell.system) == (1, 10.0, "proposed"):
             raise RuntimeError("boom")
         return real_run_cell(cfg_, objects, cell)
 
     monkeypatch.setattr(harness, "run_cell", exploding)
     with pytest.raises(RuntimeError):
-        harness.cmd_sweep(cfg, tmp_path)
-    lines = (tmp_path / "sweep.csv").read_text().splitlines()
-    assert lines[0] == RESULT_HEADER
-    assert len(lines) == 1 + 3  # completed prefix was flushed
+        harness.cmd_sweep(cfg, tmp_path / "aborted")
+    lines = (tmp_path / "aborted" / "sweep.csv").read_text().splitlines()
+    assert lines == Path(full).read_text().splitlines()[:1 + 2]  # the flushed prefix
+    assert [line.split(",")[8] for line in lines[1:]] == ["0", "0"]  # seed 0's rows
 
 
 _started_log = None  # the file _run_cell_failing_at_seed_1 appends each started cell to

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 import diffsemcom as dsc
 from diffsemcom.errors import DegenerateInputError, ParameterError
-from diffsemcom.metrics import _block_sq_dists, _median_distance, median_bandwidth
+from diffsemcom.metrics import (Reference, _block_sq_dists, _median_distance, median_bandwidth,
+                                unit_directions)
 
 
 def _pooled_sq_dists(x, y):
@@ -240,6 +241,22 @@ def test_metrics_reject_non_finite(bad):
             dsc.sliced_w2(a, b, 8, dsc.stream(0, 93))
         with pytest.raises(ParameterError, match="finite"):
             median_bandwidth(a, b)
+
+
+def test_reference_metrics_match_plain_batches_bit_for_bit():
+    # a Reference's cached terms are the ones each metric computes from the
+    # plain batch, and measuring against it leaves them unchanged
+    rng = np.random.default_rng(96)
+    y = rng.standard_normal((32, 6))
+    ref = Reference(y, unit_directions(16, 6, dsc.stream(0, 96)))
+    report_ref = Reference(y, unit_directions(128, 6, dsc.stream(0, 97)))
+    for shift in (0.1, 0.5, 0.1):
+        x = y + shift * rng.standard_normal(y.shape)
+        assert dsc.sliced_w2(x, ref, 16, None) == dsc.sliced_w2(x, y, 16, dsc.stream(0, 96))
+        assert dsc.mmd2_unbiased(x, ref) == dsc.mmd2_unbiased(x, y)
+        assert dsc.metric_report(x, report_ref, None) == dsc.metric_report(x, y, dsc.stream(0, 97))
+    with pytest.raises(ParameterError, match="brings 16 directions, not 8"):
+        dsc.sliced_w2(y, ref, 8, None)
 
 
 def test_metric_report_fields():
