@@ -55,8 +55,9 @@ from .noise_budget import (
 from .pipeline import (
     PipelineConfig,
     TrialResult,
+    decode_at,
     encode_transmit,
-    receive_decode,
+    receiver_forward,
     run_baseline_random_noise,
     run_trial,
 )

@@ -8,9 +8,9 @@ A grid runs one task per seed: the seed's cells in cell order, sharing one
 ``SeedMemo``, so what they share is computed once.  Rows are written in cell
 order; parallel and serial execution produce byte-identical CSV files.  A
 cell is the plain call ``run_cell(cfg, objects, cell)`` on the objects its
-command built once, with the seed's memo appended.  A pool worker keeps the
-``(cfg, objects)`` its initializer receives (a forked worker shares them
-without a copy), so each task sends only its seed's Cells.
+command built once, with the seed's memo appended.  Each seed task carries
+``(cfg, objects)`` and its seed's Cells, so a pool worker keeps no state of
+its own and never builds the objects.
 """
 
 from __future__ import annotations
@@ -93,24 +93,20 @@ def build_source_model(spec: SourceSpec) -> GaussianMixtureModel:
         raise ConfigError(f"invalid source mixture: {exc}") from exc
 
 
-def _check_key_combinations(cfg: ExperimentConfig):
-    """Reject keys that each section accepts but that cannot run together."""
-    d = cfg.source.dimension
-    if cfg.channel.model == "complex_paper" and d % 2:
-        raise ConfigError(
-            f"channel.model = complex_paper needs an even source.dimension, got {d}")
-
-
 def build_objects(cfg: ExperimentConfig, with_denoiser=True):
     """(schedule, plan, source model, denoiser) for a parsed config.
 
     The denoiser is None unless ``with_denoiser``, the analytic one without a
     ``denoiser.checkpoint``, else the MLP that the checkpoint holds (which
-    ``train`` is about to write and ``verify-prop1`` never uses).
+    ``train`` is about to write and ``verify-prop1`` never uses).  Rejects the
+    complex_paper channel on an odd dimension, which each section accepts.
     """
+    d = cfg.source.dimension
+    if cfg.channel.model == "complex_paper" and d % 2:
+        raise ConfigError(
+            f"channel.model = complex_paper needs an even source.dimension, got {d}")
     schedule = build_schedule(T_TRAIN, BETA_START, BETA_END)
     plan = make_stride_plan(schedule, K_STEPS)
-    _check_key_combinations(cfg)
     source = build_source_model(cfg.source)
     if not with_denoiser:
         denoiser = None
@@ -202,25 +198,10 @@ def _single_thread_blas():
                 return
 
 
-# (cfg, objects) of the grid that this pool worker runs; set by the pool's
-# initializer, so only in worker processes.
-_worker_args = None
-
-
-def _init_worker(cfg, objects):
-    global _worker_args
-    _single_thread_blas()
-    _worker_args = (cfg, objects)
-
-
 def _run_seed(cfg: ExperimentConfig, objects, cells) -> list[ResultRow]:
     """One seed's cells in order, on one SeedMemo that is freed when they end."""
     objects = (*objects, SeedMemo())
     return [run_cell(cfg, objects, cell) for cell in cells]
-
-
-def _run_worker_seed(cells) -> list[ResultRow]:
-    return _run_seed(*_worker_args, cells)
 
 
 def _run_grid(cfg: ExperimentConfig, cells, out_dir, csv_name):
@@ -245,9 +226,8 @@ def _run_grid(cfg: ExperimentConfig, cells, out_dir, csv_name):
         fh.write(RESULT_HEADER + "\n")
         mapper, task = map, functools.partial(_run_seed, cfg, objects)
         if workers > 1:
-            mapper, task = stack.enter_context(ProcessPoolExecutor(
-                max_workers=workers, initializer=_init_worker,
-                initargs=(cfg, objects))).map, _run_worker_seed
+            mapper = stack.enter_context(ProcessPoolExecutor(
+                max_workers=workers, initializer=_single_thread_blas)).map
         for indices, seed_rows in zip(by_seed.values(), mapper(task, tasks)):
             for i, row in zip(indices, seed_rows):
                 rows[i] = row

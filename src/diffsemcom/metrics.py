@@ -21,8 +21,10 @@ import numpy as np
 
 from .errors import DegenerateInputError, ParameterError
 
-# The projections of metric_report's sliced_w2.
+# The projections of metric_report's sliced_w2, and the seed of their
+# directions, fixed so that identical runs report identical metrics.
 SW2_PROJECTIONS = 128
+METRIC_SEED = 20318
 
 
 @dataclass(frozen=True)
@@ -51,17 +53,30 @@ def unit_directions(n_projections, d, rng) -> np.ndarray:
     return dirs
 
 
+@functools.lru_cache(maxsize=8)
+def _metric_dirs(d):
+    """metric_report's SW2_PROJECTIONS directions in R^d, drawn from
+    METRIC_SEED (shared, so read-only)."""
+    dirs = unit_directions(SW2_PROJECTIONS, d, np.random.default_rng(METRIC_SEED))
+    dirs.flags.writeable = False
+    return dirs
+
+
 class Reference:
     """A finite batch y that others are measured against (a grid seed's source
     batch), with the terms of y alone that the metrics read, each computed on
     first use: its variance (nmse's denominator), its sorted projections on
-    ``dirs`` (the sliced_w2 directions it brings, if any), its squared row
-    norms and its within-batch squared distances (the MMD's)."""
+    ``dirs`` (the sliced_w2 directions, metric_report's unless given), its
+    squared row norms and its within-batch squared distances (the MMD's)."""
 
     def __init__(self, batch, dirs=None):
         self.batch = np.atleast_2d(np.asarray(batch, dtype=float))
         _require_finite(self.batch)
-        self.dirs = dirs
+        self._dirs = dirs
+
+    @functools.cached_property
+    def dirs(self):
+        return _metric_dirs(self.batch.shape[1]) if self._dirs is None else self._dirs
 
     @functools.cached_property
     def variance(self):
@@ -84,11 +99,13 @@ def sliced_w2(x, y, n_projections, rng) -> float:
     """Sliced 2-Wasserstein distance between two equal-size sample batches.
 
     Averages, over random unit directions, the squared 1-D distance between
-    sorted projections, then takes the square root.  A Reference y that
-    brings its n_projections directions is projected once, and rng draws none.
+    sorted projections, then takes the square root.  rng draws the directions
+    of an array y; a Reference y brings its n_projections directions, is
+    projected once, and rng draws none.
     """
-    ref = y if isinstance(y, Reference) else Reference(y)
-    x, y = np.atleast_2d(np.asarray(x, dtype=float)), ref.batch
+    ref = y if isinstance(y, Reference) else None
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    y = np.atleast_2d(np.asarray(y, dtype=float)) if ref is None else ref.batch
     if x.size == 0 or y.size == 0:
         raise ParameterError("batches must be non-empty")
     if x.shape[1] != y.shape[1]:
@@ -100,7 +117,7 @@ def sliced_w2(x, y, n_projections, rng) -> float:
     if n_projections < 1:
         raise ParameterError(f"need at least one projection, got {n_projections}")
     _require_finite(x)
-    if ref.dirs is None:
+    if ref is None:
         ref = Reference(y, unit_directions(n_projections, x.shape[1], rng))
     elif len(ref.dirs) != n_projections:
         raise ParameterError(f"the reference brings {len(ref.dirs)} directions, "
@@ -207,18 +224,17 @@ def mmd2_unbiased(x, y, bandwidth=None) -> float:
     )
 
 
-def metric_report(decoded, source_batch, rng) -> MetricReport:
-    """Distortion + distribution metrics of a decoded batch against its source:
-    sw2 over 128 projections, MMD^2 at the median-heuristic bandwidth.  The
-    source may be a Reference that brings the 128 directions; rng then draws
-    none.  A metric that is not finite (an overflow, or an nmse over a source
-    batch of zero variance) raises DegenerateInputError, whatever the
-    warnings filter."""
-    ref = source_batch if isinstance(source_batch, Reference) else Reference(source_batch)
+def metric_report(decoded, source) -> MetricReport:
+    """Distortion + distribution metrics of a decoded batch against its source
+    (an array or a Reference): sw2 over the Reference's directions, MMD^2 at the
+    median-heuristic bandwidth.  A metric that is not finite (an overflow, or
+    an nmse over a source batch of zero variance) raises DegenerateInputError,
+    whatever the warnings filter."""
+    ref = source if isinstance(source, Reference) else Reference(source)
     with np.errstate(all="ignore"):
         m = mse(decoded, ref.batch)
         report = MetricReport(mse=m, nmse=float(m / ref.variance),
-                              sw2=sliced_w2(decoded, ref, SW2_PROJECTIONS, rng),
+                              sw2=sliced_w2(decoded, ref, SW2_PROJECTIONS, None),
                               mmd2=mmd2_unbiased(decoded, ref))
     for name, value in vars(report).items():
         if not np.isfinite(value):

@@ -9,8 +9,8 @@ T_B > T_F means the decoder deliberately starts from a higher nominal noise
 level than the latent's tag; that is the noise-level matching under channel
 noise.  The receiver's forward leg (T_F1 -> T_F) follows the system, not a
 config key: the proposed receiver inverts, the baseline's adds fresh noise.
-There is one decode path, ``receive_decode``: the forward leg, then
-``decode_at`` from the retag on.  ``run_trial`` resolves T_B from the noise
+The receiver is ``receiver_forward``'s forward leg, then ``decode_at``, the
+one decoder, from the retag on.  ``run_trial`` resolves T_B from the noise
 budget and passes the depth to it, and shares with the trials of its seed,
 through a ``SeedMemo``, what does not depend on the SNR, depth or system.
 Every DDIM step, in either leg or the decoder, makes one unconditional
@@ -25,7 +25,6 @@ and the receiver adds the whole forward noise (``run_baseline_random_noise``).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -34,13 +33,9 @@ from .channel import ChannelConfig, awgn_apply, power_normalize
 from .denoisers import gmm_sample
 from .diffusion import Latent, forward_reparam, run_ddim_invert, run_ddim_sample
 from .errors import ConfigError
-from .metrics import SW2_PROJECTIONS, MetricReport, Reference, metric_report, unit_directions
+from .metrics import MetricReport, Reference, metric_report
 from .noise_budget import NoiseBudget, SplitConfig, compute_noise_budget, select_denoise_steps
 from .schedule import K_STEPS
-
-# Projection stream for reported sliced-Wasserstein numbers is fixed so that
-# identical runs report identical metrics.
-METRIC_SEED = 20318
 
 
 @dataclass(frozen=True)
@@ -100,13 +95,6 @@ def receiver_forward(y, cfg: PipelineConfig, schedule, plan, denoiser, rng=None)
     return run_ddim_invert(schedule, z, plan.ascending_steps(t_f1, t_f), denoiser)
 
 
-def receive_decode(y, cfg: PipelineConfig, schedule, plan, denoiser, t_b,
-                   rng=None) -> np.ndarray:
-    """Receiver: forward continuation, retag at the resolved depth t_b, DDIM sampling."""
-    z_hat = receiver_forward(y, cfg, schedule, plan, denoiser, rng)
-    return decode_at(z_hat, cfg, schedule, plan, denoiser, t_b)
-
-
 def decode_at(z_hat: Latent, cfg: PipelineConfig, schedule, plan, denoiser, t_b) -> np.ndarray:
     """The receiver from its forward leg's latent on: retag at t_b, DDIM sampling."""
     if t_b == 0 and cfg.split.t_f != 0:
@@ -137,15 +125,6 @@ class SeedMemo:
         return self._last[1]
 
 
-@functools.lru_cache(maxsize=8)
-def _metric_dirs(d):
-    """metric_report's projection directions in R^d, fixed so that identical
-    runs report identical metrics (shared, so read-only)."""
-    dirs = unit_directions(SW2_PROJECTIONS, d, np.random.default_rng(METRIC_SEED))
-    dirs.flags.writeable = False
-    return dirs
-
-
 def run_trial(cfg: PipelineConfig, channel: ChannelConfig, source, schedule, plan,
               denoiser, n, rng, fresh_noise=False, memo=None) -> TrialResult:
     """Draw n source latents and push them through the full pipeline.
@@ -160,9 +139,9 @@ def run_trial(cfg: PipelineConfig, channel: ChannelConfig, source, schedule, pla
     # The transmitter draws nothing since it always inverts; its stream is
     # still spawned so that the channel and receiver streams keep their keys.
     k_src, _k_tx, k_ch, k_rx = rng.spawn(4)
-    z0 = memo.kept("z0", lambda: gmm_sample(source, n, k_src))
+    reference = memo.kept("z0", lambda: Reference(gmm_sample(source, n, k_src)))
     x, gamma = memo.kept(("x", cfg.split.t_f1),
-                         lambda: encode_transmit(z0, cfg, schedule, plan, denoiser))
+                         lambda: encode_transmit(reference.batch, cfg, schedule, plan, denoiser))
 
     budget = compute_noise_budget(schedule, plan, cfg.split, float(np.mean(gamma)),
                                   channel.noise_var)
@@ -175,10 +154,9 @@ def run_trial(cfg: PipelineConfig, channel: ChannelConfig, source, schedule, pla
         k_rx if fresh_noise else None))
     z_tilde0 = decode_at(z_hat, cfg, schedule, plan, denoiser, int(t_b))
 
-    reference = memo.kept("reference", lambda: Reference(z0, _metric_dirs(source.d)))
-    metrics = metric_report(z_tilde0, reference, None)
+    metrics = metric_report(z_tilde0, reference)
     return TrialResult(
-        z0=z0, gamma=gamma, z_tilde0=z_tilde0, budget=budget, metrics=metrics,
+        z0=reference.batch, gamma=gamma, z_tilde0=z_tilde0, budget=budget, metrics=metrics,
         t_b_resolved=int(t_b), saturated=saturated,
     )
 

@@ -206,7 +206,7 @@ def test_seed_memo_freed_when_its_seed_ends(tmp_path):
     assert four <= one + 64 * 1024, (one, four)
 
 
-def test_pool_capped_at_cell_count(tmp_path, monkeypatch):
+def test_pool_capped_at_seed_count(tmp_path, monkeypatch):
     # a grid runs one task per seed, so --jobs above the seed count forks no
     # idle workers: one seed runs serially, two seeds on two workers
     sizes = []
@@ -278,9 +278,7 @@ def _blas_threads_in_pool_worker():
 
 
 def test_pool_workers_run_single_threaded_blas():
-    cfg = small_cfg()
-    with ProcessPoolExecutor(max_workers=1, initializer=harness._init_worker,
-                             initargs=(cfg, harness.build_objects(cfg))) as pool:
+    with ProcessPoolExecutor(max_workers=1, initializer=harness._single_thread_blas) as pool:
         threads = pool.submit(_blas_threads_in_pool_worker).result()
     if threads is None:
         pytest.skip("numpy does not bundle OpenBLAS here")

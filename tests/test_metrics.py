@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 import diffsemcom as dsc
 from diffsemcom.errors import DegenerateInputError, ParameterError
-from diffsemcom.metrics import (Reference, _block_sq_dists, _median_distance, median_bandwidth,
-                                unit_directions)
+from diffsemcom.metrics import (METRIC_SEED, Reference, _block_sq_dists, _median_distance,
+                                median_bandwidth, unit_directions)
 
 
 def _pooled_sq_dists(x, y):
@@ -245,16 +245,19 @@ def test_metrics_reject_non_finite(bad):
 
 def test_reference_metrics_match_plain_batches_bit_for_bit():
     # a Reference's cached terms are the ones each metric computes from the
-    # plain batch, and measuring against it leaves them unchanged
+    # plain batch, and measuring against it leaves them unchanged; one built
+    # without directions has metric_report's, which METRIC_SEED draws
     rng = np.random.default_rng(96)
     y = rng.standard_normal((32, 6))
     ref = Reference(y, unit_directions(16, 6, dsc.stream(0, 96)))
-    report_ref = Reference(y, unit_directions(128, 6, dsc.stream(0, 97)))
+    report_ref = Reference(y)
     for shift in (0.1, 0.5, 0.1):
         x = y + shift * rng.standard_normal(y.shape)
         assert dsc.sliced_w2(x, ref, 16, None) == dsc.sliced_w2(x, y, 16, dsc.stream(0, 96))
         assert dsc.mmd2_unbiased(x, ref) == dsc.mmd2_unbiased(x, y)
-        assert dsc.metric_report(x, report_ref, None) == dsc.metric_report(x, y, dsc.stream(0, 97))
+        report = dsc.metric_report(x, y)
+        assert dsc.metric_report(x, report_ref) == report
+        assert report.sw2 == dsc.sliced_w2(x, y, 128, np.random.default_rng(METRIC_SEED))
     with pytest.raises(ParameterError, match="brings 16 directions, not 8"):
         dsc.sliced_w2(y, ref, 8, None)
 
@@ -262,7 +265,7 @@ def test_reference_metrics_match_plain_batches_bit_for_bit():
 def test_metric_report_fields():
     rng = np.random.default_rng(92)
     src = rng.standard_normal((64, 4))
-    rep = dsc.metric_report(src + 0.1, src, dsc.stream(0, 92))
+    rep = dsc.metric_report(src + 0.1, src)
     assert rep.mse == pytest.approx(0.01, rel=1e-10)
     assert rep.nmse == pytest.approx(rep.mse / np.mean(np.var(src, axis=0)), rel=1e-10)
     assert rep.sw2 >= 0.0
@@ -273,8 +276,8 @@ def test_metric_report_rejects_non_finite_metric():
     # that overflow, are errors that name the metric
     src = np.ones((8, 4))
     with pytest.raises(DegenerateInputError, match="metric nmse is not finite"):
-        dsc.metric_report(src + 0.1, src, dsc.stream(0, 94))
+        dsc.metric_report(src + 0.1, src)
     rng = np.random.default_rng(95)
     far = 1e153 + 1e140 * rng.standard_normal((8, 4))
     with pytest.raises(DegenerateInputError, match="metric sw2 is not finite"):
-        dsc.metric_report(rng.standard_normal((8, 4)), far, dsc.stream(0, 95))
+        dsc.metric_report(rng.standard_normal((8, 4)), far)

@@ -8,8 +8,9 @@ from diffsemcom.channel import ChannelConfig
 from diffsemcom.errors import ConfigError, ParameterError
 from diffsemcom.pipeline import (
     PipelineConfig,
+    decode_at,
     encode_transmit,
-    receive_decode,
+    receiver_forward,
     run_baseline_random_noise,
     run_trial,
 )
@@ -63,7 +64,7 @@ def test_receive_decode_exact_inverse(sched, plan50):
     den = ConstantDenoiser(rng.standard_normal(8))
     y = dsc.run_ddim_invert(sched, dsc.Latent(z0, 0), plan50.ascending_steps(0, 5), den).values
     cfg = PipelineConfig(t_f1=5, t_f2=0, t_b=5)
-    out = receive_decode(y, cfg, sched, plan50, den, 5)
+    out = decode_at(receiver_forward(y, cfg, sched, plan50, den), cfg, sched, plan50, den, 5)
     assert np.max(np.abs(out - z0)) <= 1e-12
 
 
@@ -80,7 +81,8 @@ def test_receive_decode_gamma_consistent_round_trip(sched, plan50):
     cfg = PipelineConfig(t_f1=5, t_f2=0, t_b=5)
     z0 = dsc.gmm_sample(src, 8, dsc.stream(1, 7))
     values, gamma = encode_transmit(z0, cfg, sched, plan50, den)
-    out = receive_decode(values, cfg, sched, plan50, den, 5)
+    z_hat = receiver_forward(values, cfg, sched, plan50, den)
+    out = decode_at(z_hat, cfg, sched, plan50, den, 5)
     ref = gamma[:, None] * z0
     rel = np.sum((out - ref) ** 2, axis=-1) / np.sum(ref**2, axis=-1)
     assert np.max(rel) < 1e-2
@@ -90,15 +92,17 @@ def test_receive_decode_t_b_zero_only_for_empty_split(sched, plan50, std_normal_
     den = dsc.GmmDenoiser(std_normal_8, sched)
     y = np.ones(8)
     cfg0 = PipelineConfig(t_f1=0, t_f2=0, t_b=0)
-    assert np.array_equal(receive_decode(y, cfg0, sched, plan50, den, 0), y)
+    z_hat = receiver_forward(y, cfg0, sched, plan50, den)
+    assert np.array_equal(decode_at(z_hat, cfg0, sched, plan50, den, 0), y)
     # a config cannot hold t_b = 0 on a non-empty split; a depth passed in can
     cfg_auto = PipelineConfig(t_f1=5, t_f2=0, t_b="auto")
     with pytest.raises(ConfigError, match="resolved t_b = 0 is only valid for an empty split"):
-        receive_decode(y, cfg_auto, sched, plan50, den, 0)
+        decode_at(receiver_forward(y, cfg_auto, sched, plan50, den), cfg_auto, sched, plan50,
+                  den, 0)
     # any other depth outside the plan is the plan's error
     for t_b in (-1, plan50.k + 1):
         with pytest.raises(ParameterError):
-            receive_decode(y, cfg0, sched, plan50, den, t_b)
+            decode_at(z_hat, cfg0, sched, plan50, den, t_b)
 
 
 def _affine_ddim(sched, mu, v, steps):
@@ -152,7 +156,7 @@ def test_single_gaussian_encode_decode_match_closed_form(sched, plan50, mu, v, t
     assert _max_rel_err(values, want_gamma[:, None] * z_t1) <= 1e-12
 
     y = dsc.awgn_apply(values, ChannelConfig(-10.0 * np.log10(0.3), "real_simplified"), rng)
-    out = receive_decode(y, cfg, sched, plan50, den, t_b)
+    out = decode_at(receiver_forward(y, cfg, sched, plan50, den), cfg, sched, plan50, den, t_b)
     a2, b2 = _affine_ddim(sched, mu, v, [plan50.training_step(t_f1)]
                           + plan50.ascending_steps(t_f1, t_f))
     a3, b3 = _affine_ddim(sched, mu, v, [plan50.training_step(t_b)]
@@ -209,7 +213,8 @@ def test_single_gaussian_trial_mse_within_clt_band_of_conditional_mean(sched, pl
 def test_run_trial_decodes_through_receive_decode(sched, plan50, bimodal_8, t_f1, t_f2,
                                                   fresh_noise, t_b, seed):
     # run_trial has no decoder of its own: its output is the hand-wired chain
-    # encode_transmit -> awgn_apply -> receive_decode on the four substreams
+    # encode_transmit -> awgn_apply -> receiver_forward -> decode_at on the four
+    # substreams
     if t_b == 0 and t_f1 + t_f2:
         t_b = t_f1 + t_f2  # t_b = 0 is valid only on the empty split
     den = dsc.GmmDenoiser(bimodal_8, sched)
@@ -226,8 +231,8 @@ def test_run_trial_decodes_through_receive_decode(sched, plan50, bimodal_8, t_f1
                                           AT5.noise_var)
         t_b = dsc.select_denoise_steps(sched, plan50, budget.sigma_tot2).t_b
     assert res.t_b_resolved == t_b
-    assert np.array_equal(res.z_tilde0, receive_decode(y, cfg, sched, plan50, den, t_b,
-                                                       k_rx if fresh_noise else None))
+    z_hat = receiver_forward(y, cfg, sched, plan50, den, k_rx if fresh_noise else None)
+    assert np.array_equal(res.z_tilde0, decode_at(z_hat, cfg, sched, plan50, den, t_b))
 
 
 def test_run_trial_deterministic(sched, plan50, bimodal_64):
