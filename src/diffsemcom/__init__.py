@@ -33,7 +33,8 @@ from .errors import (
     ParameterError,
     TrainingDivergedError,
 )
-from .metrics import MetricReport, metric_report, mmd2_unbiased, mse, sliced_w2
+from .metrics import (MetricReport, Reference, metric_report, mmd2_unbiased, mse, sliced_w2,
+                      unit_directions)
 from .mlp import (
     MlpDenoiser,
     MlpParams,

@@ -21,7 +21,8 @@ def _add_common(p):
     p.add_argument("--config", required=True, help="path to the experiment config file")
     p.add_argument("--out", default=None, help="output directory")
     p.add_argument("--seed", type=int, default=None, help="override the master seed")
-    p.add_argument("--jobs", type=int, default=None, help="worker pool size for grid cells")
+    p.add_argument("--jobs", type=int, default=None,
+                   help="worker pool size for grid cells (at most one per seed and per usable CPU)")
 
 
 def _build_parser():

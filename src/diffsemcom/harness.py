@@ -30,7 +30,7 @@ from .config import ExperimentConfig, SourceSpec
 from .denoisers import GaussianMixtureModel, GmmDenoiser
 from .errors import ConfigError, ParameterError
 from .mlp import MlpDenoiser, init_mlp, load_checkpoint, save_checkpoint, train_denoiser
-from .noise_budget import validate_prop1
+from .noise_budget import _usable_cpus, validate_prop1
 from .pipeline import SeedMemo, run_baseline_random_noise, run_trial
 from .rng import stream
 from .schedule import BETA_END, BETA_START, K_STEPS, T_TRAIN, build_schedule, make_stride_plan
@@ -206,7 +206,7 @@ def _run_seed(cfg: ExperimentConfig, objects, cells) -> list[ResultRow]:
 
 def _run_grid(cfg: ExperimentConfig, cells, out_dir, csv_name):
     """Run cells, one task per seed (on a pool of up to cfg.run.jobs workers,
-    at most one per seed), writing rows in cell order.
+    at most one per seed and per usable CPU), writing rows in cell order.
 
     Builds the objects before it creates out_dir.  Each row is flushed once
     every row before it is in, and a failed cell stops the loop (the pool's
@@ -219,7 +219,7 @@ def _run_grid(cfg: ExperimentConfig, cells, out_dir, csv_name):
     for i, cell in enumerate(cells):
         by_seed.setdefault(cell.seed, []).append(i)
     tasks = [[cells[i] for i in indices] for indices in by_seed.values()]
-    workers = min(cfg.run.jobs, len(tasks))
+    workers = min(cfg.run.jobs, len(tasks), _usable_cpus())
     rows: list[ResultRow | None] = [None] * len(cells)
     written = 0
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fh, ExitStack() as stack:

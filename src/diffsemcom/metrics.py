@@ -1,9 +1,10 @@
 """Vector-space distortion and distribution metrics.
 
 mse/nmse play the distortion role, sliced 2-Wasserstein and unbiased MMD^2
-the distribution role.  Both distribution estimators take explicit
-randomness (projection directions) or none (MMD), so reported numbers are
-reproducible.
+the distribution role.  Both distribution estimators take two References,
+finite batches checked once when wrapped, and take explicit randomness
+(the sliced-W2 directions a Reference brings) or none (MMD), so reported
+numbers are reproducible.
 
 The MMD and its median-heuristic bandwidth read three blocks of squared
 distances: within x, within y and from x to y.  The pooled matrix of the
@@ -63,15 +64,18 @@ def _metric_dirs(d):
 
 
 class Reference:
-    """A finite batch y that others are measured against (a grid seed's source
-    batch), with the terms of y alone that the metrics read, each computed on
-    first use: its variance (nmse's denominator), its sorted projections on
-    ``dirs`` (the sliced_w2 directions, metric_report's unless given), its
-    squared row norms and its within-batch squared distances (the MMD's)."""
+    """A finite batch that is measured or measured against (a grid seed's
+    source batch, or a decoded batch), with the terms of it alone that the
+    metrics read, each computed on first use: its variance (nmse's
+    denominator), its sorted projections on ``dirs`` (the sliced_w2
+    directions, metric_report's unless given), its squared row norms and
+    its within-batch squared distances (the MMD's)."""
 
     def __init__(self, batch, dirs=None):
         self.batch = np.atleast_2d(np.asarray(batch, dtype=float))
-        _require_finite(self.batch)
+        # rejected here, as a partition-taken median would skip it silently
+        if not np.all(np.isfinite(self.batch)):
+            raise ParameterError("batches must be finite")
         self._dirs = dirs
 
     @functools.cached_property
@@ -95,49 +99,30 @@ class Reference:
         return _sq_dists(self.batch, self.norms, self.batch, self.norms)
 
 
-def sliced_w2(x, y, n_projections, rng) -> float:
+def sliced_w2(x: Reference, y: Reference) -> float:
     """Sliced 2-Wasserstein distance between two equal-size sample batches.
 
-    Averages, over random unit directions, the squared 1-D distance between
-    sorted projections, then takes the square root.  rng draws the directions
-    of an array y; a Reference y brings its n_projections directions, is
-    projected once, and rng draws none.
+    Averages, over y's unit directions, the squared 1-D distance between
+    sorted projections, then takes the square root.  y's projections are
+    its cached ones; x is projected on y's directions.
     """
-    ref = y if isinstance(y, Reference) else None
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = np.atleast_2d(np.asarray(y, dtype=float)) if ref is None else ref.batch
-    if x.size == 0 or y.size == 0:
+    if x.batch.size == 0 or y.batch.size == 0:
         raise ParameterError("batches must be non-empty")
-    if x.shape[1] != y.shape[1]:
-        raise ParameterError(f"dimension mismatch: {x.shape[1]} vs {y.shape[1]}")
-    if x.shape[0] != y.shape[0]:
-        raise ParameterError(
-            f"sorted-projection pairing needs equal batch sizes, got {x.shape[0]} vs {y.shape[0]}"
-        )
-    if n_projections < 1:
-        raise ParameterError(f"need at least one projection, got {n_projections}")
-    _require_finite(x)
-    if ref is None:
-        ref = Reference(y, unit_directions(n_projections, x.shape[1], rng))
-    elif len(ref.dirs) != n_projections:
-        raise ParameterError(f"the reference brings {len(ref.dirs)} directions, "
-                             f"not {n_projections}")
-    px = np.sort(x @ ref.dirs.T, axis=0)
-    return float(np.sqrt(np.mean((px - ref.projections) ** 2)))
+    (n, d), (m, e) = x.batch.shape, y.batch.shape
+    if d != e:
+        raise ParameterError(f"dimension mismatch: {d} vs {e}")
+    if n != m:
+        raise ParameterError(f"sorted-projection pairing needs equal batch sizes, got {n} vs {m}")
+    if len(y.dirs) < 1 or y.dirs.shape[1] != d:
+        raise ParameterError(f"need at least one projection in R^{d}, got {y.dirs.shape}")
+    px = np.sort(x.batch @ y.dirs.T, axis=0)
+    return float(np.sqrt(np.mean((px - y.projections) ** 2)))
 
 
 def median_bandwidth(x, y) -> float:
     """Median pairwise distance over the pooled batch (bandwidth heuristic)."""
-    x, y = np.atleast_2d(x), np.atleast_2d(y)
-    _require_finite(x, y)
-    return _median_distance(*_block_sq_dists(x, y))
-
-
-def _block_sq_dists(x, y):
-    """Squared distances within x, within y and from x to y."""
-    xn = np.sum(x * x, axis=1)
-    yn = np.sum(y * y, axis=1)
-    return _sq_dists(x, xn, x, xn), _sq_dists(y, yn, y, yn), _sq_dists(x, xn, y, yn)
+    x, y = Reference(x), Reference(y)
+    return _median_distance(x.sq_dists, y.sq_dists, _sq_dists(x.batch, x.norms, y.batch, y.norms))
 
 
 def _sq_dists(a, an, b, bn):
@@ -181,32 +166,22 @@ def _median_distance(sxx, syy, sxy):
     return med if med > 0.0 else 1.0
 
 
-def _require_finite(*batches):
-    """Reject NaN or inf: a partition-taken median would skip it silently."""
-    for batch in batches:
-        if not np.all(np.isfinite(batch)):
-            raise ParameterError("batches must be finite")
-
-
-def mmd2_unbiased(x, y, bandwidth=None) -> float:
+def mmd2_unbiased(x: Reference, y: Reference, bandwidth=None) -> float:
     """Unbiased squared MMD with a Gaussian kernel exp(-||a-b||^2 / 2h^2).
 
     U-statistic form; can be slightly negative under the null by
-    construction.  bandwidth=None uses the pooled median heuristic.  y may be
-    a Reference, whose within-y distances are kept and not overwritten.
+    construction.  bandwidth=None uses the pooled median heuristic.  y's
+    within-batch distances are kept and not overwritten.
     """
-    ref = y if isinstance(y, Reference) else Reference(y)
-    x, y = np.atleast_2d(np.asarray(x, dtype=float)), ref.batch
-    n, m = x.shape[0], y.shape[0]
+    (n, d), (m, e) = x.batch.shape, y.batch.shape
     if n < 2 or m < 2:
         raise ParameterError(f"need at least 2 samples per batch, got {n} and {m}")
-    if x.shape[1] != y.shape[1]:
-        raise ParameterError(f"dimension mismatch: {x.shape[1]} vs {y.shape[1]}")
-    _require_finite(x)
-    xn = np.sum(x * x, axis=1)
-    sxx, sxy = _sq_dists(x, xn, x, xn), _sq_dists(x, xn, y, ref.norms)
+    if d != e:
+        raise ParameterError(f"dimension mismatch: {d} vs {e}")
+    sxx = _sq_dists(x.batch, x.norms, x.batch, x.norms)
+    sxy = _sq_dists(x.batch, x.norms, y.batch, y.norms)
     if bandwidth is None:
-        bandwidth = _median_distance(sxx, ref.sq_dists, sxy)
+        bandwidth = _median_distance(sxx, y.sq_dists, sxy)
     if not (bandwidth > 0 and np.isfinite(bandwidth)):
         raise ParameterError(f"bandwidth must be positive and finite, got {bandwidth}")
     neg_h2 = -2.0 * bandwidth * bandwidth
@@ -214,7 +189,7 @@ def mmd2_unbiased(x, y, bandwidth=None) -> float:
     # yy block is a copy, as the reference keeps its distances.
     kxx = np.divide(sxx, neg_h2, out=sxx)
     kxy = np.divide(sxy, neg_h2, out=sxy)
-    kyy = np.divide(ref.sq_dists, neg_h2)
+    kyy = np.divide(y.sq_dists, neg_h2)
     for block in (kxx, kyy, kxy):
         np.exp(block, out=block)
     np.fill_diagonal(kxx, 0.0)
@@ -224,18 +199,17 @@ def mmd2_unbiased(x, y, bandwidth=None) -> float:
     )
 
 
-def metric_report(decoded, source) -> MetricReport:
-    """Distortion + distribution metrics of a decoded batch against its source
-    (an array or a Reference): sw2 over the Reference's directions, MMD^2 at the
-    median-heuristic bandwidth.  A metric that is not finite (an overflow, or
-    an nmse over a source batch of zero variance) raises DegenerateInputError,
-    whatever the warnings filter."""
-    ref = source if isinstance(source, Reference) else Reference(source)
+def metric_report(decoded, source: Reference) -> MetricReport:
+    """Distortion + distribution metrics of a decoded batch against its
+    source: sw2 over the source's directions, MMD^2 at the median-heuristic
+    bandwidth.  A non-finite decoded batch raises ParameterError; a metric
+    that is not finite (an overflow, or an nmse over a source batch of zero
+    variance) raises DegenerateInputError, whatever the warnings filter."""
+    decoded = Reference(decoded)
     with np.errstate(all="ignore"):
-        m = mse(decoded, ref.batch)
-        report = MetricReport(mse=m, nmse=float(m / ref.variance),
-                              sw2=sliced_w2(decoded, ref, SW2_PROJECTIONS, None),
-                              mmd2=mmd2_unbiased(decoded, ref))
+        m = mse(decoded.batch, source.batch)
+        report = MetricReport(mse=m, nmse=float(m / source.variance),
+                              sw2=sliced_w2(decoded, source), mmd2=mmd2_unbiased(decoded, source))
     for name, value in vars(report).items():
         if not np.isfinite(value):
             raise DegenerateInputError(f"metric {name} is not finite ({value})")

@@ -262,10 +262,11 @@ def test_sampling_from_pure_noise_distribution(sched, plan50):
         noise = rng.standard_normal((2000, 8))
         z = dsc.Latent(noise, 1000)
         out = dsc.run_ddim_sample(sched, z, plan50.descending_plan(50), den)
-        fresh = dsc.gmm_sample(model, 2000, rng)
-        sw_sampled = dsc.sliced_w2(out.values, fresh, 64, dsc.stream(0, 32))
+        fresh = dsc.Reference(dsc.gmm_sample(model, 2000, rng),
+                              dsc.unit_directions(64, 8, dsc.stream(0, 32)))
+        sw_sampled = dsc.sliced_w2(dsc.Reference(out.values), fresh)
         if against_raw:
-            sw_raw = dsc.sliced_w2(noise, fresh, 64, dsc.stream(0, 32))
+            sw_raw = dsc.sliced_w2(dsc.Reference(noise), fresh)
             assert sw_sampled < sw_raw
         if tol is not None:
             assert sw_sampled < tol

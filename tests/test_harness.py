@@ -36,6 +36,12 @@ def with_jobs(cfg, jobs):
     return replace(cfg, run=replace(cfg.run, jobs=jobs))
 
 
+def usable_cpus(monkeypatch, cpus):
+    # a grid starts at most one worker per usable CPU: a test that needs a
+    # pool fixes the count, so that it forks one on any host
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
 def test_build_source_broadcast_and_errors():
     cfg = small_cfg()
     model = harness.build_source_model(cfg.source)
@@ -68,7 +74,8 @@ def test_sweep_cardinality_and_determinism(tmp_path):
     assert len(text) == 9
 
 
-def test_sweep_parallel_matches_serial(tmp_path):
+def test_sweep_parallel_matches_serial(tmp_path, monkeypatch):
+    usable_cpus(monkeypatch, 2)
     cfg = small_cfg()
     _, p1 = harness.cmd_sweep(cfg, tmp_path / "serial")
     _, p2 = harness.cmd_sweep(with_jobs(cfg, 2), tmp_path / "parallel")
@@ -76,9 +83,10 @@ def test_sweep_parallel_matches_serial(tmp_path):
 
 
 @pytest.mark.parametrize("command", [harness.cmd_sweep, harness.cmd_ablate])
-def test_two_component_parallel_matches_serial(tmp_path, command):
+def test_two_component_parallel_matches_serial(tmp_path, monkeypatch, command):
     # J = 2 runs the score's anchored matmuls, whose bits must not
     # depend on the process that runs a cell
+    usable_cpus(monkeypatch, 2)
     source = SourceSpec(dimension=8, weights=(0.5, 0.5), means=(0.9, -0.9),
                         variances=(0.05, 0.75))
     cfg = small_cfg(source=source)
@@ -110,9 +118,10 @@ def _row_values(rows):
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_seed_grouped_grid_matches_a_loop_of_independent_trials(tmp_path, jobs):
+def test_seed_grouped_grid_matches_a_loop_of_independent_trials(tmp_path, monkeypatch, jobs):
     # a grid shares each seed's source batch, encodes, receiver legs and
     # metric terms between its cells; the rows are those of independent trials
+    usable_cpus(monkeypatch, 2)
     cfg = with_jobs(small_cfg(), jobs)
     cfg = replace(cfg, sweep=replace(cfg.sweep, seeds=(0, 1, 2)))
     p = cfg.pipeline
@@ -207,8 +216,10 @@ def test_seed_memo_freed_when_its_seed_ends(tmp_path):
 
 
 def test_pool_capped_at_seed_count(tmp_path, monkeypatch):
-    # a grid runs one task per seed, so --jobs above the seed count forks no
-    # idle workers: one seed runs serially, two seeds on two workers
+    # a grid runs one task per seed on at most one worker per usable CPU, so
+    # --jobs above either count forks no idle workers: one seed or one CPU
+    # runs serially, two seeds on three CPUs on two workers.  --jobs 100000
+    # would otherwise fork 100,000 workers at the pool's first task.
     sizes = []
 
     class RecordingPool(ProcessPoolExecutor):
@@ -217,13 +228,15 @@ def test_pool_capped_at_seed_count(tmp_path, monkeypatch):
             super().__init__(max_workers, **kwargs)
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
-    for seeds in ((0,), (0, 1)):
+    for seeds, cpus in (((0,), 3), ((0, 1), 1), ((0, 1), 3)):
+        usable_cpus(monkeypatch, cpus)
         cfg = small_cfg()
         cfg = replace(cfg, sweep=replace(cfg.sweep, snr_db=(5.0,), seeds=seeds))  # 2 cells a seed
-        _, serial = harness.cmd_sweep(cfg, tmp_path / f"serial{len(seeds)}")
-        _, pooled = harness.cmd_sweep(with_jobs(cfg, 4), tmp_path / f"jobs4-{len(seeds)}")
+        _, serial = harness.cmd_sweep(cfg, tmp_path / f"serial{len(seeds)}-{cpus}")
+        _, pooled = harness.cmd_sweep(with_jobs(cfg, 100_000),
+                                      tmp_path / f"jobs-{len(seeds)}-{cpus}")
         assert Path(pooled).read_bytes() == Path(serial).read_bytes()
-    assert sizes == [2]
+        assert sizes == ([2] if (len(seeds), cpus) == (2, 3) else [])
 
 
 _build_log = None  # the file _build_objects_logged appends each caller's pid to
@@ -247,6 +260,7 @@ def test_sweep_builds_objects_once_per_command(tmp_path, monkeypatch):
         return real_build(cfg, **kwargs)
 
     monkeypatch.setattr(harness, "build_objects", counting)
+    usable_cpus(monkeypatch, 2)
     cfg = small_cfg()
     rows, _ = harness.cmd_sweep(cfg, tmp_path / "a")
     assert len(rows) == 8 and calls == [(cfg, [])]
@@ -389,6 +403,7 @@ def _run_cell_failing_at_seed_1(cfg, objects, cell):
 def test_failed_cell_under_jobs_cancels_the_rest(tmp_path, monkeypatch):
     # a pool stops at a failed cell and writes the serial run's prefix rows
     monkeypatch.setattr(harness, "run_cell", _run_cell_failing_at_seed_1)
+    usable_cpus(monkeypatch, 2)
     cfg = tmp_path / "cfg.ini"
     cfg.write_text("[source]\ndimension = 8\n[sweep]\nsnr_db = 5\nseeds = 0..9\nn_per_cell = 16\n")
     csv = {}
@@ -417,6 +432,7 @@ def test_crashed_pool_worker_exits_3_with_prefix_rows(tmp_path, monkeypatch, cap
     assert cli.main(["sweep", "--config", str(cfg), "--out", str(serial)]) == 0
     capsys.readouterr()
     monkeypatch.setattr(harness, "run_cell", _run_cell_crashing_at_seed_1_baseline)  # before the fork
+    usable_cpus(monkeypatch, 2)  # a serial run of this cell would end the test process
     assert cli.main(["sweep", "--config", str(cfg), "--out", str(crashed), "--jobs", "2"]) == 3
     assert "terminated abruptly" in capsys.readouterr().err
     lines = (crashed / "sweep.csv").read_text().splitlines()

@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import diffsemcom as dsc
+from diffsemcom import Reference, unit_directions
 from diffsemcom.errors import DegenerateInputError, ParameterError
-from diffsemcom.metrics import (METRIC_SEED, Reference, _block_sq_dists, _median_distance,
-                                median_bandwidth, unit_directions)
+from diffsemcom.metrics import METRIC_SEED, _median_distance, _sq_dists, median_bandwidth
 
 
 def _pooled_sq_dists(x, y):
@@ -67,14 +67,15 @@ def test_mse_constant_shift():
 
 def test_sliced_w2_identical_batches():
     x = np.random.default_rng(83).standard_normal((100, 4))
-    assert dsc.sliced_w2(x, x.copy(), 32, dsc.stream(0, 83)) == 0.0
+    y = Reference(x.copy(), unit_directions(32, 4, dsc.stream(0, 83)))
+    assert dsc.sliced_w2(Reference(x), y) == 0.0
 
 
 def test_sliced_w2_1d_sort_oracle():
     rng = np.random.default_rng(84)
     x = rng.standard_normal((200, 1))
     y = rng.standard_normal((200, 1))
-    got = dsc.sliced_w2(x, y, 16, dsc.stream(0, 84))
+    got = dsc.sliced_w2(Reference(x), Reference(y, unit_directions(16, 1, dsc.stream(0, 84))))
     oracle = np.sqrt(np.mean((np.sort(x[:, 0]) - np.sort(y[:, 0])) ** 2))
     assert got == pytest.approx(oracle, rel=1e-12)
 
@@ -84,28 +85,35 @@ def test_sliced_w2_gaussian_shift():
     m = 2.0
     x = rng.standard_normal((10_000, 1))
     y = rng.standard_normal((10_000, 1)) + m
-    got = dsc.sliced_w2(x, y, 8, dsc.stream(0, 85))
+    got = dsc.sliced_w2(Reference(x), Reference(y, unit_directions(8, 1, dsc.stream(0, 85))))
     assert abs(got - m) / m < 0.1
 
 
-def test_sliced_w2_symmetry():
-    rng = np.random.default_rng(86)
-    x = rng.standard_normal((50, 3))
-    y = rng.standard_normal((50, 3)) * 1.5
-    a = dsc.sliced_w2(x, y, 64, dsc.stream(0, 86))
-    b = dsc.sliced_w2(y, x, 64, dsc.stream(0, 86))
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 60), d=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_sliced_w2_symmetry(n, d, seed):
+    # on one set of directions the distance does not depend on which batch
+    # brings them
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, d))
+    y = rng.standard_normal((n, d)) * 1.5
+    dirs = unit_directions(64, d, rng)
+    a = dsc.sliced_w2(Reference(x, dirs), Reference(y, dirs))
+    b = dsc.sliced_w2(Reference(y, dirs), Reference(x, dirs))
     assert a == pytest.approx(b, rel=1e-12)
 
 
 def test_sliced_w2_validation():
-    with pytest.raises(ParameterError):
-        dsc.sliced_w2(np.empty((0, 2)), np.empty((0, 2)), 8, dsc.stream(0, 87))
-    with pytest.raises(ParameterError):
-        dsc.sliced_w2(np.zeros((4, 2)), np.zeros((4, 3)), 8, dsc.stream(0, 87))
-    with pytest.raises(ParameterError):
-        dsc.sliced_w2(np.zeros((4, 2)), np.zeros((5, 2)), 8, dsc.stream(0, 87))
-    with pytest.raises(ParameterError):
-        dsc.sliced_w2(np.zeros((4, 2)), np.zeros((4, 2)), 0, dsc.stream(0, 87))
+    with pytest.raises(ParameterError, match="non-empty"):
+        dsc.sliced_w2(Reference(np.empty((0, 2))), Reference(np.empty((0, 2))))
+    with pytest.raises(ParameterError, match="dimension mismatch"):
+        dsc.sliced_w2(Reference(np.zeros((4, 2))), Reference(np.zeros((4, 3))))
+    with pytest.raises(ParameterError, match="equal batch sizes"):
+        dsc.sliced_w2(Reference(np.zeros((4, 2))), Reference(np.zeros((5, 2))))
+    for n_dirs, d in ((0, 2), (8, 3)):  # no direction, or directions in another space
+        y = Reference(np.zeros((4, 2)), unit_directions(n_dirs, d, dsc.stream(0, 87)))
+        with pytest.raises(ParameterError, match=r"at least one projection in R\^2"):
+            dsc.sliced_w2(Reference(np.zeros((4, 2))), y)
 
 
 def test_mmd2_kernel_self_is_one():
@@ -120,7 +128,7 @@ def test_mmd2_naive_loop_oracle():
     x = rng.standard_normal((8, 3))
     y = rng.standard_normal((10, 3))
     h = 0.9
-    got = dsc.mmd2_unbiased(x, y, bandwidth=h)
+    got = dsc.mmd2_unbiased(Reference(x), Reference(y), bandwidth=h)
 
     def k(a, b):
         return np.exp(-np.sum((a - b) ** 2) / (2 * h * h))
@@ -138,20 +146,27 @@ def test_mmd2_null_distribution_small():
         rng = dsc.stream(seed, 89)
         x = rng.standard_normal((n, 2))
         y = rng.standard_normal((n, 2))
-        if abs(dsc.mmd2_unbiased(x, y)) < 5.0 / n:
+        if abs(dsc.mmd2_unbiased(Reference(x), Reference(y))) < 5.0 / n:
             count_ok += 1
     assert count_ok == 20
 
 
-def test_mmd2_symmetry_and_validation():
-    rng = np.random.default_rng(90)
-    x = rng.standard_normal((20, 2))
-    y = rng.standard_normal((30, 2)) + 1.0
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(16, 40), m=st.integers(16, 40), d=st.integers(1, 6),
+       seed=st.integers(0, 2**32 - 1))
+def test_mmd2_symmetry_and_validation(n, m, d, seed):
+    # at least 16 rows a side keep the shifted batches' MMD^2 away from 0,
+    # where a last-bit difference in the xy block would exceed rel=1e-12
+    rng = np.random.default_rng(seed)
+    x = Reference(rng.standard_normal((n, d)))
+    y = Reference(rng.standard_normal((m, d)) + 1.0)
     assert dsc.mmd2_unbiased(x, y, 1.0) == pytest.approx(
         dsc.mmd2_unbiased(y, x, 1.0), rel=1e-12
     )
-    with pytest.raises(ParameterError):
-        dsc.mmd2_unbiased(x[:1], y, 1.0)
+    with pytest.raises(ParameterError, match="at least 2 samples"):
+        dsc.mmd2_unbiased(Reference(x.batch[:1]), y, 1.0)
+    with pytest.raises(ParameterError, match="dimension mismatch"):
+        dsc.mmd2_unbiased(x, Reference(np.zeros((m, d + 1))), 1.0)
     for bad in (-1.0, np.nan, np.inf):
         with pytest.raises(ParameterError, match="bandwidth"):
             dsc.mmd2_unbiased(x, y, bad)
@@ -167,7 +182,8 @@ def test_mmd2_zero_mean_under_null(n, m, d, bandwidth, seed):
     # to 0, so that bandwidth keeps the mean at 0 too.
     rng = np.random.default_rng(seed)
     draws = np.array([
-        dsc.mmd2_unbiased(rng.standard_normal((n, d)), rng.standard_normal((m, d)), bandwidth)
+        dsc.mmd2_unbiased(Reference(rng.standard_normal((n, d))),
+                          Reference(rng.standard_normal((m, d))), bandwidth)
         for _ in range(200)
     ])
     assert abs(draws.mean()) <= 4.0 * draws.std(ddof=1) / np.sqrt(draws.size)
@@ -191,10 +207,11 @@ def test_median_distance_matches_np_median(n, d, seed, grid):
     z = rng.standard_normal((n, d)) * rng.uniform(0.1, 10.0)
     if grid:
         z = np.round(z)
-    x, y = z[: n // 2], z[n // 2:]
+    x, y = Reference(z[: n // 2]), Reference(z[n // 2:])
     # the oracle takes the same block distances: a pooled Gram product may
     # round a distance in another last bit (see the blocked-vs-pooled test)
-    sq_xx, sq_yy, sq_xy = _block_sq_dists(x, y)
+    sq_xx, sq_yy = x.sq_dists, y.sq_dists
+    sq_xy = _sq_dists(x.batch, x.norms, y.batch, y.norms)
     pooled = np.block([[sq_xx, sq_xy], [sq_xy.T, sq_yy]])
     assert _median_distance(sq_xx, sq_yy, sq_xy) == _pooled_median_distance(pooled)
 
@@ -222,50 +239,53 @@ def test_blocked_distances_match_pooled_reference(n, m, d, seed, scale, grid):
         x, y = np.round(x), np.round(y)
     h = _pooled_median_distance(_pooled_sq_dists(x, y))
     assert abs(median_bandwidth(x, y) - h) <= 1e-12
-    assert abs(dsc.mmd2_unbiased(x, y) - _pooled_mmd2(x, y, h)) <= 1e-12
+    assert abs(dsc.mmd2_unbiased(Reference(x), Reference(y)) - _pooled_mmd2(x, y, h)) <= 1e-12
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_metrics_reject_non_finite(bad):
+    # a batch is checked once, when it is wrapped: every kernel reads it
+    # through a Reference, metric_report wraps its decoded batch, and
+    # median_bandwidth wraps both of its own
     rng = np.random.default_rng(93)
     x = rng.standard_normal((16, 3))
     y = rng.standard_normal((16, 3))
     x_bad = x.copy()
     x_bad[4, 1] = bad
+    with pytest.raises(ParameterError, match="batches must be finite"):
+        Reference(x_bad)
+    with pytest.raises(ParameterError, match="batches must be finite"):
+        dsc.metric_report(x_bad, Reference(y))
     for a, b in ((x_bad, y), (y, x_bad)):
-        with pytest.raises(ParameterError, match="finite"):
-            dsc.mmd2_unbiased(a, b)
-        with pytest.raises(ParameterError, match="finite"):
-            dsc.mmd2_unbiased(a, b, bandwidth=1.0)
-        with pytest.raises(ParameterError, match="finite"):
-            dsc.sliced_w2(a, b, 8, dsc.stream(0, 93))
-        with pytest.raises(ParameterError, match="finite"):
+        with pytest.raises(ParameterError, match="batches must be finite"):
             median_bandwidth(a, b)
 
 
 def test_reference_metrics_match_plain_batches_bit_for_bit():
-    # a Reference's cached terms are the ones each metric computes from the
-    # plain batch, and measuring against it leaves them unchanged; one built
-    # without directions has metric_report's, which METRIC_SEED draws
+    # a Reference's cached terms are the ones each metric computes from a
+    # fresh wrap of the plain batch, and measuring against it leaves them
+    # unchanged; one built without directions has metric_report's, which
+    # METRIC_SEED draws
     rng = np.random.default_rng(96)
     y = rng.standard_normal((32, 6))
     ref = Reference(y, unit_directions(16, 6, dsc.stream(0, 96)))
     report_ref = Reference(y)
+    report_dirs = unit_directions(128, 6, np.random.default_rng(METRIC_SEED))
     for shift in (0.1, 0.5, 0.1):
         x = y + shift * rng.standard_normal(y.shape)
-        assert dsc.sliced_w2(x, ref, 16, None) == dsc.sliced_w2(x, y, 16, dsc.stream(0, 96))
-        assert dsc.mmd2_unbiased(x, ref) == dsc.mmd2_unbiased(x, y)
-        report = dsc.metric_report(x, y)
-        assert dsc.metric_report(x, report_ref) == report
-        assert report.sw2 == dsc.sliced_w2(x, y, 128, np.random.default_rng(METRIC_SEED))
-    with pytest.raises(ParameterError, match="brings 16 directions, not 8"):
-        dsc.sliced_w2(y, ref, 8, None)
+        fresh = Reference(y, unit_directions(16, 6, dsc.stream(0, 96)))
+        assert dsc.sliced_w2(Reference(x), ref) == dsc.sliced_w2(Reference(x), fresh)
+        assert dsc.mmd2_unbiased(Reference(x), ref) == dsc.mmd2_unbiased(Reference(x), Reference(y))
+        report = dsc.metric_report(x, report_ref)
+        assert dsc.metric_report(x, Reference(y)) == report
+        assert report.sw2 == dsc.sliced_w2(Reference(x), Reference(y, report_dirs))
+        assert report.mmd2 == dsc.mmd2_unbiased(Reference(x), Reference(y))
 
 
 def test_metric_report_fields():
     rng = np.random.default_rng(92)
     src = rng.standard_normal((64, 4))
-    rep = dsc.metric_report(src + 0.1, src)
+    rep = dsc.metric_report(src + 0.1, Reference(src))
     assert rep.mse == pytest.approx(0.01, rel=1e-10)
     assert rep.nmse == pytest.approx(rep.mse / np.mean(np.var(src, axis=0)), rel=1e-10)
     assert rep.sw2 >= 0.0
@@ -276,8 +296,8 @@ def test_metric_report_rejects_non_finite_metric():
     # that overflow, are errors that name the metric
     src = np.ones((8, 4))
     with pytest.raises(DegenerateInputError, match="metric nmse is not finite"):
-        dsc.metric_report(src + 0.1, src)
+        dsc.metric_report(src + 0.1, Reference(src))
     rng = np.random.default_rng(95)
     far = 1e153 + 1e140 * rng.standard_normal((8, 4))
     with pytest.raises(DegenerateInputError, match="metric sw2 is not finite"):
-        dsc.metric_report(rng.standard_normal((8, 4)), far)
+        dsc.metric_report(rng.standard_normal((8, 4)), Reference(far))
