@@ -14,7 +14,6 @@ from .denoisers import (
     GaussianMixtureModel,
     GmmDenoiser,
     eps_from_score,
-    gmm_marginal,
     gmm_sample,
     gmm_score,
 )
@@ -33,8 +32,7 @@ from .errors import (
     ParameterError,
     TrainingDivergedError,
 )
-from .metrics import (MetricReport, Reference, metric_report, mmd2_unbiased, mse, sliced_w2,
-                      unit_directions)
+from .metrics import MetricReport, Reference, metric_report, mmd2_unbiased, mse, sliced_w2
 from .mlp import (
     MlpDenoiser,
     MlpParams,

@@ -31,13 +31,14 @@ PROBE_SIGMAS = 8.0
 class Denoiser(abc.ABC):
     """Anything that predicts the injected noise from (z, t).
 
-    Inputs are finite: every operator passes the values of a ``Latent``,
-    which rejects non-finite entries, so a predictor does not check them.
+    Inputs are finite (n, d) batches: every operator passes the values of a
+    ``Latent``, which rejects non-finite entries, so a predictor does not
+    check them.
     """
 
     @abc.abstractmethod
     def predict(self, z: np.ndarray, t: int) -> np.ndarray:
-        """Return eps_hat with the same shape as ``z`` (last axis = dimension)."""
+        """Return eps_hat for the (n, d) batch ``z``, with its shape."""
 
 
 @dataclass(frozen=True)
@@ -122,27 +123,12 @@ def gmm_sample(model, n, rng, out=None):
     return out
 
 
-def gmm_marginal(model, schedule: NoiseSchedule, t: int) -> GaussianMixtureModel:
-    """Mixture after t forward-diffusion steps.
-
-    Component j becomes N(sqrt(ab_t) mu_j, ab_t sigma0_j^2 + (1 - ab_t)) with
-    ab_t the cumulative retention at t; weights are unchanged.
-    """
-    if not (0 <= t <= schedule.t_train):
-        raise ParameterError(f"t={t} outside 0..{schedule.t_train}")
-    ab = schedule.alpha_bars[t]
-    return GaussianMixtureModel(
-        model.weights, np.sqrt(ab) * model.means, ab * model.variances + (1.0 - ab)
-    )
-
-
 def _logsumexp(a):
     """log sum_j exp(a[..., j]), shifted by the max over the last axis.
 
     That axis holds the few mixture components.  It is reduced by one
     in-place pass per component, adding in component order as np.sum does
-    for fewer than 8 terms.  a[..., j] is an array even when a is 1-D, so
-    the passes also work on a single vector.
+    for fewer than 8 terms.
     """
     m = a[..., 0].copy()
     for j in range(1, a.shape[-1]):
@@ -158,6 +144,11 @@ def _logsumexp(a):
 @dataclass(frozen=True)
 class _ScoreTerms:
     """Per-t constants of the diffused mixture's score.
+
+    After t forward-diffusion steps component j is
+    N(sqrt(ab_t) mean_j, ab_t var_j + (1 - ab_t)), with ab_t the cumulative
+    retention at t, and keeps its weight.  The source's admission bound
+    holds for every t (see GaussianMixtureModel), so it is not re-checked.
 
     The log of w_j N(z; mean_j, var_j) is
     (z*z) @ neg_half_ivar + z @ mean_ivar + const_j, so the log-density of
@@ -182,10 +173,12 @@ class _ScoreTerms:
 
     @classmethod
     def at(cls, model, schedule, t):
-        mt = gmm_marginal(model, schedule, t)
-        m, v = mt.means, mt.variances
+        if not (0 <= t <= schedule.t_train):
+            raise ParameterError(f"t={t} outside 0..{schedule.t_train}")
+        ab = schedule.alpha_bars[t]
+        m, v = np.sqrt(ab) * model.means, ab * model.variances + (1.0 - ab)
         ivar = 1.0 / v
-        const = np.log(mt.weights) - 0.5 * np.sum(m * m * ivar + np.log(v) + _LOG_2PI, axis=-1)
+        const = np.log(model.weights) - 0.5 * np.sum(m * m * ivar + np.log(v) + _LOG_2PI, axis=-1)
         anchor_diff = ((m[None, :, :] - m[:, None, :]) / v).reshape(-1, m.shape[1])
         return cls(np.ascontiguousarray(-0.5 * ivar.T), np.ascontiguousarray((m * ivar).T),
                    const, m, anchor_diff, ivar)
@@ -197,12 +190,12 @@ def gmm_score(model, schedule, z, t, cache=None):
     Responsibilities are computed in log space so far-from-mode probes at
     large t do not underflow.  They weight the anchored combine matrices of
     ``_ScoreTerms`` in two matmuls, with no per-component pass over z.
-    ``cache`` (a dict owned by one model and schedule) keeps the per-t
-    terms across calls.
+    ``z`` is an (n, d) batch.  ``cache`` (a dict owned by one model and
+    schedule) keeps the per-t terms across calls.
     """
     z = np.asarray(z, dtype=float)
-    if z.shape[-1] != model.d:
-        raise ParameterError(f"z has dimension {z.shape[-1]}, model has {model.d}")
+    if z.ndim != 2 or z.shape[1] != model.d:
+        raise ParameterError(f"z must be an (n, {model.d}) batch, got shape {z.shape}")
     terms = None if cache is None else cache.get(t)
     if terms is None:
         terms = _ScoreTerms.at(model, schedule, t)
@@ -210,22 +203,21 @@ def gmm_score(model, schedule, z, t, cache=None):
             cache[t] = terms
     logp = (z * z) @ terms.neg_half_ivar + z @ terms.mean_ivar + terms.const
     logz = _logsumexp(logp)
-    resp = np.exp(logp - logz[..., None])  # (..., J)
+    resp = np.exp(logp - logz[:, None])  # (n, J)
     # Anchor each row at its most responsible component k; offset is
     # (z - mean_k) * (resp @ ivar).  It is finished before score exists, so
     # at most two (n, d) temporaries are live at once: with a third, glibc
     # trimmed the heap and faulted the pages back on every call.
-    j_count = resp.shape[-1]
-    rows = resp.reshape(-1, j_count)
-    k = rows.argmax(axis=1)
-    offset = np.take(terms.means, k, axis=0).reshape(z.shape)
+    j_count = resp.shape[1]
+    k = resp.argmax(axis=1)
+    offset = np.take(terms.means, k, axis=0)
     np.subtract(z, offset, out=offset)
     offset *= resp @ terms.ivar
     # pick[k', j, r] is resp_j on the rows r whose anchor is k', else 0;
     # rows run along the last axis, so the products make long passes
     anchor_mask = (np.arange(j_count)[:, None] == k).astype(float)
-    pick = anchor_mask[:, None, :] * np.ascontiguousarray(rows.T)
-    score = (pick.reshape(j_count * j_count, -1).T @ terms.anchor_diff).reshape(z.shape)
+    pick = anchor_mask[:, None, :] * np.ascontiguousarray(resp.T)
+    score = pick.reshape(j_count * j_count, -1).T @ terms.anchor_diff
     score -= offset
     return score
 

@@ -55,8 +55,4 @@ class InternalConsistencyError(RuntimeError):
 
 
 class TrainingDivergedError(RuntimeError):
-    """Training produced a non-finite loss. Carries the loss trace so far."""
-
-    def __init__(self, message, loss_trace=None):
-        super().__init__(message)
-        self.loss_trace = loss_trace
+    """Training produced a non-finite loss; the message names the iteration."""

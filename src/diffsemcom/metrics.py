@@ -2,8 +2,8 @@
 
 mse/nmse play the distortion role, sliced 2-Wasserstein and unbiased MMD^2
 the distribution role.  Both distribution estimators take two References,
-finite batches checked once when wrapped, and take explicit randomness
-(the sliced-W2 directions a Reference brings) or none (MMD), so reported
+finite batches checked once when wrapped.  Sliced W2 projects on fixed
+directions drawn from METRIC_SEED and the MMD draws nothing, so reported
 numbers are reproducible.
 
 The MMD and its median-heuristic bandwidth read three blocks of squared
@@ -22,8 +22,8 @@ import numpy as np
 
 from .errors import DegenerateInputError, ParameterError
 
-# The projections of metric_report's sliced_w2, and the seed of their
-# directions, fixed so that identical runs report identical metrics.
+# The projections of sliced_w2, and the seed of their directions, fixed so
+# that identical runs report identical metrics.
 SW2_PROJECTIONS = 128
 METRIC_SEED = 20318
 
@@ -45,20 +45,14 @@ def mse(a, b) -> float:
     return float(np.mean((a - b) ** 2))
 
 
-def unit_directions(n_projections, d, rng) -> np.ndarray:
-    """n_projections random unit directions in R^d, one per row."""
-    dirs = rng.standard_normal((int(n_projections), d))
+@functools.lru_cache(maxsize=8)
+def _metric_dirs(d):
+    """The SW2_PROJECTIONS unit directions in R^d of sliced_w2, one per row,
+    drawn from METRIC_SEED (shared, so read-only)."""
+    dirs = np.random.default_rng(METRIC_SEED).standard_normal((SW2_PROJECTIONS, d))
     norms = np.linalg.norm(dirs, axis=1, keepdims=True)
     norms[norms == 0.0] = 1.0
     dirs /= norms
-    return dirs
-
-
-@functools.lru_cache(maxsize=8)
-def _metric_dirs(d):
-    """metric_report's SW2_PROJECTIONS directions in R^d, drawn from
-    METRIC_SEED (shared, so read-only)."""
-    dirs = unit_directions(SW2_PROJECTIONS, d, np.random.default_rng(METRIC_SEED))
     dirs.flags.writeable = False
     return dirs
 
@@ -67,20 +61,14 @@ class Reference:
     """A finite batch that is measured or measured against (a grid seed's
     source batch, or a decoded batch), with the terms of it alone that the
     metrics read, each computed on first use: its variance (nmse's
-    denominator), its sorted projections on ``dirs`` (the sliced_w2
-    directions, metric_report's unless given), its squared row norms and
-    its within-batch squared distances (the MMD's)."""
+    denominator), its sorted projections on the sliced_w2 directions, its
+    squared row norms and its within-batch squared distances (the MMD's)."""
 
-    def __init__(self, batch, dirs=None):
+    def __init__(self, batch):
         self.batch = np.atleast_2d(np.asarray(batch, dtype=float))
         # rejected here, as a partition-taken median would skip it silently
         if not np.all(np.isfinite(self.batch)):
             raise ParameterError("batches must be finite")
-        self._dirs = dirs
-
-    @functools.cached_property
-    def dirs(self):
-        return _metric_dirs(self.batch.shape[1]) if self._dirs is None else self._dirs
 
     @functools.cached_property
     def variance(self):
@@ -88,7 +76,7 @@ class Reference:
 
     @functools.cached_property
     def projections(self):
-        return np.sort(self.batch @ self.dirs.T, axis=0)
+        return np.sort(self.batch @ _metric_dirs(self.batch.shape[1]).T, axis=0)
 
     @functools.cached_property
     def norms(self):
@@ -102,9 +90,9 @@ class Reference:
 def sliced_w2(x: Reference, y: Reference) -> float:
     """Sliced 2-Wasserstein distance between two equal-size sample batches.
 
-    Averages, over y's unit directions, the squared 1-D distance between
-    sorted projections, then takes the square root.  y's projections are
-    its cached ones; x is projected on y's directions.
+    Averages, over the SW2_PROJECTIONS fixed unit directions, the squared
+    1-D distance between sorted projections, then takes the square root.
+    y's projections are its cached ones; x's are a temporary.
     """
     if x.batch.size == 0 or y.batch.size == 0:
         raise ParameterError("batches must be non-empty")
@@ -113,9 +101,7 @@ def sliced_w2(x: Reference, y: Reference) -> float:
         raise ParameterError(f"dimension mismatch: {d} vs {e}")
     if n != m:
         raise ParameterError(f"sorted-projection pairing needs equal batch sizes, got {n} vs {m}")
-    if len(y.dirs) < 1 or y.dirs.shape[1] != d:
-        raise ParameterError(f"need at least one projection in R^{d}, got {y.dirs.shape}")
-    px = np.sort(x.batch @ y.dirs.T, axis=0)
+    px = np.sort(x.batch @ _metric_dirs(d).T, axis=0)
     return float(np.sqrt(np.mean((px - y.projections) ** 2)))
 
 
@@ -201,7 +187,7 @@ def mmd2_unbiased(x: Reference, y: Reference, bandwidth=None) -> float:
 
 def metric_report(decoded, source: Reference) -> MetricReport:
     """Distortion + distribution metrics of a decoded batch against its
-    source: sw2 over the source's directions, MMD^2 at the median-heuristic
+    source: sw2 over the fixed directions, MMD^2 at the median-heuristic
     bandwidth.  A non-finite decoded batch raises ParameterError; a metric
     that is not finite (an overflow, or an nmse over a source batch of zero
     variance) raises DegenerateInputError, whatever the warnings filter."""

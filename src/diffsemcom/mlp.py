@@ -18,6 +18,7 @@ import numpy as np
 
 from .denoisers import Denoiser, gmm_sample
 from .errors import CheckedFields, ParameterError, TrainingDivergedError
+from .rng import stream
 
 CHECKPOINT_MAGIC = b"MLPD"
 CHECKPOINT_VERSION = 1
@@ -135,14 +136,11 @@ def _forward(params, z, t, ws):
 
 
 def mlp_predict(params, z, t):
-    """Deterministic forward pass; accepts a single vector or a batch."""
+    """Deterministic forward pass over an (n, d) batch."""
     z = np.asarray(z, dtype=float)
-    single = z.ndim == 1
-    zb = z[None, :] if single else z
-    if zb.shape[-1] != params.d:
-        raise ParameterError(f"z has dimension {zb.shape[-1]}, network expects {params.d}")
-    out, _ = _forward(params, zb, t, _Activations(params, zb.shape[0]))
-    return out[0] if single else out
+    if z.ndim != 2 or z.shape[1] != params.d:
+        raise ParameterError(f"z must be an (n, {params.d}) batch, got shape {z.shape}")
+    return _forward(params, z, t, _Activations(params, z.shape[0]))[0]
 
 
 def loss_and_grads(params, z_t, t, eps_target, ws=None):
@@ -205,7 +203,7 @@ def train_denoiser(params, source, schedule, cfg: TrainConfig, seed: int):
     if source.d != params.d:
         raise ParameterError(f"source dimension {source.d} != network dimension {params.d}")
     params = params.copy()
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = stream(seed)
     adam = _Adam(cfg.learning_rate, [a.shape for a in params.arrays()])
     ab = schedule.alpha_bars
     trace = np.empty(cfg.iterations)
@@ -221,9 +219,7 @@ def train_denoiser(params, source, schedule, cfg: TrainConfig, seed: int):
         np.add(z0, ws.z, out=ws.z)
         loss, grads = loss_and_grads(params, ws.z, t, eps, ws)
         if not np.isfinite(loss):
-            raise TrainingDivergedError(
-                f"non-finite loss at iteration {i}", loss_trace=trace[:i].copy()
-            )
+            raise TrainingDivergedError(f"non-finite loss at iteration {i}")
         trace[i] = loss
         adam.step(params.arrays(), grads)
     return params, trace

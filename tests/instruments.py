@@ -1,6 +1,6 @@
-"""Test instruments: a constant denoiser, the mixture log-density, the
-empirical SNR and the standard-normal source.  No command runs them; the
-tests use them to pin the package's operators from outside.
+"""Test instruments: a constant denoiser, the diffused mixture, the mixture
+log-density, the empirical SNR and the standard-normal source.  No command
+runs them; the tests use them to pin the package's operators from outside.
 """
 
 import math
@@ -25,6 +25,20 @@ class ConstantDenoiser(Denoiser):
 def standard_normal_mixture(d):
     """N(0, I_d) as a one-component mixture."""
     return GaussianMixtureModel(np.ones(1), np.zeros((1, d)), np.ones((1, d)))
+
+
+def gmm_marginal(model, schedule, t):
+    """Mixture after t forward-diffusion steps.
+
+    Component j becomes N(sqrt(ab_t) mu_j, ab_t sigma0_j^2 + (1 - ab_t)) with
+    ab_t the cumulative retention at t; weights are unchanged.
+    """
+    if not (0 <= t <= schedule.t_train):
+        raise ParameterError(f"t={t} outside 0..{schedule.t_train}")
+    ab = schedule.alpha_bars[t]
+    return GaussianMixtureModel(
+        model.weights, np.sqrt(ab) * model.means, ab * model.variances + (1.0 - ab)
+    )
 
 
 def gmm_log_density(model, z):

@@ -14,13 +14,14 @@ import diffsemcom as dsc
 from diffsemcom import cli
 from diffsemcom.channel import ChannelConfig
 from diffsemcom.config import parse_config
-from diffsemcom.denoisers import gmm_marginal, gmm_score
+from diffsemcom.denoisers import gmm_score
 from diffsemcom.errors import ParameterError
 from diffsemcom.harness import cmd_verify_prop1
 from diffsemcom.mlp import TrainConfig, init_mlp, loss_and_grads, mlp_predict, train_denoiser
 from diffsemcom.noise_budget import SplitConfig
 from diffsemcom.pipeline import PipelineConfig, run_baseline_random_noise, run_trial
-from instruments import ConstantDenoiser, gmm_log_density, measure_snr, standard_normal_mixture
+from instruments import (ConstantDenoiser, gmm_log_density, gmm_marginal, measure_snr,
+                         standard_normal_mixture)
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 CONFIGS = os.path.join(os.path.dirname(HERE), "configs")
@@ -135,7 +136,7 @@ def test_criterion_05_analytic_denoiser(sched):
         t = int(rng.integers(1, 1001))
         mt = gmm_marginal(model, sched, t)
         z = dsc.gmm_sample(mt, 1, rng)[0]
-        analytic = gmm_score(model, sched, z, t)
+        analytic = gmm_score(model, sched, z[None], t)[0]
         fd = np.empty(d)
         for i in range(d):
             zp, zm = z.copy(), z.copy()
@@ -146,7 +147,7 @@ def test_criterion_05_analytic_denoiser(sched):
                                  / max(np.linalg.norm(analytic), 1e-12)))
     std = standard_normal_mixture(6)
     den = dsc.GmmDenoiser(std, sched)
-    z = rng.standard_normal(6)
+    z = rng.standard_normal((1, 6))
     exact = max(
         float(np.max(np.abs(den.predict(z, t) - np.sqrt(1 - sched.alpha_bars[t]) * z)))
         for t in (1, 250, 1000)

@@ -1,14 +1,19 @@
+import dataclasses
+import os
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import diffsemcom as dsc
-from diffsemcom.denoisers import (
-    _logsumexp, _ScoreTerms, gmm_marginal, gmm_score,
-)
+from diffsemcom.config import parse_config
+from diffsemcom.denoisers import _LOG_2PI, _logsumexp, _ScoreTerms, gmm_score
 from diffsemcom.errors import ParameterError
-from instruments import ConstantDenoiser, gmm_log_density, standard_normal_mixture
+from diffsemcom.harness import build_objects
+from instruments import ConstantDenoiser, gmm_log_density, gmm_marginal, standard_normal_mixture
+
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
 
 
 def random_mixture(rng, j_max=4, d_max=8):
@@ -116,7 +121,7 @@ def test_marginal_matches_forward_simulation(sched):
 
 def test_score_standard_normal(sched):
     model = standard_normal_mixture(4)
-    z = np.random.default_rng(8).standard_normal(4)
+    z = np.random.default_rng(8).standard_normal((1, 4))
     for t in (0, 10, 800):
         assert np.allclose(gmm_score(model, sched, z, t), -z, rtol=1e-12)
 
@@ -127,7 +132,7 @@ def test_score_single_gaussian_closed_form(sched):
     )
     t = 400
     ab = sched.alpha_bars[t]
-    z = np.array([0.3, 0.9])
+    z = np.array([[0.3, 0.9]])
     expected = -(z - np.sqrt(ab) * model.means[0]) / (ab * model.variances[0] + 1 - ab)
     assert np.allclose(gmm_score(model, sched, z, t), expected, rtol=1e-12)
 
@@ -140,7 +145,7 @@ def test_score_finite_differences(sched):
         t = int(rng.integers(1, 1001))
         mt = gmm_marginal(model, sched, t)
         z = dsc.gmm_sample(mt, 1, rng)[0]
-        analytic = gmm_score(model, sched, z, t)
+        analytic = gmm_score(model, sched, z[None], t)[0]
         fd = np.empty(model.d)
         for i in range(model.d):
             zp, zm = z.copy(), z.copy()
@@ -156,7 +161,7 @@ def test_score_underflow_far_probe(sched):
     model = dsc.GaussianMixtureModel(
         np.array([0.5, 0.5]), np.array([[40.0], [-40.0]]), np.array([[0.01], [0.01]])
     )
-    score = gmm_score(model, sched, np.array([0.5]), 1)
+    score = gmm_score(model, sched, np.array([[0.5]]), 1)
     assert np.all(np.isfinite(score))
 
 
@@ -235,9 +240,6 @@ def test_score_matches_tensor_form(sched, j, d, t, seed, spread):
     # the cached per-t terms give the same bits as freshly built ones
     assert np.array_equal(gmm_score(model, sched, z, t, cache=cache), got)
     assert list(cache) == [t]
-    # one row alone: the same score within the tolerance (BLAS may add a
-    # single row's dot products in another order than a batch's)
-    assert np.all(np.abs(gmm_score(model, sched, z[0], t) - ref[0]) <= 1e-10 * scale[0])
 
 
 def loop_form_score(model, sched, z, t):
@@ -271,8 +273,6 @@ def test_score_matches_loop_form(sched, j, d, t, seed, spread):
     z = spread * rng.standard_normal((16, d))
     ref, scale = loop_form_score(model, sched, z, t)
     assert np.all(np.abs(gmm_score(model, sched, z, t) - ref) <= 1e-12 * scale)
-    ref0, scale0 = loop_form_score(model, sched, z[0], t)
-    assert np.all(np.abs(gmm_score(model, sched, z[0], t) - ref0) <= 1e-12 * scale0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -314,20 +314,55 @@ def test_score_rejects_bad_input(sched):
     # finiteness is the Latent's check, not the score's (see Denoiser)
     model = standard_normal_mixture(2)
     with pytest.raises(ParameterError):
-        gmm_score(model, sched, np.zeros(3), 10)
+        gmm_score(model, sched, np.zeros((1, 3)), 10)
     with pytest.raises(ParameterError):
-        gmm_score(model, sched, np.zeros(2), 1001)
+        gmm_score(model, sched, np.zeros((1, 2)), 1001)
     with pytest.raises(ParameterError):
-        gmm_score(model, sched, np.zeros(3), 10, cache={})
+        gmm_score(model, sched, np.zeros((1, 3)), 10, cache={})
     with pytest.raises(ParameterError):
-        dsc.GmmDenoiser(model, sched).predict(np.zeros(3), 10)
+        dsc.GmmDenoiser(model, sched).predict(np.zeros((1, 3)), 10)
+
+
+def test_predictors_take_only_batches(sched):
+    # every command passes an (n, d) batch; a single vector is an error that
+    # names the shape
+    model = standard_normal_mixture(3)
+    params = dsc.init_mlp(3, 8, 1, dsc.stream(4, 0))
+    for predict in (lambda z: gmm_score(model, sched, z, 10),
+                    lambda z: dsc.GmmDenoiser(model, sched).predict(z, 10),
+                    lambda z: dsc.mlp_predict(params, z, 10)):
+        for z in (np.zeros(3), np.zeros((1, 1, 3))):
+            with pytest.raises(ParameterError, match=r"must be an \(n, 3\) batch"):
+                predict(z)
+        assert predict(np.zeros((2, 3))).shape == (2, 3)
+
+
+@pytest.mark.parametrize("config", ["default.ini", "bimodal.ini"])
+def test_score_terms_match_diffused_mixture(config):
+    # the per-t terms read the source directly, with the bits of the terms
+    # of the diffused mixture that the instrument builds and checks
+    cfg = parse_config(os.path.join(CONFIGS, config))
+    sched, plan, model, _ = build_objects(cfg, with_denoiser=False)
+    for t in sorted({0, sched.t_train, *(plan.training_step(s) for s in range(plan.k + 1))}):
+        mt = gmm_marginal(model, sched, t)
+        m, v = mt.means, mt.variances
+        ivar = 1.0 / v
+        const = np.log(mt.weights) - 0.5 * np.sum(m * m * ivar + np.log(v) + _LOG_2PI, axis=-1)
+        expected = (-0.5 * ivar.T, (m * ivar).T, const, m,
+                    ((m[None, :, :] - m[:, None, :]) / v).reshape(-1, m.shape[1]), ivar)
+        got = _ScoreTerms.at(model, sched, t)
+        for field, want in zip(dataclasses.fields(got), expected):
+            assert np.array_equal(getattr(got, field.name), want), (config, t, field.name)
+    for t in (-1, sched.t_train + 1):
+        with pytest.raises(ParameterError, match=f"t={t} outside 0..{sched.t_train}"):
+            _ScoreTerms.at(model, sched, t)
 
 
 def test_eps_from_score(sched):
     assert np.all(dsc.eps_from_score(np.zeros(3), sched, 500) == 0.0)
     model = standard_normal_mixture(3)
     den = dsc.GmmDenoiser(model, sched)
-    z = np.random.default_rng(11).standard_normal(3)
+    z = np.random.default_rng(11).standard_normal((1, 3))
     for t in (1, 333, 1000):
         expected = np.sqrt(1 - sched.alpha_bars[t]) * z
         assert np.allclose(den.predict(z, t), expected, rtol=1e-12)

@@ -262,8 +262,7 @@ def test_sampling_from_pure_noise_distribution(sched, plan50):
         noise = rng.standard_normal((2000, 8))
         z = dsc.Latent(noise, 1000)
         out = dsc.run_ddim_sample(sched, z, plan50.descending_plan(50), den)
-        fresh = dsc.Reference(dsc.gmm_sample(model, 2000, rng),
-                              dsc.unit_directions(64, 8, dsc.stream(0, 32)))
+        fresh = dsc.Reference(dsc.gmm_sample(model, 2000, rng))
         sw_sampled = dsc.sliced_w2(dsc.Reference(out.values), fresh)
         if against_raw:
             sw_raw = dsc.sliced_w2(dsc.Reference(noise), fresh)
@@ -281,7 +280,7 @@ def test_latent_validation():
 
 def test_operators_pure(sched):
     den = dsc.GmmDenoiser(standard_normal_mixture(3), sched)
-    z = dsc.Latent(np.array([0.5, -0.5, 1.0]), 400)
+    z = dsc.Latent(np.array([[0.5, -0.5, 1.0]]), 400)
     a = dsc.ddim_sample_step(sched, z, 100, den)
     b = dsc.ddim_sample_step(sched, z, 100, den)
     assert np.array_equal(a.values, b.values)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import diffsemcom as dsc
-from diffsemcom import Reference, unit_directions
+from diffsemcom import Reference
 from diffsemcom.errors import DegenerateInputError, ParameterError
 from diffsemcom.metrics import METRIC_SEED, _median_distance, _sq_dists, median_bandwidth
 
@@ -67,15 +67,14 @@ def test_mse_constant_shift():
 
 def test_sliced_w2_identical_batches():
     x = np.random.default_rng(83).standard_normal((100, 4))
-    y = Reference(x.copy(), unit_directions(32, 4, dsc.stream(0, 83)))
-    assert dsc.sliced_w2(Reference(x), y) == 0.0
+    assert dsc.sliced_w2(Reference(x), Reference(x.copy())) == 0.0
 
 
 def test_sliced_w2_1d_sort_oracle():
     rng = np.random.default_rng(84)
     x = rng.standard_normal((200, 1))
     y = rng.standard_normal((200, 1))
-    got = dsc.sliced_w2(Reference(x), Reference(y, unit_directions(16, 1, dsc.stream(0, 84))))
+    got = dsc.sliced_w2(Reference(x), Reference(y))
     oracle = np.sqrt(np.mean((np.sort(x[:, 0]) - np.sort(y[:, 0])) ** 2))
     assert got == pytest.approx(oracle, rel=1e-12)
 
@@ -85,21 +84,19 @@ def test_sliced_w2_gaussian_shift():
     m = 2.0
     x = rng.standard_normal((10_000, 1))
     y = rng.standard_normal((10_000, 1)) + m
-    got = dsc.sliced_w2(Reference(x), Reference(y, unit_directions(8, 1, dsc.stream(0, 85))))
+    got = dsc.sliced_w2(Reference(x), Reference(y))
     assert abs(got - m) / m < 0.1
 
 
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(1, 60), d=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
 def test_sliced_w2_symmetry(n, d, seed):
-    # on one set of directions the distance does not depend on which batch
-    # brings them
+    # the distance does not depend on which batch is measured against
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, d))
     y = rng.standard_normal((n, d)) * 1.5
-    dirs = unit_directions(64, d, rng)
-    a = dsc.sliced_w2(Reference(x, dirs), Reference(y, dirs))
-    b = dsc.sliced_w2(Reference(y, dirs), Reference(x, dirs))
+    a = dsc.sliced_w2(Reference(x), Reference(y))
+    b = dsc.sliced_w2(Reference(y), Reference(x))
     assert a == pytest.approx(b, rel=1e-12)
 
 
@@ -110,10 +107,6 @@ def test_sliced_w2_validation():
         dsc.sliced_w2(Reference(np.zeros((4, 2))), Reference(np.zeros((4, 3))))
     with pytest.raises(ParameterError, match="equal batch sizes"):
         dsc.sliced_w2(Reference(np.zeros((4, 2))), Reference(np.zeros((5, 2))))
-    for n_dirs, d in ((0, 2), (8, 3)):  # no direction, or directions in another space
-        y = Reference(np.zeros((4, 2)), unit_directions(n_dirs, d, dsc.stream(0, 87)))
-        with pytest.raises(ParameterError, match=r"at least one projection in R\^2"):
-            dsc.sliced_w2(Reference(np.zeros((4, 2))), y)
 
 
 def test_mmd2_kernel_self_is_one():
@@ -264,22 +257,30 @@ def test_metrics_reject_non_finite(bad):
 def test_reference_metrics_match_plain_batches_bit_for_bit():
     # a Reference's cached terms are the ones each metric computes from a
     # fresh wrap of the plain batch, and measuring against it leaves them
-    # unchanged; one built without directions has metric_report's, which
-    # METRIC_SEED draws
+    # unchanged
     rng = np.random.default_rng(96)
     y = rng.standard_normal((32, 6))
-    ref = Reference(y, unit_directions(16, 6, dsc.stream(0, 96)))
-    report_ref = Reference(y)
-    report_dirs = unit_directions(128, 6, np.random.default_rng(METRIC_SEED))
+    ref = Reference(y)
     for shift in (0.1, 0.5, 0.1):
         x = y + shift * rng.standard_normal(y.shape)
-        fresh = Reference(y, unit_directions(16, 6, dsc.stream(0, 96)))
-        assert dsc.sliced_w2(Reference(x), ref) == dsc.sliced_w2(Reference(x), fresh)
+        assert dsc.sliced_w2(Reference(x), ref) == dsc.sliced_w2(Reference(x), Reference(y))
         assert dsc.mmd2_unbiased(Reference(x), ref) == dsc.mmd2_unbiased(Reference(x), Reference(y))
-        report = dsc.metric_report(x, report_ref)
+        report = dsc.metric_report(x, ref)
         assert dsc.metric_report(x, Reference(y)) == report
-        assert report.sw2 == dsc.sliced_w2(Reference(x), Reference(y, report_dirs))
+        assert report.sw2 == dsc.sliced_w2(Reference(x), Reference(y))
         assert report.mmd2 == dsc.mmd2_unbiased(Reference(x), Reference(y))
+
+
+@pytest.mark.parametrize("n, d", [(32, 6), (256, 64), (40, 1)])
+def test_metric_report_sw2_matches_plain_numpy(n, d):
+    # the sliced-W2 directions are 128 standard normal draws from
+    # METRIC_SEED, each scaled to unit length
+    rng = np.random.default_rng(97)
+    x, y = rng.standard_normal((n, d)), rng.standard_normal((n, d)) + 0.3
+    dirs = np.random.default_rng(METRIC_SEED).standard_normal((128, d))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    px, py = np.sort(x @ dirs.T, axis=0), np.sort(y @ dirs.T, axis=0)
+    assert dsc.metric_report(x, Reference(y)).sw2 == float(np.sqrt(np.mean((px - py) ** 2)))
 
 
 def test_metric_report_fields():

@@ -41,8 +41,8 @@ def test_init_within_recomputed_bound():
 
 def test_forward_finite_on_zero_input():
     params = init_mlp(4, 8, 1, dsc.stream(4, 2))
-    out = mlp_predict(params, np.zeros(4), 0)
-    assert out.shape == (4,)
+    out = mlp_predict(params, np.zeros((1, 4)), 0)
+    assert out.shape == (1, 4)
     assert np.all(np.isfinite(out))
 
 
@@ -54,7 +54,7 @@ def test_predict_deterministic_and_shapes():
     assert np.array_equal(a, b)
     assert a.shape == (5, 3)
     with pytest.raises(ParameterError):
-        mlp_predict(params, np.zeros(4), 100)
+        mlp_predict(params, np.zeros((5, 4)), 100)
 
 
 def test_gradients_match_finite_differences():
@@ -136,10 +136,8 @@ def test_training_divergence_raises(sched):
     src = standard_normal_mixture(2)
     params = init_mlp(2, 8, 1, dsc.stream(4, 8))
     params.w3[0, 0] = np.nan
-    with pytest.raises(TrainingDivergedError) as err:
+    with pytest.raises(TrainingDivergedError, match=r"at iteration 0$"):
         train_denoiser(params, src, sched, TrainConfig(iterations=50), 0)
-    assert err.value.loss_trace is not None
-    assert err.value.loss_trace.size == 0  # diverged on the first iteration
 
 
 def test_training_bit_reproducible(sched):
@@ -198,14 +196,14 @@ def test_training_bits_match_plain_loop(sched, bimodal_8, monkeypatch):
     for a, b in zip(trained.arrays(), ref_params.arrays()):
         assert np.array_equal(a, b)
     # a huge step overflows the loss after the first update: the error
-    # carries the trace so far
+    # names the first iteration that the plain loop could not finish
     monkeypatch.setattr(TrainConfig, "learning_rate", 1e300)
     with np.errstate(all="ignore"):
         _, ref_trace = _plain_train(params, bimodal_8, sched, cfg, 3)
         with pytest.raises(TrainingDivergedError) as err:
             train_denoiser(params, bimodal_8, sched, cfg, 3)
     assert 0 < ref_trace.size < cfg.iterations
-    assert np.array_equal(err.value.loss_trace, ref_trace)
+    assert str(err.value) == f"non-finite loss at iteration {ref_trace.size}"
 
 
 def test_checkpoint_round_trip(tmp_path):
@@ -216,7 +214,7 @@ def test_checkpoint_round_trip(tmp_path):
     assert loaded.d == 3 and loaded.hidden == 8 and loaded.label_count == 2
     for a, b in zip(loaded.arrays(), params.arrays()):
         assert np.array_equal(a, b)
-    z = np.random.default_rng(3).standard_normal(3)
+    z = np.random.default_rng(3).standard_normal((1, 3))
     assert np.array_equal(mlp_predict(loaded, z, 42), mlp_predict(params, z, 42))
 
 
