@@ -13,7 +13,6 @@ from .denoisers import (
     Denoiser,
     GaussianMixtureModel,
     GmmDenoiser,
-    eps_from_score,
     gmm_sample,
     gmm_score,
 )

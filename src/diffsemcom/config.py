@@ -192,8 +192,9 @@ class _SectionReader:
 
     def spec(self, cls):
         """Section dataclass ``cls`` from this section's keys."""
+        values = {f.name: self.typed(f) for f in fields(cls)}  # a bad value names its key's line
         try:
-            return cls(**{f.name: self.typed(f) for f in fields(cls)})
+            return cls(**values)
         except FieldError as exc:
             self._fail(exc.field, exc.reason)
         except (ParameterError, ConfigError) as exc:
@@ -211,7 +212,8 @@ def parse_config(path) -> ExperimentConfig:
         raise ConfigError(f"config file not found: {path}") from None
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    parser = configparser.ConfigParser(interpolation=None, strict=True)
+    # No header can name the "" section, so [DEFAULT] is an ordinary, unknown one.
+    parser = configparser.ConfigParser(interpolation=None, strict=True, default_section="")
     try:
         parser.read_string(text, source=path)
     except configparser.Error as exc:

@@ -162,6 +162,9 @@ class _ScoreTerms:
     Forming z - mean_k first keeps the error relative to
     sum_j resp_j |mean_j - z| / var_j, so a probe next to a mode does not
     cancel mean_k / var_k against z / var_k.
+
+    ``eps_scale`` turns the score into eps_hat.  It is -0.0 at t = 0, where
+    the prediction vanishes, which the inversion loop relies on.
     """
 
     neg_half_ivar: np.ndarray  # (d, J): -1 / (2 var_j)
@@ -170,6 +173,7 @@ class _ScoreTerms:
     means: np.ndarray         # (J, d): the anchors mean_k
     anchor_diff: np.ndarray   # (J*J, d): row k*J + j is (mean_j - mean_k) / var_j
     ivar: np.ndarray          # (J, d): 1 / var_j
+    eps_scale: float          # -sqrt(1 - ab_t), applied in place by GmmDenoiser.predict
 
     @classmethod
     def at(cls, model, schedule, t):
@@ -181,7 +185,7 @@ class _ScoreTerms:
         const = np.log(model.weights) - 0.5 * np.sum(m * m * ivar + np.log(v) + _LOG_2PI, axis=-1)
         anchor_diff = ((m[None, :, :] - m[:, None, :]) / v).reshape(-1, m.shape[1])
         return cls(np.ascontiguousarray(-0.5 * ivar.T), np.ascontiguousarray((m * ivar).T),
-                   const, m, anchor_diff, ivar)
+                   const, m, anchor_diff, ivar, -np.sqrt(1.0 - ab))
 
 
 def gmm_score(model, schedule, z, t, cache=None):
@@ -222,17 +226,6 @@ def gmm_score(model, schedule, z, t, cache=None):
     return score
 
 
-def eps_from_score(score_value, schedule, t):
-    """Convert a score into the equivalent noise prediction.
-
-    eps_hat = -sqrt(1 - alpha_bar_t) * score.  Defined for t = 0 too (the
-    factor vanishes there), which the inversion loop relies on.
-    """
-    if not (0 <= t <= schedule.t_train):
-        raise ParameterError(f"t={t} outside 0..{schedule.t_train}")
-    return -np.sqrt(1.0 - schedule.alpha_bars[t]) * np.asarray(score_value, dtype=float)
-
-
 class GmmDenoiser(Denoiser):
     """Exact noise predictor for a Gaussian-mixture source."""
 
@@ -243,4 +236,4 @@ class GmmDenoiser(Denoiser):
 
     def predict(self, z, t):
         score = gmm_score(self.model, self.schedule, z, t, self._terms)
-        return eps_from_score(score, self.schedule, t)
+        return np.multiply(score, self._terms[t].eps_scale, out=score)  # in place

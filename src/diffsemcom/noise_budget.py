@@ -1,5 +1,4 @@
-"""Noise budget of the split forward process, step selection, and its
-Monte-Carlo validation.
+"""The split forward process's noise budget, step selection and Monte-Carlo check.
 
 For a transmitter that runs the stochastic forward to scheduler step T_F1,
 scales each sample to unit power by its gain gamma, crosses an AWGN channel
@@ -10,15 +9,17 @@ gamma * sqrt(ab_F) * z0 with variance
     sigma_eps^2 = 1 - r (1 - gamma^2) - gamma^2 ab_F      (diffusion part)
     sigma_n^2   = r * sigma_eff^2                          (channel part)
 
-where r = ab_F / ab_F1 is the retention over the receiver-side leg.  The
-diffusion part is evaluated through the equivalent form
-(1 - r) + gamma^2 r (1 - ab_F1), whose terms are all non-negative, so it
-does not cancel at a large gamma; the form above is checked against it
-within a bound scaled to its largest term, gamma^2 r.
+where r = ab_F / ab_F1 is the receiver leg's retention.  The diffusion
+part is evaluated as (1 - r) + gamma^2 r (1 - ab_F1), whose terms are all
+non-negative, so it does not cancel at a large gamma; the form above is
+checked against it within a bound scaled to its largest term, gamma^2 r.
 
 The matched denoising depth T_B is the smallest scheduler step whose nominal
-noise level 1 - ab reaches sigma_tot^2 = sigma_eps^2 + sigma_n^2.
-``validate_prop1`` checks the budget by simulating this one transmitter.
+noise level 1 - ab reaches sigma_tot^2 = sigma_eps^2 + sigma_n^2.  Of the
+systems a grid runs, the budget describes exactly only the baseline's
+fresh-noise leg from T_F1 = 0; the proposed system inverts both legs.
+``validate_prop1`` simulates the stochastic transmitter at T_F1 > 0, which
+no grid cell runs.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import numpy as np
 from .channel import ChannelConfig
 from .denoisers import BLOCK_ROWS, gmm_sample
 from .errors import InternalConsistencyError, ParameterError
+from .schedule import alpha_bar_ratio
 
 # Fewest Monte-Carlo samples the validator accepts: below it the 3-sigma
 # mean bands and the 3% variance tolerance are too loose to test anything.
@@ -75,7 +77,7 @@ def compute_noise_budget(schedule, plan, split: SplitConfig, gamma: float,
     ab = schedule.alpha_bars
     t1 = plan.training_step(split.t_f1)
     tf = plan.training_step(split.t_f)
-    r = float(ab[tf] / ab[t1])
+    r = alpha_bar_ratio(schedule, t1, tf)
     g2 = gamma * gamma
     sigma_eps2 = float((1.0 - r) + g2 * r * (1.0 - ab[t1]))
     primary = float(1.0 - r * (1.0 - g2) - g2 * ab[tf])
@@ -178,7 +180,7 @@ def validate_prop1(schedule, plan, split: SplitConfig, channel_cfg: ChannelConfi
     ab = schedule.alpha_bars
     t1 = plan.training_step(split.t_f1)
     tf = plan.training_step(split.t_f)
-    r = float(ab[tf] / ab[t1])
+    r = alpha_bar_ratio(schedule, t1, tf)
     sigma_eff2 = channel_cfg.noise_var
 
     n_chunks = (n_samples + chunk - 1) // chunk

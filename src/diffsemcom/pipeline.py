@@ -32,7 +32,7 @@ import numpy as np
 from .channel import ChannelConfig, awgn_apply, power_normalize
 from .denoisers import gmm_sample
 from .diffusion import Latent, forward_reparam, run_ddim_invert, run_ddim_sample
-from .errors import ConfigError
+from .errors import ConfigError, ParameterError
 from .metrics import MetricReport, Reference, metric_report
 from .noise_budget import NoiseBudget, SplitConfig, compute_noise_budget, select_denoise_steps
 from .schedule import K_STEPS
@@ -95,10 +95,10 @@ def receiver_forward(y, cfg: PipelineConfig, schedule, plan, denoiser, rng=None)
     return run_ddim_invert(schedule, z, plan.ascending_steps(t_f1, t_f), denoiser)
 
 
-def decode_at(z_hat: Latent, cfg: PipelineConfig, schedule, plan, denoiser, t_b) -> np.ndarray:
-    """The receiver from its forward leg's latent on: retag at t_b, DDIM sampling."""
-    if t_b == 0 and cfg.split.t_f != 0:
-        raise ConfigError("resolved t_b = 0 is only valid for an empty split")
+def decode_at(z_hat: Latent, schedule, plan, denoiser, t_b) -> np.ndarray:
+    """Retag the forward leg's latent at t_b, DDIM-sample it; t_b = 0 needs a latent at 0."""
+    if t_b == 0 and z_hat.t != 0:
+        raise ParameterError("resolved t_b = 0 is only valid for an empty split")
     z = Latent(z_hat.values, plan.training_step(t_b))
     return run_ddim_sample(schedule, z, plan.descending_plan(t_b), denoiser).values
 
@@ -152,7 +152,7 @@ def run_trial(cfg: PipelineConfig, channel: ChannelConfig, source, schedule, pla
     z_hat = memo.last((cfg.split, channel, fresh_noise), lambda: receiver_forward(
         awgn_apply(x, channel, k_ch), cfg, schedule, plan, denoiser,
         k_rx if fresh_noise else None))
-    z_tilde0 = decode_at(z_hat, cfg, schedule, plan, denoiser, int(t_b))
+    z_tilde0 = decode_at(z_hat, schedule, plan, denoiser, int(t_b))
 
     metrics = metric_report(z_tilde0, reference)
     return TrialResult(

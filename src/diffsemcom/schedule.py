@@ -1,10 +1,9 @@
 """Diffusion noise schedules and jump-sampling stride plans.
 
-A schedule is the table of per-step retention factors alpha_t = 1 - beta_t
-together with their running product alpha_bar_t.  Arrays are indexed by the
-training step t in 0..t_train with a padding slot at index 0 (beta 0,
-alpha 1), so ``alpha_bars[t]`` is exactly the cumulative product of
-``alphas[1..t]`` and ``alpha_bars[0] == 1``.
+A schedule is the table of alpha_bar_t, the running product of the per-step
+retentions 1 - beta_t over the training steps t in 0..t_train, with
+``alpha_bars[0] == 1`` the empty product.  Every step quantity is read from
+it: the retention over (t_lo, t_hi] is ``alpha_bar_ratio``.
 
 A stride plan maps a coarse K-step scheduler onto the underlying training
 steps: scheduler step s in 1..K corresponds to training step ``timesteps[s-1]``
@@ -26,11 +25,9 @@ T_TRAIN, BETA_START, BETA_END, K_STEPS = 1000, 8.5e-4, 0.012, 50
 
 @dataclass(frozen=True)
 class NoiseSchedule:
-    """Beta/alpha/alpha_bar tables over ``t_train`` training steps."""
+    """The alpha_bar table over ``t_train`` training steps, 0 included."""
 
     t_train: int
-    betas: np.ndarray
-    alphas: np.ndarray
     alpha_bars: np.ndarray
 
 
@@ -43,23 +40,20 @@ def build_schedule(t_train: int, beta_start: float, beta_end: float) -> NoiseSch
             f"need 0 < beta_start <= beta_end < 1, got ({beta_start}, {beta_end})"
         )
 
-    core = np.linspace(np.sqrt(beta_start), np.sqrt(beta_end), t_train) ** 2
-    betas = np.concatenate([[0.0], core])
-    alphas = 1.0 - betas  # alphas[0] == 1 is the empty-product pad
-    alpha_bars = np.cumprod(alphas)
+    betas = np.linspace(np.sqrt(beta_start), np.sqrt(beta_end), t_train) ** 2
+    alpha_bars = np.cumprod(np.concatenate([[1.0], 1.0 - betas]))  # [0] is the empty product
 
     if not np.all(np.diff(alpha_bars[1:]) < 0.0) or alpha_bars[1] >= alpha_bars[0]:
         raise ParameterError(
             f"alpha_bar does not strictly decrease in float64 for betas {beta_start}..{beta_end}")
-    for arr in (betas, alphas, alpha_bars):
-        arr.setflags(write=False)
-    return NoiseSchedule(t_train=int(t_train), betas=betas, alphas=alphas, alpha_bars=alpha_bars)
+    alpha_bars.setflags(write=False)
+    return NoiseSchedule(t_train=int(t_train), alpha_bars=alpha_bars)
 
 
 def alpha_bar_ratio(schedule: NoiseSchedule, t_lo: int, t_hi: int) -> float:
     """Return alpha_bar[t_hi] / alpha_bar[t_lo], the retention over (t_lo, t_hi].
 
-    Equals the product of alphas[t_lo+1 .. t_hi]; 1.0 iff t_lo == t_hi.
+    Equals the product of 1 - beta_t over t_lo < t <= t_hi; 1.0 iff t_lo == t_hi.
     """
     if not (0 <= t_lo <= t_hi <= schedule.t_train):
         raise ParameterError(

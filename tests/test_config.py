@@ -102,6 +102,39 @@ def test_unparseable_value_rejected_at_its_line(tmp_path, section, key, value, m
         parse_config(path)
 
 
+_BAD_VALUES = [
+    ("[run]\nseed = abc\n",
+     "run.seed: invalid integer 'abc' (invalid literal for int() with base 10: 'abc')"),
+    ("[channel]\nsnr_db = nan\n", "channel.snr_db: invalid number 'nan' (expected a finite number)"),
+    ("[sweep]\nseeds = 3..1\n", "sweep.seeds: invalid integer list '3..1' (descending range '3..1')"),
+]
+
+
+@pytest.mark.parametrize("text,message", _BAD_VALUES, ids=["integer", "nan", "descending"])
+def test_unparseable_value_reported_once_on_stderr(tmp_path, capsys, text, message):
+    # a key's own error is not wrapped again in its section header's line
+    path = write(tmp_path, text)
+    assert cli.main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"config error: {path}:2: {message}\n"
+
+
+@pytest.mark.parametrize("text", [
+    "[DEFAULT]\nsnr_db = 40\n",
+    "[DEFAULT]\nsnr_db = 40\n[channel]\nmodel = real_simplified\n",
+    "[DEFAULT]\nsnr_db = 40\n[channel]\nmodel = real_simplified\n[run]\nseed = 1\n",
+], ids=["alone", "with-channel", "with-run"])
+def test_default_section_is_an_unknown_section(tmp_path, capsys, text):
+    # read as every section's defaults, [DEFAULT] would be ignored or leak
+    # its keys into the other sections
+    path = write(tmp_path, text)
+    for command in ("verify-prop1", "sweep", "ablate", "train"):
+        out = tmp_path / command
+        assert cli.main([command, "--config", str(path), "--out", str(out)]) == 2, command
+        assert not out.exists(), command
+        assert capsys.readouterr().err \
+            == f"config error: {path}:2: unknown config key 'DEFAULT.snr_db'\n", command
+
+
 # Every key that an earlier version read, the guidance keys first.  A case's
 # id is its key, or section.key where an earlier case has the same key name.
 _REMOVED_KEYS = [

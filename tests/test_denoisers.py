@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -349,9 +350,10 @@ def test_score_terms_match_diffused_mixture(config):
         ivar = 1.0 / v
         const = np.log(mt.weights) - 0.5 * np.sum(m * m * ivar + np.log(v) + _LOG_2PI, axis=-1)
         expected = (-0.5 * ivar.T, (m * ivar).T, const, m,
-                    ((m[None, :, :] - m[:, None, :]) / v).reshape(-1, m.shape[1]), ivar)
+                    ((m[None, :, :] - m[:, None, :]) / v).reshape(-1, m.shape[1]), ivar,
+                    -np.sqrt(1.0 - sched.alpha_bars[t]))
         got = _ScoreTerms.at(model, sched, t)
-        for field, want in zip(dataclasses.fields(got), expected):
+        for field, want in zip(dataclasses.fields(got), expected, strict=True):
             assert np.array_equal(getattr(got, field.name), want), (config, t, field.name)
     for t in (-1, sched.t_train + 1):
         with pytest.raises(ParameterError, match=f"t={t} outside 0..{sched.t_train}"):
@@ -359,13 +361,40 @@ def test_score_terms_match_diffused_mixture(config):
 
 
 def test_eps_from_score(sched):
-    assert np.all(dsc.eps_from_score(np.zeros(3), sched, 500) == 0.0)
+    # the standard normal is stationary, so its score is -z and the noise
+    # prediction sqrt(1 - ab_t) z: 0 at z = 0, and at t = 0 for any z
     model = standard_normal_mixture(3)
     den = dsc.GmmDenoiser(model, sched)
+    assert np.all(den.predict(np.zeros((1, 3)), 500) == 0.0)
     z = np.random.default_rng(11).standard_normal((1, 3))
+    assert np.all(den.predict(z, 0) == 0.0)
     for t in (1, 333, 1000):
         expected = np.sqrt(1 - sched.alpha_bars[t]) * z
         assert np.allclose(den.predict(z, t), expected, rtol=1e-12)
+
+
+@pytest.mark.parametrize("config", ["default.ini", "bimodal.ini"])
+def test_predict_is_the_scaled_score_bit_for_bit(config):
+    # predict scales gmm_score's array in place by the cached -sqrt(1 - ab_t);
+    # its bits are those of the out-of-place product, -0.0 at t = 0 included
+    cfg = parse_config(os.path.join(CONFIGS, config))
+    sched, plan, model, _ = build_objects(cfg, with_denoiser=False)
+    den = dsc.GmmDenoiser(model, sched)
+    z = dsc.gmm_sample(model, 16, dsc.stream(5, 0))
+    for t in sorted({0, sched.t_train, *(plan.training_step(s) for s in range(plan.k + 1))}):
+        want = -np.sqrt(1.0 - sched.alpha_bars[t]) * gmm_score(model, sched, z, t)
+        assert den.predict(z, t).tobytes() == want.tobytes(), (config, t)
+
+
+def test_pickled_denoiser_predicts_the_bits_of_a_fresh_one(sched, bimodal_8):
+    # a grid's pool pickles the denoiser with the per-t terms it has cached
+    used = dsc.GmmDenoiser(bimodal_8, sched)
+    z = dsc.gmm_sample(bimodal_8, 8, dsc.stream(5, 1))
+    for t in (0, 100, 1000):
+        used.predict(z, t)
+    copy, fresh = pickle.loads(pickle.dumps(used)), dsc.GmmDenoiser(bimodal_8, sched)
+    for t in (0, 100, 500, 1000):
+        assert copy.predict(z, t).tobytes() == fresh.predict(z, t).tobytes(), t
 
 
 def test_eps_optimality_monte_carlo(sched):

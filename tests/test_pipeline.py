@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import diffsemcom as dsc
 from diffsemcom.channel import ChannelConfig
-from diffsemcom.errors import ConfigError, ParameterError
+from diffsemcom.errors import ParameterError
 from diffsemcom.pipeline import (
     PipelineConfig,
     decode_at,
@@ -64,7 +64,7 @@ def test_receive_decode_exact_inverse(sched, plan50):
     den = ConstantDenoiser(rng.standard_normal(8))
     y = dsc.run_ddim_invert(sched, dsc.Latent(z0, 0), plan50.ascending_steps(0, 5), den).values
     cfg = PipelineConfig(t_f1=5, t_f2=0, t_b=5)
-    out = decode_at(receiver_forward(y, cfg, sched, plan50, den), cfg, sched, plan50, den, 5)
+    out = decode_at(receiver_forward(y, cfg, sched, plan50, den), sched, plan50, den, 5)
     assert np.max(np.abs(out - z0)) <= 1e-12
 
 
@@ -82,7 +82,7 @@ def test_receive_decode_gamma_consistent_round_trip(sched, plan50):
     z0 = dsc.gmm_sample(src, 8, dsc.stream(1, 7))
     values, gamma = encode_transmit(z0, cfg, sched, plan50, den)
     z_hat = receiver_forward(values, cfg, sched, plan50, den)
-    out = decode_at(z_hat, cfg, sched, plan50, den, 5)
+    out = decode_at(z_hat, sched, plan50, den, 5)
     ref = gamma[:, None] * z0
     rel = np.sum((out - ref) ** 2, axis=-1) / np.sum(ref**2, axis=-1)
     assert np.max(rel) < 1e-2
@@ -93,16 +93,19 @@ def test_receive_decode_t_b_zero_only_for_empty_split(sched, plan50, std_normal_
     y = np.ones(8)
     cfg0 = PipelineConfig(t_f1=0, t_f2=0, t_b=0)
     z_hat = receiver_forward(y, cfg0, sched, plan50, den)
-    assert np.array_equal(decode_at(z_hat, cfg0, sched, plan50, den, 0), y)
+    assert np.array_equal(decode_at(z_hat, sched, plan50, den, 0), y)
     # a config cannot hold t_b = 0 on a non-empty split; a depth passed in can
     cfg_auto = PipelineConfig(t_f1=5, t_f2=0, t_b="auto")
-    with pytest.raises(ConfigError, match="resolved t_b = 0 is only valid for an empty split"):
-        decode_at(receiver_forward(y, cfg_auto, sched, plan50, den), cfg_auto, sched, plan50,
-                  den, 0)
+    with pytest.raises(ParameterError, match="resolved t_b = 0 is only valid for an empty split"):
+        decode_at(receiver_forward(y, cfg_auto, sched, plan50, den), sched, plan50, den, 0)
+    # the rule reads the latent's tag, on or off the plan
+    for t in (1, plan50.training_step(1), sched.t_train):
+        with pytest.raises(ParameterError, match="resolved t_b = 0 is only valid"):
+            decode_at(dsc.Latent(y, t), sched, plan50, den, 0)
     # any other depth outside the plan is the plan's error
     for t_b in (-1, plan50.k + 1):
         with pytest.raises(ParameterError):
-            decode_at(z_hat, cfg0, sched, plan50, den, t_b)
+            decode_at(z_hat, sched, plan50, den, t_b)
 
 
 def _affine_ddim(sched, mu, v, steps):
@@ -156,7 +159,7 @@ def test_single_gaussian_encode_decode_match_closed_form(sched, plan50, mu, v, t
     assert _max_rel_err(values, want_gamma[:, None] * z_t1) <= 1e-12
 
     y = dsc.awgn_apply(values, ChannelConfig(-10.0 * np.log10(0.3), "real_simplified"), rng)
-    out = decode_at(receiver_forward(y, cfg, sched, plan50, den), cfg, sched, plan50, den, t_b)
+    out = decode_at(receiver_forward(y, cfg, sched, plan50, den), sched, plan50, den, t_b)
     a2, b2 = _affine_ddim(sched, mu, v, [plan50.training_step(t_f1)]
                           + plan50.ascending_steps(t_f1, t_f))
     a3, b3 = _affine_ddim(sched, mu, v, [plan50.training_step(t_b)]
@@ -232,7 +235,7 @@ def test_run_trial_decodes_through_receive_decode(sched, plan50, bimodal_8, t_f1
         t_b = dsc.select_denoise_steps(sched, plan50, budget.sigma_tot2).t_b
     assert res.t_b_resolved == t_b
     z_hat = receiver_forward(y, cfg, sched, plan50, den, k_rx if fresh_noise else None)
-    assert np.array_equal(res.z_tilde0, decode_at(z_hat, cfg, sched, plan50, den, t_b))
+    assert np.array_equal(res.z_tilde0, decode_at(z_hat, sched, plan50, den, t_b))
 
 
 def test_run_trial_deterministic(sched, plan50, bimodal_64):

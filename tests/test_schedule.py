@@ -11,6 +11,12 @@ from diffsemcom.errors import ParameterError
 GOLDEN_AB_1000 = 0.004660098513077236
 
 
+def scaled_linear_alphas(t_train, beta_start, beta_end):
+    """alpha_t = 1 - beta_t by the documented formula, with alpha_0 = 1 at index 0."""
+    betas = np.linspace(np.sqrt(beta_start), np.sqrt(beta_end), t_train) ** 2
+    return np.concatenate([[1.0], 1.0 - betas])
+
+
 def test_alpha_bar_zero_is_one(sched):
     assert sched.alpha_bars[0] == 1.0
     s = dsc.build_schedule(1, 0.01, 0.01)
@@ -24,17 +30,17 @@ def test_golden_cumulative_product(sched):
 
 def test_brute_force_product_matches():
     s = dsc.build_schedule(400, 5e-4, 0.03)
+    alphas = scaled_linear_alphas(400, 5e-4, 0.03)
     prod = 1.0
     for t in range(1, 401):
-        prod *= float(s.alphas[t])
+        prod *= float(alphas[t])
     assert s.alpha_bars[400] == pytest.approx(prod, rel=1e-13)
 
 
 def test_recursion_exact(sched):
     # cumprod is a running multiply, so the recursion holds bitwise
-    assert np.array_equal(
-        sched.alpha_bars[1:], sched.alpha_bars[:-1] * sched.alphas[1:]
-    )
+    alphas = scaled_linear_alphas(1000, 8.5e-4, 0.012)
+    assert np.array_equal(sched.alpha_bars[1:], sched.alpha_bars[:-1] * alphas[1:])
 
 
 def test_strict_monotonicity(sched):
@@ -42,13 +48,15 @@ def test_strict_monotonicity(sched):
 
 
 def test_scaled_linear_formula():
+    # beta_t is read back from the table as 1 - alpha_bar_t / alpha_bar_{t-1}
     s = dsc.build_schedule(100, 1e-3, 0.02)
     for t in (1, 37, 100):
         expected = (
             math.sqrt(1e-3)
             + (t - 1) / 99 * (math.sqrt(0.02) - math.sqrt(1e-3))
         ) ** 2
-        assert s.betas[t] == pytest.approx(expected, rel=1e-12)
+        beta = 1.0 - s.alpha_bars[t] / s.alpha_bars[t - 1]
+        assert beta == pytest.approx(expected, rel=1e-12)
 
 
 def test_build_schedule_validation():
@@ -70,9 +78,10 @@ def test_alpha_bar_ratio_trivial(sched):
 
 
 def test_alpha_bar_ratio_product_oracle(sched):
+    alphas = scaled_linear_alphas(1000, 8.5e-4, 0.012)
     direct = 1.0
     for t in range(6, 11):
-        direct *= float(sched.alphas[t])
+        direct *= float(alphas[t])
     assert dsc.alpha_bar_ratio(sched, 5, 10) == pytest.approx(direct, rel=1e-13)
 
 
