@@ -2,8 +2,8 @@
 
 Subcommands: verify-prop1, sweep, ablate, train.
 Exit codes: 0 success, 1 tolerance failure, 2 configuration error,
-3 runtime error.  The output directory is --out, else the config file's
-``[output] directory``.
+3 runtime error.  --out (default ``out``) is the output directory, and
+--jobs (default 1, at least 1) the grid's pool size; neither is a config key.
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ from . import harness
 
 def _add_common(p):
     p.add_argument("--config", required=True, help="path to the experiment config file")
-    p.add_argument("--out", default=None, help="output directory")
+    p.add_argument("--out", default="out", help="output directory")
     p.add_argument("--seed", type=int, default=None, help="override the master seed")
-    p.add_argument("--jobs", type=int, default=None,
+    p.add_argument("--jobs", type=int, default=1,
                    help="worker pool size for grid cells (at most one per seed and per usable CPU)")
 
 
@@ -51,30 +51,30 @@ def _build_parser():
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.jobs < 1:
+            raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
         cfg = parse_config(args.config)
-        run = {key: getattr(args, key) for key in ("seed", "jobs")
-               if getattr(args, key) is not None}
+        run = {"seed": args.seed} if args.seed is not None else {}
         sweep = {"plot": args.plot == "on"} if getattr(args, "plot", None) else {}
         cfg = replace(cfg, run=replace(cfg.run, **run), sweep=replace(cfg.sweep, **sweep))
-        out_dir = args.out or cfg.output.directory
-    except (ConfigError, FieldError) as exc:  # FieldError: a bad --seed or --jobs
+    except (ConfigError, FieldError) as exc:  # FieldError: a bad --seed
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
     try:
         if args.command == "verify-prop1":
-            code, _report = harness.cmd_verify_prop1(cfg, out_dir)
+            code, _report = harness.cmd_verify_prop1(cfg, args.out)
             return code
         if args.command == "sweep":
-            _rows, csv_path = harness.cmd_sweep(cfg, out_dir)
+            _rows, csv_path = harness.cmd_sweep(cfg, args.out, args.jobs)
             print(f"wrote {csv_path}")
             return 0
         if args.command == "ablate":
-            _rows, csv_path = harness.cmd_ablate(cfg, out_dir)
+            _rows, csv_path = harness.cmd_ablate(cfg, args.out, args.jobs)
             print(f"wrote {csv_path}")
             return 0
         if args.command == "train":
-            ckpt, loss_csv = harness.cmd_train(cfg, out_dir)
+            ckpt, loss_csv = harness.cmd_train(cfg, args.out)
             print(f"wrote {ckpt} and {loss_csv}")
             return 0
     except ConfigError as exc:

@@ -3,7 +3,8 @@
 Every key is optional and falls back to a documented default; unknown
 sections or keys are hard errors with the offending line number, so typos
 cannot silently change an experiment.  ``serialize_config`` emits a
-canonical file that reparses to an equal configuration.
+canonical file that reparses to an equal configuration.  A key decides what
+a run computes; how it runs and where it writes are ``--jobs`` and ``--out``.
 
 The section dataclasses, the runtime ``ChannelConfig``, ``PipelineConfig``
 and ``TrainConfig`` among them, are the schema: a key's name, default and
@@ -68,14 +69,8 @@ class Prop1Spec(CheckedFields):
 
 
 @dataclass(frozen=True)
-class OutputSpec:
-    directory: str = "out"
-
-
-@dataclass(frozen=True)
 class RunSpec(CheckedFields):
     seed: int = field(default=0, metadata={"min": 0})
-    jobs: int = field(default=1, metadata={"min": 1})
 
 
 @dataclass(frozen=True)
@@ -88,7 +83,6 @@ class ExperimentConfig:
     sweep: SweepSpec = field(default_factory=SweepSpec)
     prop1: Prop1Spec = field(default_factory=Prop1Spec)
     train: TrainConfig = field(default_factory=TrainConfig)
-    output: OutputSpec = field(default_factory=OutputSpec)
 
 
 # Section name -> its dataclass, in file order.
@@ -168,38 +162,28 @@ _CONVERTERS = {
 }
 
 
-class _SectionReader:
-    def __init__(self, parser, text, path, section):
-        self.parser = parser
-        self.text = text
-        self.path = path
-        self.section = section
+def _read_section(parser, text, path, section, cls):
+    """Section dataclass ``cls`` from ``section``'s keys, each parsed by its
+    field's annotation; a missing key (or section) keeps the field's default."""
+    def fail(key, message):
+        raise ConfigError(f"{path}:{_line_of(text, section, key)}: {section}.{key}: {message}")
 
-    def _fail(self, key, message):
-        line = _line_of(self.text, self.section, key)
-        raise ConfigError(f"{self.path}:{line}: {self.section}.{key}: {message}")
-
-    def typed(self, f):
-        """Field ``f``'s key parsed by its annotation, else the field's default."""
-        if not self.parser.has_option(self.section, f.name):  # False for a missing section
-            return f.default
-        convert, kind = _CONVERTERS[f.type]
-        raw = self.parser.get(self.section, f.name).strip()
-        try:
-            return convert(raw)
-        except ValueError as exc:
-            self._fail(f.name, f"invalid {kind} {raw!r} ({exc})")
-
-    def spec(self, cls):
-        """Section dataclass ``cls`` from this section's keys."""
-        values = {f.name: self.typed(f) for f in fields(cls)}  # a bad value names its key's line
-        try:
-            return cls(**values)
-        except FieldError as exc:
-            self._fail(exc.field, exc.reason)
-        except (ParameterError, ConfigError) as exc:
-            line = _line_of(self.text, self.section)
-            raise ConfigError(f"{self.path}:{line}: [{self.section}]: {exc}") from exc
+    values = {}
+    for f in fields(cls):
+        if parser.has_option(section, f.name):  # False for a missing section
+            convert, kind = _CONVERTERS[f.type]
+            raw = parser.get(section, f.name).strip()
+            try:
+                values[f.name] = convert(raw)
+            except ValueError as exc:  # a bad value names its key's line
+                fail(f.name, f"invalid {kind} {raw!r} ({exc})")
+    try:
+        return cls(**values)
+    except FieldError as exc:
+        fail(exc.field, exc.reason)
+    except (ParameterError, ConfigError) as exc:
+        line = _line_of(text, section)
+        raise ConfigError(f"{path}:{line}: [{section}]: {exc}") from exc
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -233,7 +217,7 @@ def parse_config(path) -> ExperimentConfig:
                 line = _line_of(text, section, key)
                 raise ConfigError(f"{path}:{line}: unknown config key '{section}.{key}'")
 
-    return ExperimentConfig(**{name: _SectionReader(parser, text, path, name).spec(cls)
+    return ExperimentConfig(**{name: _read_section(parser, text, path, name, cls)
                                for name, cls in _SECTIONS.items()})
 
 

@@ -204,9 +204,9 @@ def _run_seed(cfg: ExperimentConfig, objects, cells) -> list[ResultRow]:
     return [run_cell(cfg, objects, cell) for cell in cells]
 
 
-def _run_grid(cfg: ExperimentConfig, cells, out_dir, csv_name):
-    """Run cells, one task per seed (on a pool of up to cfg.run.jobs workers,
-    at most one per seed and per usable CPU), writing rows in cell order.
+def _run_grid(cfg: ExperimentConfig, cells, out_dir, csv_name, jobs):
+    """Run cells, one task per seed (on a pool of up to ``jobs`` workers, at
+    most one per seed and per usable CPU), writing rows in cell order.
 
     Builds the objects before it creates out_dir.  Each row is flushed once
     every row before it is in, and a failed cell stops the loop (the pool's
@@ -219,7 +219,7 @@ def _run_grid(cfg: ExperimentConfig, cells, out_dir, csv_name):
     for i, cell in enumerate(cells):
         by_seed.setdefault(cell.seed, []).append(i)
     tasks = [[cells[i] for i in indices] for indices in by_seed.values()]
-    workers = min(cfg.run.jobs, len(tasks), _usable_cpus())
+    workers = min(jobs, len(tasks), _usable_cpus())
     rows: list[ResultRow | None] = [None] * len(cells)
     written = 0
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fh, ExitStack() as stack:
@@ -238,7 +238,7 @@ def _run_grid(cfg: ExperimentConfig, cells, out_dir, csv_name):
     return rows, csv_path
 
 
-def cmd_sweep(cfg: ExperimentConfig, out_dir):
+def cmd_sweep(cfg: ExperimentConfig, out_dir, jobs=1):
     """Full factorial over (snr_db x seeds x (proposed, random-noise baseline))."""
     p = cfg.pipeline
     t_b_mode = "auto" if p.t_b == "auto" else "fixed"
@@ -248,7 +248,7 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir):
         for seed in cfg.sweep.seeds
         for system in ("proposed", "random_noise")
     ]
-    rows, csv_path = _run_grid(cfg, cells, out_dir, "sweep.csv")
+    rows, csv_path = _run_grid(cfg, cells, out_dir, "sweep.csv", jobs)
     if cfg.sweep.plot:
         for metric in ("mse", "sw2"):
             svg = svgplot.emit_svg_plot(rows, metric)
@@ -261,7 +261,7 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir):
 ABLATION_SPLITS = ((10, 0), (5, 5), (0, 10))
 
 
-def cmd_ablate(cfg: ExperimentConfig, out_dir):
+def cmd_ablate(cfg: ExperimentConfig, out_dir, jobs=1):
     """Split/depth grid plus the baseline at channel.snr_db, on the sweep's seeds and n."""
     snr = cfg.channel.snr_db
     cells = []
@@ -270,7 +270,7 @@ def cmd_ablate(cfg: ExperimentConfig, out_dir):
             cells.append(Cell(snr, seed, "proposed", t_f1, t_f2, t_f1 + t_f2, "t_f"))
             cells.append(Cell(snr, seed, "proposed", t_f1, t_f2, "auto", "auto"))
         cells.append(Cell(snr, seed, "random_noise", 5, 5, "auto", "auto"))
-    return _run_grid(cfg, cells, out_dir, "ablate.csv")
+    return _run_grid(cfg, cells, out_dir, "ablate.csv", jobs)
 
 
 def cmd_verify_prop1(cfg: ExperimentConfig, out_dir):

@@ -1,3 +1,4 @@
+import os
 import re
 import string
 from dataclasses import fields, replace
@@ -8,8 +9,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from diffsemcom import cli
-from diffsemcom.config import ExperimentConfig, parse_config, serialize_config
+from diffsemcom import cli, harness
+from diffsemcom.config import ExperimentConfig, RunSpec, parse_config, serialize_config
 from diffsemcom.errors import ConfigError, FieldError
 from diffsemcom.pipeline import PipelineConfig
 from diffsemcom.schedule import K_STEPS
@@ -167,6 +168,62 @@ def test_removed_guidance_key_rejected_at_its_line(tmp_path, capsys, section, ke
         assert f"exp.ini:5: unknown config key '{section}.{key}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text,line,key", [
+    ("[run]\nseed = 1\n\njobs = 2\n", 4, "run.jobs"),
+    ("[run]\nseed = 1\n[output]\n\ndirectory = elsewhere\n", 5, "output.directory"),
+], ids=["run.jobs", "output.directory"])
+def test_cli_settings_are_not_config_keys(tmp_path, capsys, monkeypatch, text, line, key):
+    # --jobs and --out are the only setters of the pool size and the output
+    # directory; a file that sets either is rejected before any output
+    monkeypatch.chdir(tmp_path)
+    path = write(tmp_path, text)
+    for command in ("verify-prop1", "sweep", "ablate", "train"):
+        for out in ([], ["--out", str(tmp_path / command)]):
+            assert cli.main([command, "--config", str(path), *out]) == 2, command
+            assert capsys.readouterr().err \
+                == f"config error: {path}:{line}: unknown config key '{key}'\n", command
+    assert sorted(os.listdir(tmp_path)) == ["exp.ini"]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_exits_2_before_output(tmp_path, capsys, jobs):
+    path = write(tmp_path, "")
+    for command in ("verify-prop1", "sweep", "ablate", "train"):
+        out = tmp_path / command
+        assert cli.main([command, "--config", str(path), "--out", str(out),
+                         "--jobs", jobs]) == 2, command
+        assert not out.exists(), command
+        assert capsys.readouterr().err \
+            == f"config error: --jobs must be >= 1, got {jobs}\n", command
+
+
+def test_effective_config_does_not_depend_on_jobs_or_out(tmp_path, monkeypatch):
+    # the config a command runs, after --seed and --plot, serializes to the
+    # same bytes at any --jobs and --out: it says what a run writes, not how
+    # or where it ran
+    seen = []
+
+    def record(cfg, out_dir, *jobs):
+        seen.append(serialize_config(cfg))
+        return 0, None
+
+    for name in ("cmd_verify_prop1", "cmd_sweep", "cmd_ablate", "cmd_train"):
+        monkeypatch.setattr(harness, name, record)
+    path = write(tmp_path, "[run]\nseed = 2\n")
+    parsed = parse_config(path)
+    for command in ("verify-prop1", "sweep", "ablate", "train"):
+        plot = command == "sweep"
+        want = serialize_config(replace(parsed, run=RunSpec(seed=5),
+                                        sweep=replace(parsed.sweep, plot=plot)))
+        seen.clear()
+        for jobs in ("1", "2"):
+            for out in ("a", str(tmp_path / "b")):
+                assert cli.main([command, "--config", str(path), "--seed", "5", "--jobs", jobs,
+                                 "--out", out, *(["--plot", "on"] if plot else [])]) == 0
+        assert seen == [want] * 4, command
+        assert "jobs" not in want and "[output]" not in want
+
+
 def test_section_range_error_reported_at_section_line(tmp_path):
     path = write(tmp_path, "[channel]\nsnr_db = 5\n\n[pipeline]\nt_b = 3\nt_f1 = -1\n")
     with pytest.raises(ConfigError, match=r"exp\.ini:4: \[pipeline\]: split counts must be >= 0"):
@@ -285,7 +342,6 @@ def test_round_trip_rich(tmp_path):
     text = """
 [run]
 seed = 7
-jobs = 2
 
 [source]
 dimension = 8

@@ -34,10 +34,9 @@ SIZED = {
     ("pipeline", "t_b"): st.one_of(st.just("auto"), st.integers(-1, 12)),
     ("sweep", "seeds"): st.integers(-1, 3),
     ("sweep", "n_per_cell"): st.integers(1, 4),
-    ("run", "jobs"): st.integers(0, 1),
 }
-# File names: no edge value of theirs reaches sweep or ablate.
-SKIPPED = {("denoiser", "checkpoint"), ("output", "directory")}
+# A file name: no edge value of its reaches sweep or ablate.
+SKIPPED = {("denoiser", "checkpoint")}
 # Runtime failures that are meant to exit 3: whether a batch overflows
 # depends on its draws, so no bound at parse time can be exact.
 RUNTIME_FAILURES = re.compile(r"error: metric (mse|nmse|sw2|mmd2) is not finite")

@@ -32,10 +32,6 @@ def small_cfg(**kw):
     return replace(cfg, **kw) if kw else cfg
 
 
-def with_jobs(cfg, jobs):
-    return replace(cfg, run=replace(cfg.run, jobs=jobs))
-
-
 def usable_cpus(monkeypatch, cpus):
     # a grid starts at most one worker per usable CPU: a test that needs a
     # pool fixes the count, so that it forks one on any host
@@ -78,7 +74,7 @@ def test_sweep_parallel_matches_serial(tmp_path, monkeypatch):
     usable_cpus(monkeypatch, 2)
     cfg = small_cfg()
     _, p1 = harness.cmd_sweep(cfg, tmp_path / "serial")
-    _, p2 = harness.cmd_sweep(with_jobs(cfg, 2), tmp_path / "parallel")
+    _, p2 = harness.cmd_sweep(cfg, tmp_path / "parallel", jobs=2)
     assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
@@ -91,7 +87,7 @@ def test_two_component_parallel_matches_serial(tmp_path, monkeypatch, command):
                         variances=(0.05, 0.75))
     cfg = small_cfg(source=source)
     _, p1 = command(cfg, tmp_path / "serial")
-    _, p2 = command(with_jobs(cfg, 2), tmp_path / "parallel")
+    _, p2 = command(cfg, tmp_path / "parallel", jobs=2)
     assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
@@ -122,7 +118,7 @@ def test_seed_grouped_grid_matches_a_loop_of_independent_trials(tmp_path, monkey
     # a grid shares each seed's source batch, encodes, receiver legs and
     # metric terms between its cells; the rows are those of independent trials
     usable_cpus(monkeypatch, 2)
-    cfg = with_jobs(small_cfg(), jobs)
+    cfg = small_cfg()
     cfg = replace(cfg, sweep=replace(cfg.sweep, seeds=(0, 1, 2)))
     p = cfg.pipeline
     sweep_cells = [(snr, seed, system, p.t_f1, p.t_f2, p.t_b) for snr in cfg.sweep.snr_db
@@ -133,8 +129,8 @@ def test_seed_grouped_grid_matches_a_loop_of_independent_trials(tmp_path, monkey
             ablate_cells += [(cfg.channel.snr_db, seed, "proposed", t_f1, t_f2, t_f1 + t_f2),
                              (cfg.channel.snr_db, seed, "proposed", t_f1, t_f2, "auto")]
         ablate_cells.append((cfg.channel.snr_db, seed, "random_noise", 5, 5, "auto"))
-    sweep_rows, _ = harness.cmd_sweep(cfg, tmp_path / "sweep")
-    ablate_rows, _ = harness.cmd_ablate(cfg, tmp_path / "ablate")
+    sweep_rows, _ = harness.cmd_sweep(cfg, tmp_path / "sweep", jobs=jobs)
+    ablate_rows, _ = harness.cmd_ablate(cfg, tmp_path / "ablate", jobs=jobs)
     assert len(sweep_rows) == 2 * 3 * 2 and len(ablate_rows) == 3 * 7
     assert _row_values(sweep_rows) == _reference_rows(cfg, sweep_cells)
     assert _row_values(ablate_rows) == _reference_rows(cfg, ablate_cells)
@@ -233,8 +229,8 @@ def test_pool_capped_at_seed_count(tmp_path, monkeypatch):
         cfg = small_cfg()
         cfg = replace(cfg, sweep=replace(cfg.sweep, snr_db=(5.0,), seeds=seeds))  # 2 cells a seed
         _, serial = harness.cmd_sweep(cfg, tmp_path / f"serial{len(seeds)}-{cpus}")
-        _, pooled = harness.cmd_sweep(with_jobs(cfg, 100_000),
-                                      tmp_path / f"jobs-{len(seeds)}-{cpus}")
+        _, pooled = harness.cmd_sweep(cfg, tmp_path / f"jobs-{len(seeds)}-{cpus}",
+                                      jobs=100_000)
         assert Path(pooled).read_bytes() == Path(serial).read_bytes()
         assert sizes == ([2] if (len(seeds), cpus) == (2, 3) else [])
 
@@ -267,12 +263,12 @@ def test_sweep_builds_objects_once_per_command(tmp_path, monkeypatch):
     harness.cmd_sweep(cfg, tmp_path / "b")
     assert calls == [(cfg, []), (cfg, ["a"])]
     # a pool's workers take the parent's objects
-    harness.cmd_sweep(with_jobs(cfg, 2), tmp_path / "c")
-    assert calls == [(cfg, []), (cfg, ["a"]), (with_jobs(cfg, 2), ["a", "b"])]
+    harness.cmd_sweep(cfg, tmp_path / "c", jobs=2)
+    assert calls == [(cfg, []), (cfg, ["a"]), (cfg, ["a", "b"])]
     # the workers of a --jobs 2 grid call build_objects zero times
     monkeypatch.setitem(globals(), "_build_log", str(tmp_path / "builds.log"))
     monkeypatch.setattr(harness, "build_objects", _build_objects_logged)
-    harness.cmd_sweep(with_jobs(cfg, 2), tmp_path / "d")
+    harness.cmd_sweep(cfg, tmp_path / "d", jobs=2)
     assert (tmp_path / "builds.log").read_text().split() == [str(os.getpid())]
 
 
@@ -784,18 +780,17 @@ def test_cli_runtime_error_exit_code(tmp_path, capsys):
         assert capsys.readouterr().err == "error: latent values must be finite\n"
 
 
-def test_cli_out_dir_resolution(tmp_path):
-    # --out, else the config's [output] directory
-    cfg_dir = tmp_path / "from_config"
+def test_cli_out_dir_resolution(tmp_path, monkeypatch):
+    # --out, else ./out
+    monkeypatch.chdir(tmp_path)
     cfg_path = tmp_path / "cfg.ini"
     cfg_path.write_text(
         "[source]\ndimension = 8\n"
         "[sweep]\nsnr_db = 5\nseeds = 0\nn_per_cell = 16\n"
-        f"[output]\ndirectory = {cfg_dir}\n"
     )
     flag_dir = tmp_path / "from_flag"
     assert cli.main(["sweep", "--config", str(cfg_path), "--out", str(flag_dir)]) == 0
     assert (flag_dir / "sweep.csv").exists()
-    assert not cfg_dir.exists()
+    assert not (tmp_path / "out").exists()
     assert cli.main(["sweep", "--config", str(cfg_path)]) == 0
-    assert (cfg_dir / "sweep.csv").exists()
+    assert (tmp_path / "out" / "sweep.csv").exists()

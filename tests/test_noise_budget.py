@@ -1,5 +1,6 @@
 import os
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import diffsemcom as dsc
+from diffsemcom import cli
 from diffsemcom.channel import ChannelConfig
+from diffsemcom.config import parse_config, serialize_config
 from diffsemcom.errors import ParameterError
 from diffsemcom.noise_budget import SplitConfig, validate_prop1
 from instruments import standard_normal_mixture
@@ -215,6 +218,20 @@ def test_validator_full_pipeline_passes(sched, plan50):
     assert rep.var_rel_err < 0.03
     assert rep.frac_mean_within_band >= 0.99
     assert rep.passed()
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 10a")
+def test_verify_prop1_passes_on_the_empty_split_at_200_db(tmp_path):
+    # default.ini on split (0, 0) at 200 dB predicts a variance of 5e-21, but
+    # the pooled (sum z^2 - n mean^2) / (n - 1) floors near 1e-16 mean^2:
+    # 6.5e-17, a var_rel_err of 1.3e6%, so a correct simulator exits 1
+    cfg = parse_config(os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                                    "default.ini"))
+    cfg = replace(cfg, pipeline=replace(cfg.pipeline, t_f1=0, t_f2=0),
+                  channel=replace(cfg.channel, snr_db=200.0))
+    path = tmp_path / "empty_split_200db.ini"
+    path.write_text(serialize_config(cfg))
+    assert cli.main(["verify-prop1", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
 
 
 def test_validator_negative_control(sched, plan50, mis_index_budget):
